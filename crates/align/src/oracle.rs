@@ -2,18 +2,39 @@
 //!
 //! Match scores depend only on the instance, never on the current
 //! solution (DESIGN.md decision D2), so every DP result can be cached
-//! for the lifetime of a solver run. Two cache layers:
+//! for the lifetime of a solver run. Three caches:
 //!
-//! * **interval tables** `MS(h, m(d, e))` for a whole fragment `h`
-//!   against *every* interval of a fragment `m` — the 1-CSR → ISP
-//!   reduction (§3.4) and the TPA subroutine (§4.2) consume profits in
-//!   exactly this shape, and one DP sweep per start position fills a
-//!   whole row of ends;
-//! * **site pairs** `MS(h̄, m̄)` for arbitrary site pairs, used by the
-//!   improvement methods.
+//! * **interval tables** `MS(f, g(d, e))` for a whole fragment `f`
+//!   against *every* interval of a fragment `g` of the other species
+//!   (either species may be the plug). One DP sweep per start position
+//!   fills a whole row of ends. Readers: the 1-CSR → ISP reduction
+//!   (§3.4, also run by the factor-4 algorithm on its concatenations),
+//!   greedy's full-match candidates, the I1 plug ranking of improvement
+//!   enumeration, and every full match the improvement operations
+//!   create or rescore: the TPA refill (§4.2), `plug_full`, and the
+//!   full-match branch of site preparation;
+//! * **site pairs** `MS(h̄, m̄)` with free orientation, for arbitrary
+//!   site pairs. Reader: the border-matching 2-approximation, which
+//!   weighs whole-fragment pairs;
+//! * **oriented site pairs** `P_score` under a pinned orientation.
+//!   Readers: border (staircase) matches, whose orientation the end
+//!   condition forces — I2/I3 enumeration, `make_border`, the border
+//!   branch of site preparation, and greedy's border candidates.
 //!
-//! Reads take a shared lock; misses fill under a write lock. The
-//! oracle is `Sync` and shared across rayon workers.
+//! Reads take a shared lock; a miss fills outside the lock and
+//! publishes under a write lock. The oracle is `Sync` and shared
+//! across rayon workers.
+//!
+//! **Counter contract** ([`OracleStats`]). Every lookup counts one hit
+//! or one miss. Only the fill whose insert publishes a key counts the
+//! miss and adds its DP fills; a thread that loses the race to fill the
+//! same key counts a hit and its fills are dropped. So `table_misses`,
+//! `pair_misses` (free and oriented pairs together) and the cached
+//! part of `dp_fills` count distinct keys, and repeat exactly at any
+//! pool width. `dp_fills` also counts uncached pooled fills (the chain
+//! tier's window alignments). `dp_reallocs` counts buffer growth in
+//! every fill, lost races included, so it depends on which warm
+//! workspace served which fill.
 
 use crate::dp::fill_rolling;
 use crate::kernel::{fill_profiled, KERNEL_BLOCK};
@@ -22,6 +43,7 @@ use fragalign_model::symbol::reverse_word_in_place;
 use fragalign_model::{FragId, Instance, Orient, Score, Site, Sym};
 use fragalign_obs::TraceHandle;
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,9 +96,9 @@ pub struct OracleStats {
     pub table_misses: AtomicU64,
     /// Site-pair lookups served from cache.
     pub pair_hits: AtomicU64,
-    /// Site-pair scores computed.
+    /// Site-pair scores computed (free and pinned orientation).
     pub pair_misses: AtomicU64,
-    /// DP fills run through pooled workspaces.
+    /// DP fills behind the cached entries, plus uncached pooled fills.
     pub dp_fills: AtomicU64,
     /// Workspace buffer growth events — the allocations proxy. With
     /// reuse on this converges; with reuse off it tracks `dp_fills`.
@@ -95,9 +117,9 @@ pub struct OracleStatsSnapshot {
     pub table_misses: u64,
     /// Site-pair lookups served from cache.
     pub pair_hits: u64,
-    /// Site-pair scores computed.
+    /// Site-pair scores computed (free and pinned orientation).
     pub pair_misses: u64,
-    /// DP fills run through pooled workspaces.
+    /// DP fills behind the cached entries, plus uncached pooled fills.
     pub dp_fills: u64,
     /// Workspace buffer growth events.
     pub dp_reallocs: u64,
@@ -115,7 +137,8 @@ impl std::ops::AddAssign for OracleStatsSnapshot {
 }
 
 impl OracleStats {
-    /// Read every counter at once (relaxed; exact when no fills race).
+    /// Read every counter at once (relaxed; exact once no fill is in
+    /// flight).
     pub fn snapshot(&self) -> OracleStatsSnapshot {
         OracleStatsSnapshot {
             table_hits: self.table_hits.load(Ordering::Relaxed),
@@ -223,16 +246,28 @@ impl<'a> ScoreOracle<'a> {
     /// Check a workspace out of the pool, run `f`, return it, and fold
     /// its fill/realloc deltas into the oracle stats.
     pub(crate) fn with_pooled<R>(&self, f: impl FnOnce(&mut DpWorkspace) -> R) -> R {
+        self.lend(|ws| {
+            let fills0 = ws.fills();
+            let out = f(ws);
+            self.stats
+                .dp_fills
+                .fetch_add(ws.fills() - fills0, Ordering::Relaxed);
+            out
+        })
+    }
+
+    /// Check a workspace out of the pool, run `f`, and return it,
+    /// folding only its realloc delta into the stats: cache fills
+    /// count their DP fills when their insert wins (see
+    /// [`ScoreOracle::settle`]).
+    fn lend<R>(&self, f: impl FnOnce(&mut DpWorkspace) -> R) -> R {
         let mut ws = if self.reuse {
             self.workspaces.lock().pop().unwrap_or_default()
         } else {
             DpWorkspace::new()
         };
-        let (fills0, reallocs0) = (ws.fills(), ws.reallocs());
+        let reallocs0 = ws.reallocs();
         let out = f(&mut ws);
-        self.stats
-            .dp_fills
-            .fetch_add(ws.fills() - fills0, Ordering::Relaxed);
         self.stats
             .dp_reallocs
             .fetch_add(ws.reallocs() - reallocs0, Ordering::Relaxed);
@@ -240,6 +275,32 @@ impl<'a> ScoreOracle<'a> {
             self.workspaces.lock().push(ws);
         }
         out
+    }
+
+    /// Publish a freshly filled cache entry: the first insert of a key
+    /// counts the miss and its `fills` DP fills; a fill that lost the
+    /// race to another thread counts a hit and returns the winner's
+    /// value (the module docs' counter contract).
+    fn settle<K: Eq + std::hash::Hash, V: Clone>(
+        &self,
+        cache: &RwLock<HashMap<K, V>>,
+        key: K,
+        value: V,
+        fills: u64,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+    ) -> V {
+        match cache.write().entry(key) {
+            Entry::Occupied(won) => {
+                hits.fetch_add(1, Ordering::Relaxed);
+                won.get().clone()
+            }
+            Entry::Vacant(slot) => {
+                misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.dp_fills.fetch_add(fills, Ordering::Relaxed);
+                slot.insert(value).clone()
+            }
+        }
     }
 
     /// The interval table of whole-fragment `plug` against intervals of
@@ -252,7 +313,7 @@ impl<'a> ScoreOracle<'a> {
             self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(t);
         }
-        self.with_pooled(|ws| self.interval_table_with(plug, container, ws))
+        self.lend(|ws| self.interval_table_with(plug, container, ws))
     }
 
     /// [`ScoreOracle::interval_table`] filling through a caller-owned
@@ -267,12 +328,16 @@ impl<'a> ScoreOracle<'a> {
             self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(t);
         }
-        self.stats.table_misses.fetch_add(1, Ordering::Relaxed);
+        let fills0 = ws.fills();
         let table = Arc::new(self.build_table(plug, container, ws));
-        self.tables
-            .write()
-            .insert((plug, container), Arc::clone(&table));
-        table
+        self.settle(
+            &self.tables,
+            (plug, container),
+            table,
+            ws.fills() - fills0,
+            &self.stats.table_hits,
+            &self.stats.table_misses,
+        )
     }
 
     fn build_table(&self, plug: FragId, container: FragId, ws: &mut DpWorkspace) -> IntervalTable {
@@ -379,7 +444,7 @@ impl<'a> ScoreOracle<'a> {
             self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        self.with_pooled(|ws| self.ms_with(h, m, ws))
+        self.lend(|ws| self.ms_with(h, m, ws))
     }
 
     /// [`ScoreOracle::ms`] filling through a caller-owned workspace on
@@ -390,14 +455,20 @@ impl<'a> ScoreOracle<'a> {
             self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        self.stats.pair_misses.fetch_add(1, Ordering::Relaxed);
+        let fills0 = ws.fills();
         let v = ws.ms_words(
             &self.inst.sigma,
             self.inst.site_word(h),
             self.inst.site_word(m),
         );
-        self.pairs.write().insert(key, v);
-        v
+        self.settle(
+            &self.pairs,
+            key,
+            v,
+            ws.fills() - fills0,
+            &self.stats.pair_hits,
+            &self.stats.pair_misses,
+        )
     }
 
     /// `MS(plug fragment, container(d, e))` through the interval table.
@@ -420,7 +491,7 @@ impl<'a> ScoreOracle<'a> {
             self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        self.with_pooled(|ws| self.ms_oriented_with(h, m, orient, ws))
+        self.lend(|ws| self.ms_oriented_with(h, m, orient, ws))
     }
 
     /// [`ScoreOracle::ms_oriented`] filling through a caller-owned
@@ -437,15 +508,21 @@ impl<'a> ScoreOracle<'a> {
             self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        self.stats.pair_misses.fetch_add(1, Ordering::Relaxed);
+        let fills0 = ws.fills();
         let v = ws.p_score_oriented(
             &self.inst.sigma,
             self.inst.site_word(h),
             self.inst.site_word(m),
             orient,
         );
-        self.oriented.write().insert(key, v);
-        v
+        self.settle(
+            &self.oriented,
+            key,
+            v,
+            ws.fills() - fills0,
+            &self.stats.pair_hits,
+            &self.stats.pair_misses,
+        )
     }
 
     /// Drop all cached entries (used by the cache ablation bench).

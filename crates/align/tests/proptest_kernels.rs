@@ -9,7 +9,7 @@ use fragalign_align::{
     p_score_wavefront_with, DpMatrix, DpWorkspace, KernelMode, ScoreOracle, KERNEL_BLOCK,
 };
 use fragalign_model::symbol::reverse_word;
-use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Sym};
+use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Species, Sym};
 use proptest::prelude::*;
 
 const ALL_MODES: [KernelMode; 3] = [
@@ -383,5 +383,94 @@ fn shrinking_buffers_never_leak_stale_tails() {
         for e in d..=9 {
             assert_eq!(a.get(d, e), b.get(d, e), "interval [{d},{e})");
         }
+    }
+}
+
+/// Every interval-table entry equals the site-pair score it stands in
+/// for: for each ordered (plug, container) pair of opposite species
+/// and each `d < e`, `interval_table(plug, container).get(d, e)` is
+/// `ms` of (whole plug, `container[d, e)`) in score and orientation.
+/// The improvement driver scores plugs from the table instead of the
+/// site-pair cache, so the two must never disagree.
+fn assert_tables_match_site_pairs(label: &str, inst: &Instance) {
+    let tables = ScoreOracle::new(inst);
+    let pairs = ScoreOracle::new(inst);
+    for plug in inst.all_frag_ids() {
+        let whole = Site::full(plug, inst.frag_len(plug));
+        for container in inst.frag_ids(plug.species.other()) {
+            let table = tables.interval_table(plug, container);
+            let n = inst.frag_len(container);
+            for d in 0..n {
+                for e in (d + 1)..=n {
+                    let site = Site::new(container, d, e);
+                    let (h, m) = if plug.species == Species::H {
+                        (whole, site)
+                    } else {
+                        (site, whole)
+                    };
+                    assert_eq!(
+                        table.get(d, e),
+                        pairs.ms(h, m),
+                        "{label}: plug {plug:?} into {container:?}[{d},{e})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn interval_tables_equal_site_pair_scores() {
+    use fragalign_sim::{
+        generate, generate_degenerate, generate_soup, generate_torn, DegenerateShape, SimConfig,
+        SoupConfig, TornConfig,
+    };
+    let mut cases = vec![(
+        "paper".to_owned(),
+        fragalign_model::instance::paper_example(),
+    )];
+    for seed in [3u64, 29] {
+        let clean = SimConfig {
+            regions: 20,
+            h_frags: 3,
+            m_frags: 3,
+            loss_rate: 0.1,
+            shuffles: 2,
+            spurious: 3,
+            seed,
+            ..SimConfig::default()
+        };
+        cases.push((format!("clean s{seed}"), generate(&clean).instance));
+        let torn = TornConfig {
+            regions: 24,
+            h_frags: 3,
+            tear_rate: 0.35,
+            seed,
+            ..TornConfig::default()
+        };
+        cases.push((format!("torn s{seed}"), generate_torn(&torn).instance));
+        let soup = SoupConfig {
+            regions: 20,
+            h_frags: 3,
+            read_len: 4,
+            coverage: 2.0,
+            seed,
+            ..SoupConfig::default()
+        };
+        cases.push((format!("soup s{seed}"), generate_soup(&soup).instance));
+        for shape in [
+            DegenerateShape::MegaFragment,
+            DegenerateShape::AllSingletons,
+            DegenerateShape::SigmaDesert,
+        ] {
+            cases.push((
+                format!("{shape:?} s{seed}"),
+                generate_degenerate(shape, 14, seed).instance,
+            ));
+        }
+    }
+    for (label, inst) in &cases {
+        assert_tables_match_site_pairs(label, inst);
+        assert_tables_match_site_pairs(&format!("{label} (species swapped)"), &inst.swapped());
     }
 }

@@ -134,9 +134,13 @@ fn try_shrink(oracle: &ScoreOracle<'_>, mat: &Match, on: FragId, piece: Site) ->
     }
     .kind(inst.frag_len(h.frag), inst.frag_len(m.frag))?;
     match candidate_kind {
-        fragalign_model::MatchKind::Full { .. } => {
-            let (score, orient) = oracle.ms(h, m);
-            Some(Match::new(h, m, orient, score))
+        fragalign_model::MatchKind::Full { full_side } => {
+            let (plug, container) = if full_side == Species::H {
+                (h, m)
+            } else {
+                (m, h)
+            };
+            Some(full_match(oracle, plug.frag, container))
         }
         fragalign_model::MatchKind::Border { h_end, m_end } => {
             // Staircase condition forces the orientation.
@@ -223,14 +227,23 @@ pub fn detach_fragment(set: &mut MatchSet, frag: FragId, oracle: &ScoreOracle<'_
     freed
 }
 
+/// The full match of the whole fragment `plug` into `container`, with
+/// free orientation. `MS(plug, container)` is read from the interval
+/// table of `plug` against the container's fragment, the table that
+/// enumeration and the TPA refill have already filled.
+fn full_match(oracle: &ScoreOracle<'_>, plug: FragId, container: Site) -> Match {
+    let full = Site::full(plug, oracle.instance().frag_len(plug));
+    let (h, m) = hm(full, container);
+    let (score, orient) = oracle
+        .interval_table(plug, container.frag)
+        .get(container.lo, container.hi);
+    Match::new(h, m, orient, score)
+}
+
 /// Create the full match plugging `plug` (whole fragment) into
 /// `container_site`, scored by the oracle with free orientation.
 pub fn plug_full(set: &mut MatchSet, plug: FragId, container_site: Site, oracle: &ScoreOracle<'_>) {
-    let inst = oracle.instance();
-    let full = Site::full(plug, inst.frag_len(plug));
-    let (h, m) = hm(full, container_site);
-    let (score, orient) = oracle.ms(h, m);
-    set.push(Match::new(h, m, orient, score));
+    set.push(full_match(oracle, plug, container_site));
 }
 
 /// Create a border (staircase) match between two border sites; the
@@ -315,40 +328,43 @@ pub fn tpa_fill(
         return;
     }
 
-    // ISP instance: zone k occupies coordinates [base_k, base_k + len).
-    let mut bases = Vec::with_capacity(clean.len());
-    let mut cursor: i64 = 0;
-    for z in &clean {
-        bases.push(cursor);
-        cursor += z.len() as i64 + 1; // +1 gap: intervals cannot span zones
-    }
+    // Cb(f, S) per job and the (job, zone) interval tables, each read
+    // once.
+    let cbs: Vec<Score> = jobs.iter().map(|&f| cb_trunc(set, f, quantum)).collect();
+    let tables: Vec<Vec<_>> = jobs
+        .iter()
+        .map(|&f| {
+            clean
+                .iter()
+                .map(|z| oracle.interval_table(f, z.frag))
+                .collect()
+        })
+        .collect();
+
+    // ISP instance: zone k occupies coordinates [base_k, base_k + len),
+    // with a gap so intervals cannot span zones. Candidates are pushed
+    // in TPA's processing order (zone, e, d, job) — that is (hi, lo,
+    // job), unique per candidate — so its sort finds one sorted run.
     let mut isp = IspInstance::new(jobs.len());
-    // tag encodes (zone index, d, e) densely.
+    // tag indexes (zone index, d, e).
     let mut tags: Vec<(usize, usize, usize)> = Vec::new();
-    for (ji, &f) in jobs.iter().enumerate() {
-        let cb = cb_trunc(set, f, quantum);
-        for (zi, z) in clean.iter().enumerate() {
-            let table = oracle.interval_table(f, z.frag);
-            for d in z.lo..z.hi {
-                for e in (d + 1)..=z.hi {
-                    let (ms, _) = table.get(d, e);
-                    let profit = trunc(ms, quantum) - cb;
+    let mut base: i64 = 0;
+    for (zi, z) in clean.iter().enumerate() {
+        for e in (z.lo + 1)..=z.hi {
+            let hi = base + (e - z.lo) as i64;
+            for d in z.lo..e {
+                let lo = base + (d - z.lo) as i64;
+                for (ji, job_tables) in tables.iter().enumerate() {
+                    let (ms, _) = job_tables[zi].get(d, e);
+                    let profit = trunc(ms, quantum) - cbs[ji];
                     if profit > 0 {
-                        let tag = tags.len();
+                        isp.push(ji, Interval::new(lo, hi), profit, tags.len());
                         tags.push((zi, d, e));
-                        isp.push(
-                            ji,
-                            Interval::new(
-                                bases[zi] + (d - z.lo) as i64,
-                                bases[zi] + (e - z.lo) as i64,
-                            ),
-                            profit,
-                            tag,
-                        );
                     }
                 }
             }
         }
+        base += z.len() as i64 + 1;
     }
     let selection = solve_tpa(&isp);
     for c in &selection.chosen {

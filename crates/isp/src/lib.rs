@@ -15,7 +15,6 @@
 //! for cross-checking the guarantee on small instances ([`exact`]).
 
 pub mod exact;
-pub mod fenwick;
 pub mod greedy;
 pub mod instance;
 pub mod tpa;

@@ -19,50 +19,68 @@
 //! feasible solution's profit is at most twice the stack total, giving
 //! the factor-2 guarantee the paper's Corollary 1 relies on.
 //!
-//! Complexity: because candidates are processed by right endpoint, a
-//! stacked `y` overlaps `x` iff `y.hi > x.lo`, a suffix sum over right
-//! endpoints maintained in a Fenwick tree; same-job non-overlapping
-//! values are a per-job prefix (their `hi` values are non-decreasing),
-//! looked up by binary search.
+//! Complexity: candidates are processed by right endpoint, so the
+//! stack is ordered by right endpoint too. A stacked `y` overlaps `x`
+//! iff `y.hi > x.lo`: the overlapping value is the stack total minus
+//! the running prefix sum over stacked `hi ≤ x.lo`, found by binary
+//! search. Same-job values that do not overlap are the same lookup on
+//! a per-job prefix list. Each candidate costs `O(log n)` after the
+//! `O(n log n)` sort, which is linear on input that is already in
+//! processing order (the §4.2 refill builds its candidates that way).
 
-use crate::fenwick::Fenwick;
 use crate::instance::{Candidate, IspInstance, Profit, Selection};
 
-/// Run TPA on an instance, returning a feasible selection with profit
-/// at least half the optimum.
-pub fn solve_tpa(inst: &IspInstance) -> Selection {
+/// Running prefix sums of values pushed with non-decreasing `hi`.
+#[derive(Clone, Debug, Default)]
+struct Prefix(Vec<(i64, Profit)>);
+
+impl Prefix {
+    fn total(&self) -> Profit {
+        self.0.last().map_or(0, |&(_, s)| s)
+    }
+
+    /// Sum of the values pushed with `hi ≤ at`.
+    fn upto(&self, at: i64) -> Profit {
+        match self.0.partition_point(|&(h, _)| h <= at) {
+            0 => 0,
+            cut => self.0[cut - 1].1,
+        }
+    }
+
+    fn push(&mut self, hi: i64, v: Profit) {
+        let total = self.total();
+        self.0.push((hi, total + v));
+    }
+}
+
+/// Phase 1: the stack of `(candidate, value)` pairs in push order.
+fn evaluate(inst: &IspInstance) -> Vec<(&Candidate, Profit)> {
     let mut order: Vec<&Candidate> = inst.candidates.iter().filter(|c| c.profit > 0).collect();
     // Non-decreasing right endpoint; ties broken deterministically.
     order.sort_by_key(|c| (c.iv.hi, c.iv.lo, c.job, c.tag));
 
-    // Coordinate-compress right endpoints for the Fenwick tree.
-    let mut his: Vec<i64> = order.iter().map(|c| c.iv.hi).collect();
-    his.dedup();
-    let hi_index = |hi: i64| -> usize {
-        his.partition_point(|&h| h < hi) // first index with his[i] >= hi
-    };
-
-    let mut fw = Fenwick::new(his.len());
-    // Per job: (hi, prefix sum of values) in push order, hi non-decreasing.
-    let mut job_stacked: Vec<Vec<(i64, Profit)>> = vec![Vec::new(); inst.jobs];
-    let mut stack: Vec<(&Candidate, Profit)> = Vec::new();
-
+    let mut stacked = Prefix::default();
+    let mut job_stacked = vec![Prefix::default(); inst.jobs];
+    let mut stack = Vec::new();
     for c in order {
-        // Values of stacked candidates overlapping c: those with
-        // y.hi > c.lo (all stacked have y.hi ≤ c.hi).
-        let overlap_sum = fw.suffix(hi_index(c.iv.lo + 1));
-        // Same-job stacked candidates *not* already counted: y.hi ≤ c.lo.
-        let js = &job_stacked[c.job];
-        let cut = js.partition_point(|&(h, _)| h <= c.iv.lo);
-        let job_sum = if cut == 0 { 0 } else { js[cut - 1].1 };
+        // Stacked values overlapping c (y.hi > c.lo), plus same-job
+        // values not already counted (y.hi ≤ c.lo).
+        let overlap_sum = stacked.total() - stacked.upto(c.iv.lo);
+        let job_sum = job_stacked[c.job].upto(c.iv.lo);
         let v = c.profit - overlap_sum - job_sum;
         if v > 0 {
-            fw.add(hi_index(c.iv.hi), v);
-            let prev = job_stacked[c.job].last().map(|&(_, s)| s).unwrap_or(0);
-            job_stacked[c.job].push((c.iv.hi, prev + v));
+            stacked.push(c.iv.hi, v);
+            job_stacked[c.job].push(c.iv.hi, v);
             stack.push((c, v));
         }
     }
+    stack
+}
+
+/// Run TPA on an instance, returning a feasible selection with profit
+/// at least half the optimum.
+pub fn solve_tpa(inst: &IspInstance) -> Selection {
+    let stack = evaluate(inst);
 
     // Phase 2: reverse greedy selection.
     let mut chosen: Vec<Candidate> = Vec::new();
@@ -87,29 +105,7 @@ pub fn solve_tpa(inst: &IspInstance) -> Selection {
 /// The stack total of phase 1 — exposed for the ratio-2 analysis
 /// experiments (`selection ≥ stack_total` and `opt ≤ 2 · stack_total`).
 pub fn stack_total(inst: &IspInstance) -> Profit {
-    // Re-run phase 1 only.
-    let mut order: Vec<&Candidate> = inst.candidates.iter().filter(|c| c.profit > 0).collect();
-    order.sort_by_key(|c| (c.iv.hi, c.iv.lo, c.job, c.tag));
-    let mut his: Vec<i64> = order.iter().map(|c| c.iv.hi).collect();
-    his.dedup();
-    let hi_index = |hi: i64| -> usize { his.partition_point(|&h| h < hi) };
-    let mut fw = Fenwick::new(his.len());
-    let mut job_stacked: Vec<Vec<(i64, Profit)>> = vec![Vec::new(); inst.jobs];
-    let mut total = 0;
-    for c in order {
-        let overlap_sum = fw.suffix(hi_index(c.iv.lo + 1));
-        let js = &job_stacked[c.job];
-        let cut = js.partition_point(|&(h, _)| h <= c.iv.lo);
-        let job_sum = if cut == 0 { 0 } else { js[cut - 1].1 };
-        let v = c.profit - overlap_sum - job_sum;
-        if v > 0 {
-            fw.add(hi_index(c.iv.hi), v);
-            let prev = job_stacked[c.job].last().map(|&(_, s)| s).unwrap_or(0);
-            job_stacked[c.job].push((c.iv.hi, prev + v));
-            total += v;
-        }
-    }
-    total
+    evaluate(inst).iter().map(|&(_, v)| v).sum()
 }
 
 #[cfg(test)]

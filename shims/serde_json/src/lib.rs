@@ -67,6 +67,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -161,9 +162,17 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Array/object nesting depth at which parsing stops with an error, as
+/// in real serde_json: 127 levels parse, 128 do not. The parser
+/// recurses once per level, so without a cap a body of nested `[`
+/// overflows the stack of whichever thread parses it.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -209,11 +218,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_keyword("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object level, failing past
+    /// [`RECURSION_LIMIT`] open levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        if self.depth >= RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -409,6 +430,24 @@ mod tests {
         assert!(from_str::<bool>("tru").is_err());
         assert!(from_str::<bool>("true x").is_err());
         assert!(from_str::<Vec<i64>>("[1, 2").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let arrays = |levels: usize| format!("{}1{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}1{}", "{\"k\":".repeat(levels), "}".repeat(levels));
+        let deepest = RECURSION_LIMIT - 1;
+        assert!(from_str::<ValueWrap>(&arrays(deepest)).is_ok());
+        assert!(from_str::<ValueWrap>(&objects(deepest)).is_ok());
+        for text in [
+            arrays(RECURSION_LIMIT),
+            objects(RECURSION_LIMIT),
+            "[".repeat(300_000),
+        ] {
+            let err = from_str::<ValueWrap>(&text).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
     }
 
     #[test]

@@ -179,6 +179,30 @@ fn cache_hit_is_byte_identical_and_formatting_invariant() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_server_survives() {
+    // The event loop decodes bodies itself; a recursive parse of
+    // 300,000 nested `[` used to overflow its stack and abort the
+    // whole process. The parser's nesting cap makes it a plain 400.
+    let server = Server::start(ServeConfig::default()).expect("server starts");
+    let addr = server.addr();
+    for body in ["[".repeat(300_000), "{\"instance\":".repeat(100_000)] {
+        let resp = client::request(
+            addr,
+            "POST",
+            "/v1/solve",
+            Some(&body),
+            Duration::from_secs(10),
+        )
+        .expect("hostile body gets an answer");
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        let health = client::request(addr, "GET", "/healthz", None, Duration::from_secs(5))
+            .expect("server still answers");
+        assert_eq!(health.status, 200);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn omitting_the_solver_field_routes_through_auto() {
     // `ServeConfig::default()` now defaults to the shape-routing
     // `auto` solver: a request with no "solver" field must be
