@@ -442,10 +442,9 @@ fn pad_windows(selected: &[Claim], margin: usize, total: usize) -> Vec<Window> {
     out
 }
 
-/// Solve by anchor chaining with explicit parameters. The oracle
-/// supplies the instance and collects DP-fill telemetry; window DPs
-/// count one fill each.
-pub fn solve_chain_with_params(oracle: &ScoreOracle<'_>, params: &ChainParams) -> MatchSet {
+/// Solve by anchor chaining. The oracle supplies the instance and
+/// collects DP-fill telemetry; window DPs count one fill each.
+pub fn solve_chain(oracle: &ScoreOracle<'_>, params: &ChainParams) -> MatchSet {
     let inst = oracle.instance();
     let lens: Vec<usize> = inst.m.iter().map(|f| f.len()).collect();
     let total: usize = lens.iter().sum();
@@ -567,27 +566,21 @@ pub fn solve_chain_with_params(oracle: &ScoreOracle<'_>, params: &ChainParams) -
     pair.derive_matches(inst)
 }
 
-/// [`solve_chain`] with a caller-provided oracle (default parameters).
-pub fn solve_chain_with_oracle(oracle: &ScoreOracle<'_>) -> MatchSet {
-    solve_chain_with_params(oracle, &ChainParams::default())
-}
-
-/// Solve `inst` by anchor chaining with the default [`ChainParams`].
-pub fn solve_chain(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    solve_chain_with_oracle(&oracle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fragalign_model::check_consistency;
     use fragalign_model::instance::{paper_example, InstanceBuilder};
 
+    /// Chain `inst` with the default parameters on a fresh oracle.
+    fn chain(inst: &Instance) -> MatchSet {
+        solve_chain(&ScoreOracle::new(inst), &ChainParams::default())
+    }
+
     #[test]
     fn paper_example_is_consistent_and_scores() {
         let inst = paper_example();
-        let sol = solve_chain(&inst);
+        let sol = chain(&inst);
         check_consistency(&inst, &sol).unwrap();
         // h1 chains ⟨a…c⟩ over ⟨s t u⟩ for 4 + 5; h2's window overlaps
         // and loses interval scheduling. A heuristic tier: below the
@@ -599,7 +592,7 @@ mod tests {
     fn empty_sigma_yields_empty_matchset() {
         let mut inst = paper_example();
         inst.sigma = fragalign_model::ScoreTable::new();
-        let sol = solve_chain(&inst);
+        let sol = chain(&inst);
         check_consistency(&inst, &sol).unwrap();
         assert!(sol.is_empty());
     }
@@ -614,7 +607,7 @@ mod tests {
         b.score("a", "a2", 7);
         b.score("b", "b2", 5);
         let inst = b.build();
-        let sol = solve_chain(&inst);
+        let sol = chain(&inst);
         check_consistency(&inst, &sol).unwrap();
         assert_eq!(sol.total_score(), 12);
         assert!(sol.iter().all(|(_, m)| m.orient == Orient::Reversed));
@@ -638,12 +631,12 @@ mod tests {
             k: 2,
             ..ChainParams::default()
         };
-        let sol = solve_chain_with_params(&oracle, &params);
+        let sol = solve_chain(&oracle, &params);
         check_consistency(&inst, &sol).unwrap();
         // Only h1 is anchored; its window DP recovers both pairs.
         assert_eq!(sol.total_score(), 6);
         // k=1 seeds recover h2 as well.
-        assert_eq!(solve_chain(&inst).total_score(), 24);
+        assert_eq!(chain(&inst).total_score(), 24);
     }
 
     #[test]
@@ -753,7 +746,7 @@ mod tests {
     fn fills_are_counted_per_window() {
         let inst = paper_example();
         let oracle = ScoreOracle::new(&inst);
-        let _ = solve_chain_with_oracle(&oracle);
+        let _ = solve_chain(&oracle, &ChainParams::default());
         assert!(oracle.stats.snapshot().dp_fills > 0);
     }
 }

@@ -33,7 +33,7 @@ mod kernel;
 pub mod oracle;
 pub mod workspace;
 
-pub use chain::{solve_chain, solve_chain_with_oracle, solve_chain_with_params, ChainParams};
+pub use chain::{solve_chain, ChainParams};
 pub use kernel::{KERNEL_BLOCK, PROFILE_MAX_CELLS, PROFILE_MIN_CELLS};
 pub use oracle::{OracleStats, OracleStatsSnapshot, ScoreOracle};
 pub use workspace::{DpAligner, DpWorkspace, KernelMode};

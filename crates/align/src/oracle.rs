@@ -97,8 +97,9 @@ pub struct OracleStats {
     pub pair_misses: AtomicU64,
     /// DP fills behind the cached entries, plus uncached pooled fills.
     pub dp_fills: AtomicU64,
-    /// Workspace buffer growth events — the allocations proxy. With
-    /// reuse on this converges; with reuse off it tracks `dp_fills`.
+    /// Workspace buffer growth events — the allocations proxy. A warm
+    /// pool converges to zero; a fresh oracle grows its pool once per
+    /// buffer size it meets.
     pub dp_reallocs: AtomicU64,
 }
 
@@ -169,7 +170,6 @@ pub struct ScoreOracle<'a> {
     /// parallel sweep each pop their own workspace, so fills never
     /// serialise on this lock.
     workspaces: Mutex<Vec<DpWorkspace>>,
-    reuse: bool,
     /// Span sink for phase timing; disabled (inert) by default. The
     /// oracle carries the handle so DP-layer phases (table sweeps,
     /// chain window fills) can trace without threading a parameter
@@ -180,22 +180,15 @@ pub struct ScoreOracle<'a> {
 }
 
 impl<'a> ScoreOracle<'a> {
-    /// Create an empty oracle for `inst` (workspace reuse on).
+    /// Create an empty oracle for `inst` (empty caches, empty
+    /// workspace pool).
     pub fn new(inst: &'a Instance) -> Self {
-        Self::with_workspace_reuse(inst, true)
-    }
-
-    /// Create an oracle with workspace pooling switched on or off.
-    /// `reuse = false` restores the per-call-allocation behaviour —
-    /// kept as the measurable baseline for `exp_throughput`.
-    pub fn with_workspace_reuse(inst: &'a Instance, reuse: bool) -> Self {
         ScoreOracle {
             inst,
             tables: RwLock::new(HashMap::new()),
             pairs: RwLock::new(HashMap::new()),
             oriented: RwLock::new(HashMap::new()),
             workspaces: Mutex::new(Vec::new()),
-            reuse,
             trace: TraceHandle::disabled(),
             stats: OracleStats::default(),
         }
@@ -217,14 +210,6 @@ impl<'a> ScoreOracle<'a> {
     /// The instance the oracle scores.
     pub fn instance(&self) -> &'a Instance {
         self.inst
-    }
-
-    /// Whether this oracle pools workspaces across fills. Solvers that
-    /// build internal oracles over derived instances propagate the
-    /// flag so the per-call-allocation baseline stays honest end to
-    /// end.
-    pub fn workspace_reuse(&self) -> bool {
-        self.reuse
     }
 
     /// Seed the workspace pool with an already-warm workspace. Batch
@@ -258,19 +243,13 @@ impl<'a> ScoreOracle<'a> {
     /// count their DP fills when their insert wins (see
     /// [`ScoreOracle::settle`]).
     fn lend<R>(&self, f: impl FnOnce(&mut DpWorkspace) -> R) -> R {
-        let mut ws = if self.reuse {
-            self.workspaces.lock().pop().unwrap_or_default()
-        } else {
-            DpWorkspace::new()
-        };
+        let mut ws = self.reclaim_workspace();
         let reallocs0 = ws.reallocs();
         let out = f(&mut ws);
         self.stats
             .dp_reallocs
             .fetch_add(ws.reallocs() - reallocs0, Ordering::Relaxed);
-        if self.reuse {
-            self.workspaces.lock().push(ws);
-        }
+        self.adopt_workspace(ws);
         out
     }
 

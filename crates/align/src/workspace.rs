@@ -92,8 +92,8 @@ impl DpWorkspace {
     }
 
     /// Number of buffer growth events — the allocations proxy reported
-    /// by `exp_throughput`. A per-call-allocation baseline performs one
-    /// (or more) allocation per fill; a warmed workspace performs none.
+    /// by `exp_throughput`. A fresh workspace per fill performs one (or
+    /// more) allocation per fill; a warmed workspace performs none.
     pub fn reallocs(&self) -> u64 {
         self.reallocs
     }

@@ -146,9 +146,9 @@ proptest! {
         );
     }
 
-    /// Oracle entry points: the pooled-workspace oracle and the
-    /// per-call-allocation oracle produce identical interval tables
-    /// and site-pair scores.
+    /// Oracle entry points: the pooled-workspace oracle's interval
+    /// tables and site-pair scores equal direct calls on a fresh
+    /// `DpWorkspace`.
     #[test]
     fn oracle_paths_agree(
         sigma in sigma_strategy(),
@@ -162,29 +162,38 @@ proptest! {
             alphabet: Default::default(),
         };
         let pooled = ScoreOracle::new(&inst);
-        let baseline = ScoreOracle::with_workspace_reuse(&inst, false);
         for plug in inst.all_frag_ids() {
-            for container in inst.all_frag_ids() {
-                if plug.species == container.species {
-                    continue;
-                }
-                let a = pooled.interval_table(plug, container);
-                let b = baseline.interval_table(plug, container);
+            let whole = inst.fragment(plug).regions.as_slice();
+            for container in inst.frag_ids(plug.species.other()) {
+                let table = pooled.interval_table(plug, container);
                 let n = inst.frag_len(container);
                 for d in 0..=n {
                     for e in d..=n {
-                        prop_assert_eq!(a.get(d, e), b.get(d, e));
+                        let slice = inst.fragment(container).slice(d, e);
+                        let (h, m) = if plug.species == Species::H {
+                            (whole, slice)
+                        } else {
+                            (slice, whole)
+                        };
+                        prop_assert_eq!(
+                            table.get(d, e),
+                            DpWorkspace::new().ms_words(&inst.sigma, h, m)
+                        );
                     }
                 }
             }
         }
         let h_site = Site::full(FragId::h(0), inst.frag_len(FragId::h(0)));
         let m_site = Site::full(FragId::m(0), inst.frag_len(FragId::m(0)));
-        prop_assert_eq!(pooled.ms(h_site, m_site), baseline.ms(h_site, m_site));
+        let (h_word, m_word) = (inst.site_word(h_site), inst.site_word(m_site));
+        prop_assert_eq!(
+            pooled.ms(h_site, m_site),
+            DpWorkspace::new().ms_words(&inst.sigma, h_word, m_word)
+        );
         for orient in [Orient::Same, Orient::Reversed] {
             prop_assert_eq!(
                 pooled.ms_oriented(h_site, m_site, orient),
-                baseline.ms_oriented(h_site, m_site, orient)
+                DpWorkspace::new().p_score_oriented(&inst.sigma, h_word, m_word, orient)
             );
         }
     }

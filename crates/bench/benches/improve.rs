@@ -12,18 +12,14 @@ fn bench_improve(c: &mut Criterion) {
     let inst = sim_instance(16, 3, 21);
     let mut group = c.benchmark_group("improve");
     group.sample_size(10);
-    group.bench_function("full", |b| b.iter(|| full_improve(black_box(&inst), false)));
-    group.bench_function("border", |b| {
-        b.iter(|| border_improve(black_box(&inst), false))
-    });
-    group.bench_function("csr", |b| b.iter(|| csr_improve(black_box(&inst), false)));
-    group.bench_function("csr_scaled", |b| {
-        b.iter(|| csr_improve(black_box(&inst), true))
-    });
-    group.bench_function("four_approx", |b| {
-        b.iter(|| solve_four_approx(black_box(&inst)))
-    });
-    group.bench_function("greedy", |b| b.iter(|| solve_greedy(black_box(&inst))));
+    // A fresh oracle per iteration: every run pays its own DP fills.
+    let cold = || ScoreOracle::new(black_box(&inst));
+    group.bench_function("full", |b| b.iter(|| full_improve(&cold(), false)));
+    group.bench_function("border", |b| b.iter(|| border_improve(&cold(), false)));
+    group.bench_function("csr", |b| b.iter(|| csr_improve(&cold(), false)));
+    group.bench_function("csr_scaled", |b| b.iter(|| csr_improve(&cold(), true)));
+    group.bench_function("four_approx", |b| b.iter(|| solve_four_approx(&cold())));
+    group.bench_function("greedy", |b| b.iter(|| solve_greedy(&cold())));
     group.finish();
 }
 

@@ -15,7 +15,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("four_approx", format!("{regions}r{frags}f")),
             &inst,
-            |b, inst| b.iter(|| solve_four_approx(black_box(inst))),
+            |b, inst| b.iter(|| solve_four_approx(&ScoreOracle::new(black_box(inst)))),
         );
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! Bench: the batch-solving pipeline — per-call-allocation baseline
-//! vs pooled workspaces, and batch vs a plain sequential loop.
+//! Bench: the batch-solving pipeline — batch vs a plain sequential
+//! loop, and a portfolio batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fragalign::align::DpWorkspace;
@@ -36,16 +36,7 @@ fn bench_batch(c: &mut Criterion) {
             &instances,
             |b, insts| {
                 let opts = BatchOptions::new("csr");
-                b.iter(|| solve_batch(black_box(insts), &opts))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("solve_batch_alloc_baseline", &label),
-            &instances,
-            |b, insts| {
-                let mut opts = BatchOptions::new("csr");
-                opts.engine.reuse_workspaces = false;
-                b.iter(|| solve_batch(black_box(insts), &opts))
+                b.iter(|| solve_batch_reports(black_box(insts), &opts))
             },
         );
         group.bench_with_input(
@@ -57,7 +48,14 @@ fn bench_batch(c: &mut Criterion) {
                     let mut ws = DpWorkspace::new();
                     insts
                         .iter()
-                        .map(|inst| solve_single(black_box(inst), &opts, &mut ws))
+                        .map(|inst| {
+                            solve_single_traced(
+                                black_box(inst),
+                                &opts,
+                                &mut ws,
+                                TraceHandle::disabled(),
+                            )
+                        })
                         .collect::<Vec<_>>()
                 })
             },
@@ -67,7 +65,7 @@ fn bench_batch(c: &mut Criterion) {
             &instances,
             |b, insts| {
                 let opts = BatchOptions::new("portfolio");
-                b.iter(|| solve_batch(black_box(insts), &opts))
+                b.iter(|| solve_batch_reports(black_box(insts), &opts))
             },
         );
     }

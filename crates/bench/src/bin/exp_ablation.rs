@@ -11,7 +11,6 @@
 //! * **D4** scaling: rounds and score with/without §4.1 truncation.
 
 use fragalign::align::ScoreOracle;
-use fragalign::core::improve::{improve, improve_with_oracle};
 use fragalign::prelude::*;
 use fragalign_bench::sim_instance;
 use std::sync::atomic::Ordering;
@@ -31,13 +30,14 @@ fn main() {
         for inst in &instances {
             let t0 = Instant::now();
             let res = improve(
-                inst,
+                &ScoreOracle::new(inst),
                 ImproveConfig {
                     commit_best,
                     parallel: commit_best,
                     ..Default::default()
                 },
                 MatchSet::new(),
+                &CancelToken::never(),
             );
             ms += t0.elapsed().as_secs_f64() * 1e3;
             score += res.score;
@@ -49,7 +49,12 @@ fn main() {
     println!("\nT9/D2: oracle cache behaviour during csr_improve");
     for inst in instances.iter().take(1) {
         let oracle = ScoreOracle::new(inst);
-        let _ = improve_with_oracle(&oracle, ImproveConfig::default(), MatchSet::new());
+        let _ = improve(
+            &oracle,
+            ImproveConfig::default(),
+            MatchSet::new(),
+            &CancelToken::never(),
+        );
         let th = oracle.stats.table_hits.load(Ordering::Relaxed);
         let tm = oracle.stats.table_misses.load(Ordering::Relaxed);
         let ph = oracle.stats.pair_hits.load(Ordering::Relaxed);
@@ -75,13 +80,14 @@ fn main() {
         for inst in &instances {
             let t0 = Instant::now();
             let res = improve(
-                inst,
+                &ScoreOracle::new(inst),
                 ImproveConfig {
                     site_cap,
                     border_cap,
                     ..Default::default()
                 },
                 MatchSet::new(),
+                &CancelToken::never(),
             );
             ms += t0.elapsed().as_secs_f64() * 1e3;
             score += res.score;
@@ -95,7 +101,7 @@ fn main() {
         let mut rounds = 0;
         let mut quantum = 0;
         for inst in &instances {
-            let res = csr_improve(inst, scaling);
+            let res = csr_improve(&ScoreOracle::new(inst), scaling);
             score += res.score;
             rounds += res.rounds;
             quantum = quantum.max(res.quantum);

@@ -110,8 +110,6 @@ fn main() {
         ]
     };
     let instances = grid_instances(&grid);
-    let registry = SolverRegistry::global();
-    let opts = EngineOptions::default();
     println!(
         "exp_chain: {} solvers x {} instances (smoke={smoke})",
         SOLVERS.len(),
@@ -127,16 +125,17 @@ fn main() {
     }
     let mut raws: Vec<Raw> = Vec::new();
     for &name in SOLVERS {
+        let opts = BatchOptions::new(name);
         let mut ws = DpWorkspace::new();
         let mut total_score: Score = 0;
         let mut dp_fills = 0u64;
         let start = Instant::now();
         for inst in &instances {
-            let run = registry
-                .solve_with_workspace(name, inst, opts, &mut ws)
-                .expect("every solver here supports every instance");
-            total_score += run.score;
-            dp_fills += run.report.dp_fills;
+            let (solution, report) =
+                solve_single_traced(inst, &opts, &mut ws, TraceHandle::disabled())
+                    .expect("every solver here supports every instance");
+            total_score += solution.score;
+            dp_fills += report.dp_fills;
         }
         let wall_secs = start.elapsed().as_secs_f64();
         println!(

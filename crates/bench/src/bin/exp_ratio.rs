@@ -52,14 +52,15 @@ fn main() {
                 continue;
             }
             cases += 1;
+            let oracle = ScoreOracle::new(&inst);
             let scores = [
-                solve_greedy(&inst).total_score(),
-                border_matching_2approx(&inst).total_score(),
-                solve_four_approx(&inst).total_score(),
-                full_improve(&inst, false).score,
-                border_improve(&inst, false).score,
-                csr_improve(&inst, false).score,
-                csr_improve(&inst, true).score,
+                solve_greedy(&oracle).total_score(),
+                border_matching_2approx(&oracle).total_score(),
+                solve_four_approx(&oracle).total_score(),
+                full_improve(&oracle, false).score,
+                border_improve(&oracle, false).score,
+                csr_improve(&oracle, false).score,
+                csr_improve(&oracle, true).score,
             ];
             for (row, &score) in rows.iter_mut().zip(scores.iter()) {
                 let ratio = if score == 0 {

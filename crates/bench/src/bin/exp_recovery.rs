@@ -32,10 +32,11 @@ fn main() {
                 seed: seed * 7 + 1,
                 ..SimConfig::default()
             });
+            let oracle = ScoreOracle::new(&sim.instance);
             let sols = [
-                solve_greedy(&sim.instance),
-                solve_four_approx(&sim.instance),
-                csr_improve(&sim.instance, false).matches,
+                solve_greedy(&oracle),
+                solve_four_approx(&oracle),
+                csr_improve(&oracle, false).matches,
             ];
             for (slot, sol) in acc.iter_mut().zip(sols.iter()) {
                 let rep = evaluate_recovery(&sim, sol);

@@ -31,7 +31,7 @@ fn main() {
             ..SimConfig::default()
         });
         let inst = &sim.instance;
-        let res = csr_improve(inst, false);
+        let res = csr_improve(&ScoreOracle::new(inst), false);
         let layout = LayoutBuilder::new(inst, &DpAligner)
             .layout(&res.matches)
             .unwrap();

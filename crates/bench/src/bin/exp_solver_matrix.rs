@@ -199,6 +199,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for spec in registry.specs() {
         let solver = spec.build();
+        let batch_opts = BatchOptions::new(spec.name);
         let mut per_instance = Vec::with_capacity(instances.len());
         let mut ws = DpWorkspace::new();
         let mut solved = 0usize;
@@ -211,12 +212,12 @@ fn main() {
                 per_instance.push(None);
                 continue;
             }
-            let run = registry
-                .solve_with_workspace(spec.name, inst, opts, &mut ws)
-                .expect("supported instances solve");
+            let (solution, _) =
+                solve_single_traced(inst, &batch_opts, &mut ws, TraceHandle::disabled())
+                    .expect("supported instances solve");
             solved += 1;
-            total_score += run.score;
-            per_instance.push(Some(run.score));
+            total_score += solution.score;
+            per_instance.push(Some(solution.score));
         }
         let wall_secs = start.elapsed().as_secs_f64();
         println!(

@@ -9,11 +9,11 @@
 //! workers, so these numbers are hardware-bound, not shim-bound. Two
 //! workloads sweep pools of 1/2/4/8 threads:
 //!
-//! 1. **batch** — `solve_batch` with `csr` over a seeded sim batch
+//! 1. **batch** — `solve_batch_reports` with `csr` over a seeded sim batch
 //!    (the embarrassingly parallel headline workload);
 //! 2. **portfolio** — the racing meta-solver, one instance at a time
 //!    at top level so its racers genuinely fan out across pool
-//!    workers (inside `solve_batch` they would run inline on one
+//!    workers (inside a batch they would run inline on one
 //!    batch worker — instance-level parallelism would be measured
 //!    instead).
 //!
@@ -140,11 +140,13 @@ fn main() {
     let batch_opts = BatchOptions::new("csr");
     let batch_ref = &batch;
     let batch_workload = sweep("batch (csr)", &move || {
-        solve_batch(batch_ref, &batch_opts).expect("batch solves")
+        let runs = solve_batch_reports(batch_ref, &batch_opts).expect("batch solves");
+        runs.into_iter()
+            .map(|(solution, _)| solution)
+            .collect::<Vec<_>>()
     });
 
     let portfolio_batch: Vec<Instance> = batch.iter().take(portfolio_n).cloned().collect();
-    let reg = SolverRegistry::global();
     let portfolio_ref = &portfolio_batch;
     let portfolio_workload = sweep("portfolio race", &move || -> RaceOutcomes {
         // One instance at a time at top level, so the racers (not the
@@ -152,10 +154,14 @@ fn main() {
         portfolio_ref
             .iter()
             .map(|inst| {
-                let run = reg
-                    .solve("portfolio", inst, EngineOptions::default())
-                    .expect("portfolio races everywhere");
-                (run.score, run.report.winner)
+                let (solution, report) = solve_single_traced(
+                    inst,
+                    &BatchOptions::new("portfolio"),
+                    &mut DpWorkspace::new(),
+                    TraceHandle::disabled(),
+                )
+                .expect("portfolio races everywhere");
+                (solution.score, report.winner)
             })
             .collect()
     });

@@ -1,36 +1,33 @@
 //! Experiment: batch-solving throughput and the workspace-reuse
-//! ablation. Emits machine-readable `BENCH_throughput.json` so the
-//! perf trajectory across PRs has data points.
+//! kernel ablation. Emits machine-readable `BENCH_throughput.json` so
+//! the perf trajectory across PRs has data points.
 //!
 //! ```sh
 //! cargo run --release -p fragalign-bench --bin exp_throughput          # full run
 //! cargo run --release -p fragalign-bench --bin exp_throughput -- --smoke
 //! ```
 //!
-//! Three measurements, all on the ambient rayon pool — real threads
-//! since the shim rebuild, so `instances/sec` here reflects whatever
-//! parallelism the host offers (the dedicated thread-scaling story
-//! lives in `exp_speedup` / `BENCH_speedup.json`). The reuse-vs-
-//! baseline ratios stay meaningful because both modes run on the same
-//! pool:
+//! Three measurements. The batch runs on the ambient rayon pool — real
+//! threads since the shim rebuild, so `instances/sec` here reflects
+//! whatever parallelism the host offers (the dedicated thread-scaling
+//! story lives in `exp_speedup` / `BENCH_speedup.json`):
 //!
-//! 1. **pipeline stages** — generate a batch, solve it with the
-//!    per-call-allocation baseline (`reuse_workspaces = false`), solve
-//!    it again with pooled workspaces, and time each stage;
+//! 1. **pipeline stages** — generate a batch, solve it with pooled
+//!    workspaces, verify it, and time each stage;
 //! 2. **kernel ablation** — the same site-pair `MS` workload through
 //!    `DpWorkspace::ms_words` with a *fresh* workspace per call (every
 //!    fill re-allocates its rows and reversed-word scratch) and with
 //!    one *warm* workspace. The ratio isolates pure buffer reuse;
 //! 3. **allocations proxy** — oracle `dp_fills` vs `dp_reallocs`
-//!    (buffer growth events): the baseline grows buffers on ~every
-//!    fill, the pooled workspace a bounded number of times.
+//!    (buffer growth events) over every interval table of one
+//!    instance: the pooled workspace grows a bounded number of times,
+//!    not once per fill.
 
 use fragalign::align::{DpWorkspace, ScoreOracle};
 use fragalign::model::{Instance, Sym};
 use fragalign::prelude::*;
 use fragalign::sim::gen_batch;
 use serde::Serialize;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -65,19 +62,15 @@ struct Kernel {
 
 #[derive(Serialize)]
 struct AllocProxy {
-    baseline_dp_fills: u64,
-    baseline_dp_reallocs: u64,
-    reuse_dp_fills: u64,
-    reuse_dp_reallocs: u64,
+    dp_fills: u64,
+    dp_reallocs: u64,
 }
 
 #[derive(Serialize)]
 struct Report {
     config: Config,
     stages: Vec<Stage>,
-    instances_per_sec_baseline: f64,
-    instances_per_sec_reuse: f64,
-    batch_speedup_reuse: f64,
+    instances_per_sec: f64,
     kernel: Kernel,
     alloc_proxy: AllocProxy,
 }
@@ -123,27 +116,19 @@ fn main() {
     let gen_s = t0.elapsed().as_secs_f64();
     let instances: Vec<Instance> = sims.into_iter().map(|s| s.instance).collect();
 
-    // Warm-up: one untimed solve so neither timed mode pays the
-    // first-touch cost (page faults, branch history) for the other.
-    let mut baseline_opts = BatchOptions::new(algo);
-    baseline_opts.engine.reuse_workspaces = false;
-    let _ = solve_batch(&instances[..n_instances.min(2)], &baseline_opts);
+    // Warm-up: one untimed solve so the timed stage does not pay the
+    // first-touch cost (page faults, branch history).
+    let opts = BatchOptions::new(algo);
+    let _ = solve_batch_reports(&instances[..n_instances.min(2)], &opts);
 
-    // Stage 2: solve with the per-call-allocation baseline.
+    // Stage 2: solve with pooled workspaces.
     let t0 = Instant::now();
-    let baseline = solve_batch(&instances, &baseline_opts).expect("csr is registered");
-    let solve_baseline_s = t0.elapsed().as_secs_f64();
+    let solved = solve_batch_reports(&instances, &opts).expect("csr is registered");
+    let solve_s = t0.elapsed().as_secs_f64();
 
-    // Stage 3: solve with pooled workspaces.
-    let reuse_opts = BatchOptions::new(algo);
+    // Stage 3: verify (consistency over the whole batch).
     let t0 = Instant::now();
-    let reused = solve_batch(&instances, &reuse_opts).expect("csr is registered");
-    let solve_reuse_s = t0.elapsed().as_secs_f64();
-    assert_eq!(baseline, reused, "workspace reuse must not change results");
-
-    // Stage 4: verify (consistency over the whole batch).
-    let t0 = Instant::now();
-    for (inst, sol) in instances.iter().zip(&reused) {
+    for (inst, (sol, _)) in instances.iter().zip(&solved) {
         check_consistency(inst, &sol.matches).expect("batch solutions are consistent");
     }
     let verify_s = t0.elapsed().as_secs_f64();
@@ -171,25 +156,19 @@ fn main() {
     assert_eq!(acc_fresh, acc_warm, "fresh/warm workspaces must agree");
 
     // Allocations proxy: fill every interval table of one instance
-    // under both oracle modes.
+    // through one pooled oracle.
     let probe = &instances[0];
-    let fill_all = |oracle: &ScoreOracle<'_>| {
-        for h in probe.frag_ids(Species::H) {
-            for m in probe.frag_ids(Species::M) {
-                let _ = oracle.interval_table(h, m);
-                let _ = oracle.interval_table(m, h);
-            }
+    let oracle = ScoreOracle::new(probe);
+    for h in probe.frag_ids(Species::H) {
+        for m in probe.frag_ids(Species::M) {
+            let _ = oracle.interval_table(h, m);
+            let _ = oracle.interval_table(m, h);
         }
-    };
-    let oracle_baseline = ScoreOracle::with_workspace_reuse(probe, false);
-    fill_all(&oracle_baseline);
-    let oracle_reuse = ScoreOracle::with_workspace_reuse(probe, true);
-    fill_all(&oracle_reuse);
+    }
+    let stats = oracle.stats.snapshot();
     let alloc_proxy = AllocProxy {
-        baseline_dp_fills: oracle_baseline.stats.dp_fills.load(Ordering::Relaxed),
-        baseline_dp_reallocs: oracle_baseline.stats.dp_reallocs.load(Ordering::Relaxed),
-        reuse_dp_fills: oracle_reuse.stats.dp_fills.load(Ordering::Relaxed),
-        reuse_dp_reallocs: oracle_reuse.stats.dp_reallocs.load(Ordering::Relaxed),
+        dp_fills: stats.dp_fills,
+        dp_reallocs: stats.dp_reallocs,
     };
 
     let report = Report {
@@ -208,21 +187,15 @@ fn main() {
                 seconds: gen_s,
             },
             Stage {
-                name: "solve_baseline".into(),
-                seconds: solve_baseline_s,
-            },
-            Stage {
-                name: "solve_reuse".into(),
-                seconds: solve_reuse_s,
+                name: "solve".into(),
+                seconds: solve_s,
             },
             Stage {
                 name: "verify".into(),
                 seconds: verify_s,
             },
         ],
-        instances_per_sec_baseline: n_instances as f64 / solve_baseline_s.max(1e-9),
-        instances_per_sec_reuse: n_instances as f64 / solve_reuse_s.max(1e-9),
-        batch_speedup_reuse: solve_baseline_s / solve_reuse_s.max(1e-9),
+        instances_per_sec: n_instances as f64 / solve_s.max(1e-9),
         kernel: Kernel {
             site_pairs: pairs.len(),
             repeats: kernel_repeats,
@@ -233,16 +206,8 @@ fn main() {
         alloc_proxy,
     };
 
-    println!(
-        "stages: gen {:.3}s, solve(baseline) {:.3}s, solve(reuse) {:.3}s, verify {:.3}s",
-        gen_s, solve_baseline_s, solve_reuse_s, verify_s
-    );
-    println!(
-        "throughput: {:.1} inst/s baseline, {:.1} inst/s reuse ({:.2}x)",
-        report.instances_per_sec_baseline,
-        report.instances_per_sec_reuse,
-        report.batch_speedup_reuse
-    );
+    println!("stages: gen {gen_s:.3}s, solve {solve_s:.3}s, verify {verify_s:.3}s");
+    println!("throughput: {:.1} inst/s", report.instances_per_sec);
     println!(
         "kernel MS workload ({} pairs x {}): {:.3}s fresh ws, {:.3}s warm ws ({:.2}x)",
         report.kernel.site_pairs,
@@ -252,11 +217,8 @@ fn main() {
         report.kernel.speedup_vs_fresh_workspace
     );
     println!(
-        "alloc proxy (one instance, all interval tables): baseline {} fills / {} reallocs; reuse {} fills / {} reallocs",
-        report.alloc_proxy.baseline_dp_fills,
-        report.alloc_proxy.baseline_dp_reallocs,
-        report.alloc_proxy.reuse_dp_fills,
-        report.alloc_proxy.reuse_dp_reallocs
+        "alloc proxy (one instance, all interval tables): {} fills / {} reallocs",
+        report.alloc_proxy.dp_fills, report.alloc_proxy.dp_reallocs
     );
 
     let json = serde_json::to_string_pretty(&report).expect("report serialises");

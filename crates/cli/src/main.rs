@@ -239,10 +239,13 @@ fn solve_cmd(
     trace_path: Option<&str>,
     inst: &Instance,
 ) -> ExitCode {
-    let opts = EngineOptions {
-        scaling,
-        threads,
-        ..EngineOptions::default()
+    let opts = BatchOptions {
+        solver: algo.to_owned(),
+        engine: EngineOptions {
+            scaling,
+            threads,
+            ..EngineOptions::default()
+        },
     };
     let sink = trace_path.map(|_| core::obs::TraceSink::new());
     let trace = sink
@@ -251,14 +254,7 @@ fn solve_cmd(
             core::obs::TraceHandle::new(std::sync::Arc::clone(s))
         });
     let mut ws = fragalign_align::DpWorkspace::new();
-    let run = match SolverRegistry::global().solve_traced(
-        algo,
-        inst,
-        opts,
-        &mut ws,
-        core::CancelToken::never(),
-        trace,
-    ) {
+    let (solution, run_report) = match core::solve_single_traced(inst, &opts, &mut ws, trace) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("error: {e}");
@@ -278,7 +274,7 @@ fn solve_cmd(
         );
     }
     if json {
-        return match serde_json::to_string_pretty(&run.report) {
+        return match serde_json::to_string_pretty(&run_report) {
             Ok(s) => {
                 println!("{s}");
                 ExitCode::SUCCESS
@@ -289,10 +285,10 @@ fn solve_cmd(
             }
         };
     }
-    if let Some(winner) = &run.report.winner {
+    if let Some(winner) = &run_report.winner {
         println!("portfolio winner: {winner}");
     }
-    report(inst, &run.matches);
+    report(inst, &solution.matches);
     ExitCode::SUCCESS
 }
 

@@ -1,9 +1,14 @@
-//! Batch solving pipeline.
+//! The solve entry point and the batch pipeline over it.
+//!
+//! [`solve_single_traced`] is the one way to run a registered solver
+//! on one instance: it resolves the name in the [`SolverRegistry`],
+//! checks [`Solver::supports`](crate::engine::Solver::supports), lends
+//! the caller's warm [`DpWorkspace`] to the run's oracle, and returns
+//! the solution with its [`SolveReport`].
 //!
 //! The simulator (and any real scaffolding service) produces many
 //! small instances at once; solving them one at a time leaves workers
-//! idle and re-allocates DP buffers per score. [`solve_batch`] is a
-//! thin loop over the [`SolverRegistry`]: it
+//! idle and re-allocates DP buffers per score. [`solve_batch_reports`]
 //! resolves the solver name once, then maps the instances over
 //! [`fragalign_par::par_map_ordered_init`] with one warm
 //! [`DpWorkspace`] per worker and one *shared-nothing* solve context
@@ -13,11 +18,12 @@
 //! including `one-csr`, `exact`, and `portfolio`.
 
 use crate::engine::{
-    CancelToken, EngineError, EngineOptions, SolveReport, SolverRegistry, TraceHandle,
+    EngineError, EngineOptions, SolveCtx, SolveReport, SolverRegistry, TraceHandle,
 };
 use fragalign_align::DpWorkspace;
 use fragalign_model::{Instance, MatchSet, Score};
 use fragalign_par::par_map_ordered_init;
+use std::time::Instant;
 
 /// Options for a batch run: which registered solver, plus the engine
 /// knobs every solve shares.
@@ -25,13 +31,13 @@ use fragalign_par::par_map_ordered_init;
 pub struct BatchOptions {
     /// Registered solver name (see [`SolverRegistry::names`]).
     pub solver: String,
-    /// Engine knobs (scaling, workspace reuse, exact limits).
+    /// Engine knobs (scaling, pool width, exact limits).
     pub engine: EngineOptions,
 }
 
 impl BatchOptions {
-    /// Options for the named solver with engine defaults (workspace
-    /// reuse on, unscaled).
+    /// Options for the named solver with engine defaults (unscaled,
+    /// ambient pool).
     pub fn new(solver: impl Into<String>) -> Self {
         BatchOptions {
             solver: solver.into(),
@@ -56,75 +62,85 @@ pub struct BatchSolution {
     pub score: Score,
 }
 
-/// Solve one instance with a caller-owned workspace. The workspace is
-/// scratch only: it seeds the run's oracle pool and never changes
-/// results. Every oracle-driven solver borrows it (`csr`/`full`/
-/// `border`, `four`, `greedy`, `matching`, `one-csr`); `exact` runs
-/// oracle-free and `portfolio` racers pool their own workspaces, so
-/// for those two the knob is inert — allocation counts, never
-/// results, are at stake either way.
-pub fn solve_single(
-    inst: &Instance,
-    opts: &BatchOptions,
-    ws: &mut DpWorkspace,
-) -> Result<BatchSolution, EngineError> {
-    solve_single_report(inst, opts, ws).map(|(solution, _)| solution)
-}
-
-/// [`solve_single`] keeping the engine's telemetry record.
-pub fn solve_single_report(
-    inst: &Instance,
-    opts: &BatchOptions,
-    ws: &mut DpWorkspace,
-) -> Result<(BatchSolution, SolveReport), EngineError> {
-    solve_single_traced(inst, opts, ws, TraceHandle::disabled())
-}
-
-/// [`solve_single_report`] recording phase/racer spans through
-/// `trace` (the CLI's `--trace` flag and the service's `?trace=1`
-/// debug knob route through here). Tracing is observational only:
-/// results are bit-identical with any handle.
+/// Run the registered solver `opts.solver` on `inst`, recording
+/// phase/racer spans through `trace` (the CLI's `--trace` flag and the
+/// service's `?trace=1` debug knob route through here).
+///
+/// The caller-owned workspace seeds the run's oracle pool and comes
+/// back warmer; it is scratch only. Every oracle-driven solver borrows
+/// it (`csr`/`full`/`border`, `four`, `greedy`, `matching`, `one-csr`,
+/// `chain`); `exact` runs oracle-free and `portfolio` racers pool their
+/// own workspaces, so for those two it is inert. When
+/// [`EngineOptions::threads`] is non-zero the solve executes on a
+/// dedicated pool of that width. Neither the workspace, the pool width
+/// nor the trace handle changes the result or the report's counters
+/// (bar `wall_secs` and `dp_reallocs`).
 pub fn solve_single_traced(
     inst: &Instance,
     opts: &BatchOptions,
     ws: &mut DpWorkspace,
     trace: TraceHandle,
 ) -> Result<(BatchSolution, SolveReport), EngineError> {
-    let run = SolverRegistry::global().solve_traced(
-        &opts.solver,
-        inst,
-        opts.engine,
-        ws,
-        CancelToken::never(),
-        trace,
-    )?;
-    Ok((
-        BatchSolution {
-            matches: run.matches,
-            score: run.score,
-        },
-        run.report,
-    ))
+    let spec = SolverRegistry::global().spec(&opts.solver)?;
+    let solver = spec.build();
+    let engine = opts.engine;
+    solver
+        .supports(inst, &engine)
+        .map_err(|reason| EngineError::Unsupported {
+            solver: spec.name,
+            reason,
+        })?;
+    let mut ctx = SolveCtx::new(inst, engine);
+    ctx.set_trace(trace);
+    ctx.oracle.adopt_workspace(std::mem::take(ws));
+    let mut solve_span = ctx.trace.span_labeled("solve", spec.name);
+    let start = Instant::now();
+    let out = if engine.threads > 0 {
+        let solver = &solver;
+        let ctx = &mut ctx;
+        fragalign_par::with_threads(engine.threads, move || solver.solve(inst, ctx)).0
+    } else {
+        solver.solve(inst, &mut ctx)
+    };
+    let wall_secs = start.elapsed().as_secs_f64();
+    let score = out.matches.total_score();
+    solve_span.set_args(score, out.attempts as i64);
+    drop(solve_span);
+    *ws = ctx.oracle.reclaim_workspace();
+    let stats = ctx.oracle.stats.snapshot();
+    let report = SolveReport {
+        solver: spec.name.to_owned(),
+        score,
+        matches: out.matches.len(),
+        rounds: out.rounds,
+        attempts: out.attempts,
+        dp_fills: stats.dp_fills,
+        dp_reallocs: stats.dp_reallocs,
+        table_misses: stats.table_misses,
+        pair_misses: stats.pair_misses,
+        wall_secs,
+        winner: out.winner.map(str::to_owned),
+        cancelled: out.cancelled,
+        racers: out.racers,
+        routed_by: out.routed_by.map(str::to_owned),
+    };
+    let solution = BatchSolution {
+        matches: out.matches,
+        score,
+    };
+    Ok((solution, report))
 }
 
-/// Solve every instance of a batch on the current rayon pool.
+/// Solve every instance of a batch on the current rayon pool, keeping
+/// each instance's telemetry record.
 ///
 /// Results come back in input order; each instance gets its own solve
 /// context (shared-nothing) and each worker keeps one warm workspace
 /// for the instances it happens to process, so the output is
 /// byte-identical for 1 worker, N workers, or a plain sequential loop
-/// of [`solve_single`]. Fails fast on an unknown solver name; an
-/// instance a solver cannot handle (e.g. `one-csr` on a multi-M
+/// of [`solve_single_traced`]. Fails fast on an unknown solver name;
+/// an instance a solver cannot handle (e.g. `one-csr` on a multi-M
 /// instance) surfaces as the first per-instance error.
-pub fn solve_batch(
-    instances: &[Instance],
-    opts: &BatchOptions,
-) -> Result<Vec<BatchSolution>, EngineError> {
-    let reports = solve_batch_reports(instances, opts)?;
-    Ok(reports.into_iter().map(|(solution, _)| solution).collect())
-}
-
-/// [`solve_batch`] keeping each instance's telemetry record.
 pub fn solve_batch_reports(
     instances: &[Instance],
     opts: &BatchOptions,
@@ -141,7 +157,7 @@ pub fn solve_batch_reports(
         let results = par_map_ordered_init(
             (0..instances.len()).collect(),
             DpWorkspace::new,
-            move |ws, idx| solve_single_report(&instances[idx], &opts, ws),
+            move |ws, idx| solve_single_traced(&instances[idx], &opts, ws, TraceHandle::disabled()),
         );
         results.into_iter().collect()
     };
@@ -158,10 +174,41 @@ mod tests {
     use fragalign_model::check_consistency;
     use fragalign_model::instance::paper_example;
 
+    fn solve(inst: &Instance, name: &str) -> Result<(BatchSolution, SolveReport), EngineError> {
+        let mut ws = DpWorkspace::new();
+        solve_single_traced(
+            inst,
+            &BatchOptions::new(name),
+            &mut ws,
+            TraceHandle::disabled(),
+        )
+    }
+
+    fn batch(insts: &[Instance], name: &str) -> Result<Vec<BatchSolution>, EngineError> {
+        let runs = solve_batch_reports(insts, &BatchOptions::new(name))?;
+        Ok(runs.into_iter().map(|(solution, _)| solution).collect())
+    }
+
+    #[test]
+    fn solve_reports_telemetry() {
+        let (solution, report) = solve(&paper_example(), "csr").expect("csr runs everywhere");
+        assert_eq!(solution.score, 11);
+        assert_eq!(report.solver, "csr");
+        assert_eq!(report.score, 11);
+        assert_eq!(report.matches, solution.matches.len());
+        assert!(report.rounds > 0);
+        assert!(report.attempts > 0);
+        assert!(report.dp_fills > 0);
+        assert!(report.wall_secs >= 0.0);
+        assert!(report.winner.is_none());
+    }
+
     #[test]
     fn unknown_solver_fails_before_solving() {
         let insts = [paper_example()];
-        let err = solve_batch(&insts, &BatchOptions::new("simulated-annealing")).unwrap_err();
+        let err = batch(&insts, "simulated-annealing").unwrap_err();
+        assert!(matches!(err, EngineError::UnknownSolver { .. }));
+        let err = solve(&insts[0], "simulated-annealing").unwrap_err();
         assert!(matches!(err, EngineError::UnknownSolver { .. }));
     }
 
@@ -169,43 +216,45 @@ mod tests {
     fn batch_matches_individual_solves() {
         let insts: Vec<Instance> = (0..3).map(|_| paper_example()).collect();
         for name in ["csr", "four", "greedy", "portfolio"] {
-            let opts = BatchOptions::new(name);
-            let batch = solve_batch(&insts, &opts).unwrap();
-            assert_eq!(batch.len(), 3);
-            for (inst, sol) in insts.iter().zip(&batch) {
+            let runs = solve_batch_reports(&insts, &BatchOptions::new(name)).unwrap();
+            assert_eq!(runs.len(), 3);
+            for (inst, (sol, report)) in insts.iter().zip(&runs) {
                 check_consistency(inst, &sol.matches).unwrap();
-                let mut fresh = DpWorkspace::new();
-                let single = solve_single(inst, &opts, &mut fresh).unwrap();
+                let (single, single_report) = solve(inst, name).unwrap();
                 assert_eq!(sol, &single, "{name}");
+                assert_eq!(report.attempts, single_report.attempts, "{name}");
+                assert_eq!(report.dp_fills, single_report.dp_fills, "{name}");
             }
         }
         // The improvement family reaches the paper optimum.
-        let csr = solve_batch(&insts, &BatchOptions::new("csr")).unwrap();
+        let csr = batch(&insts, "csr").unwrap();
         assert!(csr.iter().all(|s| s.score == 11));
-    }
-
-    #[test]
-    fn workspace_reuse_does_not_change_results() {
-        let insts: Vec<Instance> = (0..2).map(|_| paper_example()).collect();
-        for name in ["csr", "four", "greedy", "matching"] {
-            let mut baseline_opts = BatchOptions::new(name);
-            baseline_opts.engine.reuse_workspaces = false;
-            let baseline = solve_batch(&insts, &baseline_opts).unwrap();
-            let reused = solve_batch(&insts, &BatchOptions::new(name)).unwrap();
-            assert_eq!(baseline, reused, "{name}");
-        }
     }
 
     #[test]
     fn unsupported_instances_surface_as_errors() {
         let insts = [paper_example()]; // two M fragments
-        let err = solve_batch(&insts, &BatchOptions::new("one-csr")).unwrap_err();
+        let err = batch(&insts, "one-csr").unwrap_err();
         assert!(matches!(err, EngineError::Unsupported { .. }));
     }
 
     #[test]
+    fn unsupported_solvers_error_cleanly() {
+        let inst = paper_example(); // two M fragments
+        let err = solve(&inst, "one-csr").unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::Unsupported {
+                solver: "one-csr",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("one M fragment"));
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
-        let out = solve_batch(&[], &BatchOptions::default()).unwrap();
+        let out = solve_batch_reports(&[], &BatchOptions::default()).unwrap();
         assert!(out.is_empty());
     }
 }

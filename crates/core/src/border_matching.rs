@@ -10,20 +10,12 @@
 
 use fragalign_align::ScoreOracle;
 use fragalign_matching::{max_weight_matching, WeightMatrix};
-use fragalign_model::{FragId, Instance, Match, MatchSet, Site};
+use fragalign_model::{FragId, Match, MatchSet, Site};
 
-/// The Lemma 9 algorithm. Returns full–full matches only.
-pub fn border_matching_2approx(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    border_matching_2approx_with_oracle(&oracle)
-}
-
-/// [`border_matching_2approx`] with a caller-provided oracle: the
+/// The Lemma 9 algorithm. Returns full–full matches only. The
 /// full-fragment `MS` weights fill through the oracle's pooled
-/// workspaces (and are memoised for the second pass). Bit-identical to
-/// the free-function route — the oracle scores through the same
-/// kernels.
-pub fn border_matching_2approx_with_oracle(oracle: &ScoreOracle<'_>) -> MatchSet {
+/// workspaces (and are memoised for the second pass).
+pub fn border_matching_2approx(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
     let mut w = WeightMatrix::new(inst.h.len(), inst.m.len());
     for (i, hf) in inst.h.iter().enumerate() {
@@ -56,7 +48,7 @@ mod tests {
     #[test]
     fn matching_solution_is_consistent() {
         let inst = paper_example();
-        let sol = border_matching_2approx(&inst);
+        let sol = border_matching_2approx(&ScoreOracle::new(&inst));
         check_consistency(&inst, &sol).unwrap();
         // Best pairing: h1–m1 (σ(a,s)+? aligned in order: a–s=4 plus
         // b–t=0 → 4; h1–m2 would give c–u=5... matching optimises
@@ -68,8 +60,8 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let inst = Instance::default();
-        let sol = border_matching_2approx(&inst);
+        let inst = fragalign_model::Instance::default();
+        let sol = border_matching_2approx(&ScoreOracle::new(&inst));
         assert_eq!(sol.len(), 0);
     }
 }

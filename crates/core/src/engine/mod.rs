@@ -15,6 +15,10 @@
 //! * [`SolverRegistry`] is the single source of truth mapping names to
 //!   solver factories plus paper metadata — the CLI, the batch loop,
 //!   the bench matrix, and the README table all read it;
+//! * [`solve_single_traced`](crate::solve_single_traced) is the one way
+//!   to run a registered solver on one instance (and
+//!   [`solve_batch_reports`](crate::solve_batch_reports) the one batch
+//!   path over it);
 //! * [`SolveReport`] is the uniform telemetry record every run emits:
 //!   score, rounds, attempts, DP fill/realloc counts pulled from the
 //!   oracle stats, and wall time;
@@ -43,10 +47,6 @@ use serde::Serialize;
 pub struct EngineOptions {
     /// Enable the §4.1 scaling step (improvement solvers only).
     pub scaling: bool,
-    /// Pool DP workspaces across fills and instances (default). Off
-    /// restores the per-call-allocation baseline `exp_throughput`
-    /// measures against; results never change either way.
-    pub reuse_workspaces: bool,
     /// Rayon pool width for this run: the solve executes on a
     /// dedicated pool of this many threads. `0` (default) runs on the
     /// ambient pool (the global one, or whatever `install` pinned).
@@ -58,12 +58,10 @@ pub struct EngineOptions {
 }
 
 impl Default for EngineOptions {
-    /// Unscaled, workspace reuse on, ambient pool, default exact
-    /// limits.
+    /// Unscaled, ambient pool, default exact limits.
     fn default() -> Self {
         EngineOptions {
             scaling: false,
-            reuse_workspaces: true,
             threads: 0,
             exact_limits: ExactLimits::default(),
         }
@@ -92,17 +90,12 @@ pub struct SolveCtx<'a> {
 
 impl<'a> SolveCtx<'a> {
     /// A fresh context for `inst` (empty caches, empty workspace pool,
-    /// never cancelled).
+    /// never cancelled; set [`SolveCtx::cancel`] for a live token).
     pub fn new(inst: &'a Instance, opts: EngineOptions) -> Self {
-        SolveCtx::with_cancel(inst, opts, CancelToken::never())
-    }
-
-    /// [`SolveCtx::new`] with a live cancellation token.
-    pub fn with_cancel(inst: &'a Instance, opts: EngineOptions, cancel: CancelToken) -> Self {
         SolveCtx {
-            oracle: ScoreOracle::with_workspace_reuse(inst, opts.reuse_workspaces),
+            oracle: ScoreOracle::new(inst),
             opts,
-            cancel,
+            cancel: CancelToken::never(),
             trace: TraceHandle::disabled(),
         }
     }
@@ -129,8 +122,9 @@ pub struct SolveOutcome {
     pub matches: MatchSet,
     /// Committed improvement rounds (improvement family; 0 elsewhere).
     pub rounds: usize,
-    /// Candidate attempts evaluated (improvement family; summed over
-    /// racers for the portfolio; 0 elsewhere).
+    /// Candidate attempts evaluated (improvement family; the winner's
+    /// for the portfolio, whose racers' partial counts stay in
+    /// `racers`; 0 elsewhere).
     pub attempts: usize,
     /// The racer that produced `matches` (portfolio only).
     pub winner: Option<&'static str>,
@@ -166,7 +160,8 @@ impl SolveOutcome {
 pub trait Solver: Send + Sync {
     /// `Err(reason)` when this solver cannot run on `inst` — the
     /// 1-CSR reduction needs a single M fragment, the exhaustive
-    /// solver refuses oversized instances. The registry turns a
+    /// solver refuses oversized instances.
+    /// [`solve_single_traced`](crate::solve_single_traced) turns a
     /// failure into [`EngineError::Unsupported`]; the portfolio skips
     /// the racer.
     fn supports(&self, _inst: &Instance, _opts: &EngineOptions) -> Result<(), String> {
@@ -189,11 +184,12 @@ pub struct SolveReport {
     pub matches: usize,
     /// Committed improvement rounds (0 for one-shot solvers).
     pub rounds: usize,
-    /// Attempts evaluated (improvement family; summed over racers
-    /// for the portfolio; 0 for one-shot solvers).
+    /// Attempts evaluated (improvement family; the winner's for the
+    /// portfolio, whose racers' partial counts stay in `racers`; 0 for
+    /// one-shot solvers).
     pub attempts: usize,
     /// DP fills served through the run's oracle(s), nested oracles
-    /// included.
+    /// included (the winner's oracle for the portfolio).
     pub dp_fills: u64,
     /// Workspace buffer growth events — the allocations proxy.
     pub dp_reallocs: u64,
@@ -236,17 +232,6 @@ pub struct RacerReport {
     pub attempts: usize,
     /// Wall-clock seconds the racer ran.
     pub wall_secs: f64,
-}
-
-/// A finished engine run: the solution and its telemetry.
-#[derive(Clone, Debug)]
-pub struct SolveRun {
-    /// The consistent match set the solver returned.
-    pub matches: MatchSet,
-    /// Its total score (duplicated from the report for convenience).
-    pub score: Score,
-    /// The uniform telemetry record.
-    pub report: SolveReport,
 }
 
 /// Why the engine refused to run.

@@ -42,6 +42,7 @@ use super::{
     CancelCause, CancelToken, EngineError, EngineOptions, RacerReport, Router, SolveCtx,
     SolveOutcome, Solver, SolverRegistry, SolverSpec,
 };
+use fragalign_align::OracleStatsSnapshot;
 use fragalign_model::{Instance, MatchSet, Score};
 use fragalign_par::par_map_ordered;
 use std::time::{Duration, Instant};
@@ -308,7 +309,8 @@ impl Solver for Portfolio {
             let mut racer_span = rt.span_labeled("racer", member.spec.name);
             let t0 = Instant::now();
             let token = tokens_ref[idx].clone();
-            let mut sub = SolveCtx::with_cancel(inst, opts, token.clone());
+            let mut sub = SolveCtx::new(inst, opts);
+            sub.cancel = token.clone();
             sub.set_trace(rt.clone());
             let out = member.solver.solve(inst, &mut sub);
             let wall = t0.elapsed().as_secs_f64();
@@ -349,14 +351,9 @@ impl Solver for Portfolio {
             .map(|s| s.expect("every racer ran"))
             .collect();
 
-        let mut best: Option<(usize, SolveOutcome)> = None;
-        let mut attempts = 0;
+        let mut best: Option<(usize, SolveOutcome, OracleStatsSnapshot)> = None;
         let mut reports = Vec::with_capacity(runs.len());
         for (idx, (out, cause, stats, wall)) in runs.into_iter().enumerate() {
-            // Fold each racer's oracle work into the portfolio's
-            // context so the report shows the whole race.
-            ctx.oracle.stats.absorb(&stats);
-            attempts += out.attempts;
             reports.push(RacerReport {
                 name: racers[idx].spec.name.to_owned(),
                 score: out.matches.total_score(),
@@ -370,17 +367,22 @@ impl Solver for Portfolio {
             // keeps ties with the earliest racer.
             let better = match &best {
                 None => true,
-                Some((_, b)) => out.matches.total_score() > b.matches.total_score(),
+                Some((_, b, _)) => out.matches.total_score() > b.matches.total_score(),
             };
             if better {
-                best = Some((idx, out));
+                best = Some((idx, out, stats));
             }
         }
-        let (idx, out) = best.expect("at least one racer ran");
+        let (idx, out, stats) = best.expect("at least one racer ran");
+        // The report carries the winner's counters only. A racer
+        // retired as `outraced` stops at a timing-dependent point, so
+        // summing partial work would make the report depend on the
+        // pool; the partials stay in `racers`.
+        ctx.oracle.stats.absorb(&stats);
         SolveOutcome {
             winner: Some(racers[idx].spec.name),
             rounds: out.rounds,
-            attempts,
+            attempts: out.attempts,
             cancelled: out.cancelled,
             racers: reports,
             matches: out.matches,

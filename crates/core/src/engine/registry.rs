@@ -1,18 +1,13 @@
 //! Name → solver-factory registry: the single source of truth the
 //! CLI, the batch pipeline, the solver-matrix experiment, and the
 //! README solver table all read. Registering a solver here is the
-//! whole integration: every front end picks it up.
+//! whole integration: every front end picks it up. Running one is
+//! [`solve_single_traced`](crate::solve_single_traced)'s job.
 
 use super::solvers::{BorderMatching, Chain, Exact, FourApprox, Greedy, Improve, OneCsr};
-use super::{
-    CancelToken, EngineError, EngineOptions, Portfolio, SolveCtx, SolveOutcome, SolveReport,
-    SolveRun, Solver, TraceHandle,
-};
+use super::{EngineError, Portfolio, Solver};
 use crate::MethodSet;
-use fragalign_align::DpWorkspace;
-use fragalign_model::Instance;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 type Factory = fn() -> Box<dyn Solver>;
 
@@ -185,127 +180,6 @@ impl SolverRegistry {
             .map(|(_, n)| n)
     }
 
-    /// Run the named solver on `inst` with a throwaway workspace.
-    pub fn solve(
-        &self,
-        name: &str,
-        inst: &Instance,
-        opts: EngineOptions,
-    ) -> Result<SolveRun, EngineError> {
-        let mut ws = DpWorkspace::new();
-        self.solve_with_workspace(name, inst, opts, &mut ws)
-    }
-
-    /// Run the named solver on `inst`, lending `ws` to the run's
-    /// oracle pool (and taking it back, warmer, afterwards — the batch
-    /// loop threads one workspace per worker through here). The
-    /// workspace is scratch only: it never changes results.
-    pub fn solve_with_workspace(
-        &self,
-        name: &str,
-        inst: &Instance,
-        opts: EngineOptions,
-        ws: &mut DpWorkspace,
-    ) -> Result<SolveRun, EngineError> {
-        self.solve_cancellable(name, inst, opts, ws, CancelToken::never())
-    }
-
-    /// [`SolverRegistry::solve_with_workspace`] with a live stop
-    /// signal: solvers poll `cancel` at round boundaries and hand back
-    /// their best-so-far consistent result (flagged in the report)
-    /// when it trips. When [`EngineOptions::threads`] is non-zero, the
-    /// solve executes on a dedicated pool of that width; results are
-    /// bit-identical at any width.
-    pub fn solve_cancellable(
-        &self,
-        name: &str,
-        inst: &Instance,
-        opts: EngineOptions,
-        ws: &mut DpWorkspace,
-        cancel: CancelToken,
-    ) -> Result<SolveRun, EngineError> {
-        self.solve_traced(name, inst, opts, ws, cancel, TraceHandle::disabled())
-    }
-
-    /// [`SolverRegistry::solve_cancellable`] recording phase/racer
-    /// spans through `trace`. Tracing is observational only: the
-    /// solve's result and report counters are bit-identical whether
-    /// the handle is enabled or disabled (the trace suite enforces
-    /// this).
-    pub fn solve_traced(
-        &self,
-        name: &str,
-        inst: &Instance,
-        opts: EngineOptions,
-        ws: &mut DpWorkspace,
-        cancel: CancelToken,
-        trace: TraceHandle,
-    ) -> Result<SolveRun, EngineError> {
-        let spec = self.spec(name)?;
-        let solver = spec.build();
-        solver
-            .supports(inst, &opts)
-            .map_err(|reason| EngineError::Unsupported {
-                solver: spec.name,
-                reason,
-            })?;
-        let mut ctx = SolveCtx::with_cancel(inst, opts, cancel);
-        if trace.is_enabled() {
-            ctx.set_trace(trace);
-        }
-        if opts.reuse_workspaces {
-            ctx.oracle.adopt_workspace(std::mem::take(ws));
-        }
-        let mut solve_span = ctx.trace.span_labeled("solve", spec.name);
-        let start = Instant::now();
-        let out = if opts.threads > 0 {
-            let solver = &solver;
-            let ctx = &mut ctx;
-            fragalign_par::with_threads(opts.threads, move || solver.solve(inst, ctx)).0
-        } else {
-            solver.solve(inst, &mut ctx)
-        };
-        let wall_secs = start.elapsed().as_secs_f64();
-        solve_span.set_args(out.matches.total_score(), out.attempts as i64);
-        drop(solve_span);
-        if opts.reuse_workspaces {
-            *ws = ctx.oracle.reclaim_workspace();
-        }
-        Ok(self.finish_run(spec, out, &ctx, wall_secs))
-    }
-
-    /// Assemble the uniform report from an outcome and its context.
-    fn finish_run(
-        &self,
-        spec: &SolverSpec,
-        out: SolveOutcome,
-        ctx: &SolveCtx<'_>,
-        wall_secs: f64,
-    ) -> SolveRun {
-        let stats = ctx.oracle.stats.snapshot();
-        let score = out.matches.total_score();
-        SolveRun {
-            score,
-            report: SolveReport {
-                solver: spec.name.to_owned(),
-                score,
-                matches: out.matches.len(),
-                rounds: out.rounds,
-                attempts: out.attempts,
-                dp_fills: stats.dp_fills,
-                dp_reallocs: stats.dp_reallocs,
-                table_misses: stats.table_misses,
-                pair_misses: stats.pair_misses,
-                wall_secs,
-                winner: out.winner.map(str::to_owned),
-                cancelled: out.cancelled,
-                racers: out.racers,
-                routed_by: out.routed_by.map(str::to_owned),
-            },
-            matches: out.matches,
-        }
-    }
-
     /// The README solver table, generated from the registry so docs
     /// cannot drift from code (`tests/engine_registry.rs` pins the
     /// README to this exact string).
@@ -340,7 +214,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fragalign_model::instance::paper_example;
 
     #[test]
     fn every_name_resolves_and_builds() {
@@ -386,40 +259,6 @@ mod tests {
         assert_eq!(edit_distance("csr", "one-csr"), 4);
         assert_eq!(edit_distance("", "csr"), 3);
         assert_eq!(reg.suggest("cse"), Some("csr"));
-    }
-
-    #[test]
-    fn solve_reports_telemetry() {
-        let reg = SolverRegistry::global();
-        let inst = paper_example();
-        let run = reg
-            .solve("csr", &inst, EngineOptions::default())
-            .expect("csr runs everywhere");
-        assert_eq!(run.score, 11);
-        assert_eq!(run.report.solver, "csr");
-        assert_eq!(run.report.score, 11);
-        assert!(run.report.rounds > 0);
-        assert!(run.report.attempts > 0);
-        assert!(run.report.dp_fills > 0);
-        assert!(run.report.wall_secs >= 0.0);
-        assert!(run.report.winner.is_none());
-    }
-
-    #[test]
-    fn unsupported_solvers_error_cleanly() {
-        let reg = SolverRegistry::global();
-        let inst = paper_example(); // two M fragments
-        let err = reg
-            .solve("one-csr", &inst, EngineOptions::default())
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::Unsupported {
-                solver: "one-csr",
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("one M fragment"));
     }
 
     #[test]

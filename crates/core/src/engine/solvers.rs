@@ -1,8 +1,8 @@
 //! [`Solver`] adapters for every algorithm the paper presents. Each
-//! adapter routes through the `_with_oracle` entry point of its
-//! algorithm, so the context's pooled workspaces (and memoised scores)
-//! serve the whole run — and each is bit-identical to the legacy free
-//! function it wraps (`tests/engine_registry.rs` proves it).
+//! adapter calls its algorithm's one function with the context's
+//! oracle, so the pooled workspaces (and memoised scores) serve the
+//! whole run — and each is bit-identical to calling that function on
+//! a fresh oracle (`tests/engine_registry.rs` proves it).
 
 use super::{EngineOptions, SolveCtx, SolveOutcome, Solver};
 use crate::{ImproveConfig, MethodSet};
@@ -26,7 +26,7 @@ pub struct Improve(pub MethodSet);
 
 impl Solver for Improve {
     fn solve(&self, _inst: &Instance, ctx: &mut SolveCtx<'_>) -> SolveOutcome {
-        let result = crate::improve::improve_with_oracle_ctl(
+        let result = crate::improve::improve(
             &ctx.oracle,
             ImproveConfig {
                 methods: self.0,
@@ -57,7 +57,7 @@ impl Solver for FourApprox {
             return preempted();
         }
         let _sp = ctx.trace.span_labeled("phase", "factor4");
-        SolveOutcome::from_matches(crate::solve_four_approx_with_oracle(&ctx.oracle))
+        SolveOutcome::from_matches(crate::solve_four_approx(&ctx.oracle))
     }
 }
 
@@ -70,7 +70,7 @@ impl Solver for Greedy {
             return preempted();
         }
         let _sp = ctx.trace.span_labeled("phase", "greedy");
-        SolveOutcome::from_matches(crate::solve_greedy_with_oracle(&ctx.oracle))
+        SolveOutcome::from_matches(crate::solve_greedy(&ctx.oracle))
     }
 }
 
@@ -83,7 +83,7 @@ impl Solver for BorderMatching {
             return preempted();
         }
         let _sp = ctx.trace.span_labeled("phase", "border-matching");
-        SolveOutcome::from_matches(crate::border_matching_2approx_with_oracle(&ctx.oracle))
+        SolveOutcome::from_matches(crate::border_matching_2approx(&ctx.oracle))
     }
 }
 
@@ -108,7 +108,7 @@ impl Solver for OneCsr {
             return preempted();
         }
         let _sp = ctx.trace.span_labeled("phase", "one-csr");
-        SolveOutcome::from_matches(crate::solve_one_csr_with_oracle(&ctx.oracle))
+        SolveOutcome::from_matches(crate::solve_one_csr(&ctx.oracle))
     }
 }
 
@@ -123,7 +123,10 @@ impl Solver for Chain {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        SolveOutcome::from_matches(fragalign_align::solve_chain_with_oracle(&ctx.oracle))
+        SolveOutcome::from_matches(fragalign_align::solve_chain(
+            &ctx.oracle,
+            &fragalign_align::ChainParams::default(),
+        ))
     }
 }
 

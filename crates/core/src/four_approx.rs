@@ -40,7 +40,6 @@ fn concat_coord(lens: &[usize], pos: usize) -> (usize, usize) {
 fn one_sided(
     inst: &Instance,
     swap: bool,
-    reuse: bool,
     ws: &mut DpWorkspace,
     stats: &mut OracleStatsSnapshot,
 ) -> MatchSet {
@@ -53,14 +52,10 @@ fn one_sided(
         sigma: base.sigma.clone(),
         alphabet: base.alphabet.clone(),
     };
-    let inner = ScoreOracle::with_workspace_reuse(&concat_inst, reuse);
-    if reuse {
-        inner.adopt_workspace(std::mem::take(ws));
-    }
-    let sol = crate::one_csr::solve_one_csr_with_oracle(&inner);
-    if reuse {
-        *ws = inner.reclaim_workspace();
-    }
+    let inner = ScoreOracle::new(&concat_inst);
+    inner.adopt_workspace(std::mem::take(ws));
+    let sol = crate::one_csr::solve_one_csr(&inner);
+    *ws = inner.reclaim_workspace();
     *stats += inner.stats.snapshot();
 
     // Lay the solution over the original fragments of `base`:
@@ -143,32 +138,19 @@ fn one_sided(
     out
 }
 
-/// The Corollary 1 algorithm: ratio 4 for general CSR.
-pub fn solve_four_approx(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    solve_four_approx_with_oracle(&oracle)
-}
-
-/// [`solve_four_approx`] with a caller-provided oracle. The two
+/// The Corollary 1 algorithm: ratio 4 for general CSR. The two
 /// concatenation sides build their own oracles over derived instances
 /// (the tables key on different fragments), but they borrow the
 /// caller's pooled workspace — so batch workspace reuse reaches the
 /// factor-4 solver — and fold their counters back into the caller's
-/// stats. Bit-identical to [`solve_four_approx`].
-pub fn solve_four_approx_with_oracle(oracle: &ScoreOracle<'_>) -> MatchSet {
+/// stats.
+pub fn solve_four_approx(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
-    let reuse = oracle.workspace_reuse();
-    let mut ws = if reuse {
-        oracle.reclaim_workspace()
-    } else {
-        DpWorkspace::new()
-    };
+    let mut ws = oracle.reclaim_workspace();
     let mut stats = OracleStatsSnapshot::default();
-    let a = one_sided(inst, false, reuse, &mut ws, &mut stats);
-    let b = one_sided(inst, true, reuse, &mut ws, &mut stats);
-    if reuse {
-        oracle.adopt_workspace(ws);
-    }
+    let a = one_sided(inst, false, &mut ws, &mut stats);
+    let b = one_sided(inst, true, &mut ws, &mut stats);
+    oracle.adopt_workspace(ws);
     oracle.stats.absorb(&stats);
     if a.total_score() >= b.total_score() {
         a
@@ -186,7 +168,7 @@ mod tests {
     #[test]
     fn paper_example_four_approx() {
         let inst = paper_example();
-        let sol = solve_four_approx(&inst);
+        let sol = solve_four_approx(&ScoreOracle::new(&inst));
         check_consistency(&inst, &sol).unwrap();
         // The optimum is 11; factor 4 guarantees ≥ ⌈11/4⌉ = 3. In
         // practice the concatenation sides find much more.
@@ -200,7 +182,7 @@ mod tests {
         for swap in [false, true] {
             let mut ws = DpWorkspace::new();
             let mut stats = OracleStatsSnapshot::default();
-            let sol = one_sided(&inst, swap, true, &mut ws, &mut stats);
+            let sol = one_sided(&inst, swap, &mut ws, &mut stats);
             check_consistency(&inst, &sol).unwrap_or_else(|e| panic!("swap={swap}: {e}"));
             assert!(stats.dp_fills > 0, "swap={swap}: inner fills not counted");
         }
@@ -209,16 +191,17 @@ mod tests {
     #[test]
     fn external_oracle_matches_internal_and_counts_fills() {
         let inst = paper_example();
-        let internal = solve_four_approx(&inst);
-        for reuse in [true, false] {
-            let oracle = ScoreOracle::with_workspace_reuse(&inst, reuse);
-            let external = solve_four_approx_with_oracle(&oracle);
-            assert_eq!(internal, external, "reuse={reuse}");
-            assert!(
-                oracle.stats.snapshot().dp_fills > 0,
-                "reuse={reuse}: inner oracle fills must be absorbed"
-            );
-        }
+        let fresh = ScoreOracle::new(&inst);
+        let cold = solve_four_approx(&fresh);
+        // A warm pool is scratch only: same result, and the inner
+        // oracles' fills still land in the caller's stats.
+        let warm = ScoreOracle::new(&inst);
+        warm.adopt_workspace(fresh.reclaim_workspace());
+        assert_eq!(solve_four_approx(&warm), cold);
+        assert!(
+            warm.stats.snapshot().dp_fills > 0,
+            "inner oracle fills must be absorbed"
+        );
     }
 
     #[test]

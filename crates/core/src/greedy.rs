@@ -10,7 +10,7 @@
 
 use fragalign_align::ScoreOracle;
 use fragalign_model::{
-    check_consistency, FragId, Instance, Match, MatchSet, Orient, Site, SiteClass, Species,
+    check_consistency, FragId, Match, MatchSet, Orient, Site, SiteClass, Species,
 };
 
 /// Candidate single-match additions given the current solution.
@@ -94,17 +94,11 @@ fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
     out
 }
 
-/// Greedy: best-scoring feasible addition until none improves.
-pub fn solve_greedy(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    solve_greedy_with_oracle(&oracle)
-}
-
-/// [`solve_greedy`] with a caller-provided oracle, so batch runs share
-/// one warm workspace pool per worker instead of allocating fresh DP
-/// buffers per instance. The oracle is scratch plus memoisation only:
-/// results are bit-identical to [`solve_greedy`].
-pub fn solve_greedy_with_oracle(oracle: &ScoreOracle<'_>) -> MatchSet {
+/// Greedy: best-scoring feasible addition until none improves. The
+/// oracle is scratch plus memoisation only: a warm one (a batch
+/// worker's pooled workspace) returns the same match set as a fresh
+/// one.
+pub fn solve_greedy(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
     let mut set = MatchSet::new();
     loop {
@@ -134,7 +128,7 @@ mod tests {
     #[test]
     fn greedy_is_consistent_and_positive() {
         let inst = paper_example();
-        let sol = solve_greedy(&inst);
+        let sol = solve_greedy(&ScoreOracle::new(&inst));
         check_consistency(&inst, &sol).unwrap();
         // Greedy is fooled here (the paper's point): among the
         // score-5 candidates it plugs *all of h1* into m2's ⟨u⟩,
@@ -149,7 +143,7 @@ mod tests {
         b.h_frag("h", &["a", "b"]);
         b.m_frag("m", &["x", "y"]);
         let inst = b.build();
-        let sol = solve_greedy(&inst);
+        let sol = solve_greedy(&ScoreOracle::new(&inst));
         assert_eq!(sol.len(), 0);
     }
 }

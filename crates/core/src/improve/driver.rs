@@ -5,7 +5,7 @@ use super::ops::{apply_attempt, trunc_total};
 use super::MethodSet;
 use crate::cancel::CancelToken;
 use fragalign_align::ScoreOracle;
-use fragalign_model::{check_consistency, Instance, MatchSet, Score};
+use fragalign_model::{check_consistency, MatchSet, Score};
 use rayon::prelude::*;
 
 /// Configuration of the iterative improvement driver.
@@ -72,28 +72,13 @@ pub struct ImproveResult {
 
 /// Run iterative improvement from `initial` (the paper starts from the
 /// empty set; seeding with a 4-approximation is a supported variant).
-pub fn improve(inst: &Instance, config: ImproveConfig, initial: MatchSet) -> ImproveResult {
-    let oracle = ScoreOracle::new(inst);
-    improve_with_oracle(&oracle, config, initial)
-}
-
-/// [`improve`] with a caller-provided oracle (reuses DP caches across
-/// runs; used by benches and the ablation experiments).
-pub fn improve_with_oracle(
-    oracle: &ScoreOracle<'_>,
-    config: ImproveConfig,
-    initial: MatchSet,
-) -> ImproveResult {
-    improve_with_oracle_ctl(oracle, config, initial, &CancelToken::never())
-}
-
-/// [`improve_with_oracle`] under a live [`CancelToken`]: the loop
-/// polls the token at every round boundary and charges one work unit
-/// per evaluated attempt, so work-capped tokens stop the run at a
-/// deterministic round. On cancellation the current committed state —
-/// always a consistent match set — is returned with
+/// The oracle is scratch plus memoisation only: it never changes
+/// results. The loop polls `ctl` at every round boundary and charges
+/// one work unit per evaluated attempt, so work-capped tokens stop the
+/// run at a deterministic round. On cancellation the current committed
+/// state — always a consistent match set — is returned with
 /// [`ImproveResult::cancelled`] set.
-pub fn improve_with_oracle_ctl(
+pub fn improve(
     oracle: &ScoreOracle<'_>,
     config: ImproveConfig,
     initial: MatchSet,
@@ -104,8 +89,9 @@ pub fn improve_with_oracle_ctl(
     let quantum = if config.scaling {
         // X: score of the factor-4 algorithm (Corollary 1); the optimum
         // is at most 4X, each improvement gains ≥ X/k², so at most 4k²
-        // rounds occur.
-        let x = crate::four_approx::solve_four_approx(inst)
+        // rounds occur. A fresh oracle computes X, so the bound moves
+        // none of the caller's counters.
+        let x = crate::four_approx::solve_four_approx(&ScoreOracle::new(inst))
             .total_score()
             .max(initial.total_score());
         (x / (k * k)).max(1)
@@ -220,41 +206,32 @@ fn pick(a: (Score, usize, MatchSet), b: (Score, usize, MatchSet)) -> (Score, usi
 }
 
 /// Full_Improve (§4.2, Theorem 4): method I1 only, from the empty set.
-pub fn full_improve(inst: &Instance, scaling: bool) -> ImproveResult {
-    improve(
-        inst,
-        ImproveConfig {
-            methods: MethodSet::FullOnly,
-            scaling,
-            ..Default::default()
-        },
-        MatchSet::new(),
-    )
+pub fn full_improve(oracle: &ScoreOracle<'_>, scaling: bool) -> ImproveResult {
+    preset(oracle, MethodSet::FullOnly, scaling)
 }
 
 /// Border_Improve (§4.3, Theorem 5): methods I2/I3 only.
-pub fn border_improve(inst: &Instance, scaling: bool) -> ImproveResult {
-    improve(
-        inst,
-        ImproveConfig {
-            methods: MethodSet::BorderOnly,
-            scaling,
-            ..Default::default()
-        },
-        MatchSet::new(),
-    )
+pub fn border_improve(oracle: &ScoreOracle<'_>, scaling: bool) -> ImproveResult {
+    preset(oracle, MethodSet::BorderOnly, scaling)
 }
 
 /// CSR_Improve (§4.4, Theorem 6): all methods.
-pub fn csr_improve(inst: &Instance, scaling: bool) -> ImproveResult {
+pub fn csr_improve(oracle: &ScoreOracle<'_>, scaling: bool) -> ImproveResult {
+    preset(oracle, MethodSet::All, scaling)
+}
+
+/// One of the paper's three presets: `methods` from the empty set,
+/// default budgets, never cancelled.
+fn preset(oracle: &ScoreOracle<'_>, methods: MethodSet, scaling: bool) -> ImproveResult {
     improve(
-        inst,
+        oracle,
         ImproveConfig {
-            methods: MethodSet::All,
+            methods,
             scaling,
             ..Default::default()
         },
         MatchSet::new(),
+        &CancelToken::never(),
     )
 }
 
@@ -262,11 +239,25 @@ pub fn csr_improve(inst: &Instance, scaling: bool) -> ImproveResult {
 mod tests {
     use super::*;
     use fragalign_model::instance::paper_example;
+    use fragalign_model::Instance;
+
+    fn csr(inst: &Instance, scaling: bool) -> ImproveResult {
+        csr_improve(&ScoreOracle::new(inst), scaling)
+    }
+
+    fn run(inst: &Instance, config: ImproveConfig) -> ImproveResult {
+        improve(
+            &ScoreOracle::new(inst),
+            config,
+            MatchSet::new(),
+            &CancelToken::never(),
+        )
+    }
 
     #[test]
     fn paper_example_reaches_optimum_11() {
         let inst = paper_example();
-        let result = csr_improve(&inst, false);
+        let result = csr(&inst, false);
         check_consistency(&inst, &result.matches).unwrap();
         assert_eq!(result.score, 11, "matches: {:?}", result.matches);
     }
@@ -274,7 +265,7 @@ mod tests {
     #[test]
     fn full_improve_is_consistent_and_positive() {
         let inst = paper_example();
-        let result = full_improve(&inst, false);
+        let result = full_improve(&ScoreOracle::new(&inst), false);
         check_consistency(&inst, &result.matches).unwrap();
         // Full matches alone reach σ(a,s)+σ(c,u)+σ(d,*)-style scores;
         // at least the two heavy plugs must be found.
@@ -284,7 +275,7 @@ mod tests {
     #[test]
     fn border_improve_is_consistent() {
         let inst = paper_example();
-        let result = border_improve(&inst, false);
+        let result = border_improve(&ScoreOracle::new(&inst), false);
         check_consistency(&inst, &result.matches).unwrap();
         assert!(result.score > 0);
     }
@@ -293,7 +284,7 @@ mod tests {
     fn scaling_bounds_rounds() {
         let inst = paper_example();
         let k = inst.match_count_bound() as i64;
-        let result = csr_improve(&inst, true);
+        let result = csr(&inst, true);
         assert!(result.rounds <= (4 * k * k + k) as usize);
         assert!(result.quantum >= 1);
         check_consistency(&inst, &result.matches).unwrap();
@@ -302,14 +293,13 @@ mod tests {
     #[test]
     fn sequential_matches_parallel() {
         let inst = paper_example();
-        let par = csr_improve(&inst, false);
-        let seq = improve(
+        let par = csr(&inst, false);
+        let seq = run(
             &inst,
             ImproveConfig {
                 parallel: false,
                 ..Default::default()
             },
-            fragalign_model::MatchSet::new(),
         );
         assert_eq!(par.score, seq.score);
     }
@@ -317,14 +307,13 @@ mod tests {
     #[test]
     fn first_positive_commit_policy_terminates() {
         let inst = paper_example();
-        let res = improve(
+        let res = run(
             &inst,
             ImproveConfig {
                 parallel: false,
                 commit_best: false,
                 ..Default::default()
             },
-            fragalign_model::MatchSet::new(),
         );
         check_consistency(&inst, &res.matches).unwrap();
         assert!(res.score > 0);

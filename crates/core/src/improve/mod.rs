@@ -30,8 +30,7 @@ mod enumerate;
 mod ops;
 
 pub use driver::{
-    border_improve, csr_improve, full_improve, improve, improve_with_oracle,
-    improve_with_oracle_ctl, ImproveConfig, ImproveResult,
+    border_improve, csr_improve, full_improve, improve, ImproveConfig, ImproveResult,
 };
 pub use enumerate::{enumerate_attempts, Attempt, Budget, I2Bundle};
 pub use ops::{

@@ -59,17 +59,10 @@ fn selection_to_matches(
     out
 }
 
-/// Solve a 1-CSR instance with TPA (ratio 2). Panics unless the
-/// instance has exactly one M fragment.
-pub fn solve_one_csr(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    solve_one_csr_with_oracle(&oracle)
-}
-
-/// [`solve_one_csr`] with a caller-provided oracle (shares interval
-/// tables and pooled workspaces with the caller; bit-identical
-/// results). Panics unless the instance has exactly one M fragment.
-pub fn solve_one_csr_with_oracle(oracle: &ScoreOracle<'_>) -> MatchSet {
+/// Solve a 1-CSR instance with TPA (ratio 2), sharing the oracle's
+/// interval tables and pooled workspaces. Panics unless the instance
+/// has exactly one M fragment.
+pub fn solve_one_csr(oracle: &ScoreOracle<'_>) -> MatchSet {
     let (isp, tags) = build_isp(oracle);
     selection_to_matches(oracle, &tags, &solve_tpa(&isp))
 }
@@ -104,7 +97,7 @@ mod tests {
     #[test]
     fn tpa_solution_is_consistent_and_good() {
         let inst = one_m_instance();
-        let sol = solve_one_csr(&inst);
+        let sol = solve_one_csr(&ScoreOracle::new(&inst));
         check_consistency(&inst, &sol).unwrap();
         // h1 → [p,q] (7), h2 → [r] (5) are disjoint: at least 12.
         assert!(sol.total_score() >= 12, "got {}", sol.total_score());
@@ -113,7 +106,7 @@ mod tests {
     #[test]
     fn exact_dominates_tpa_within_ratio_two() {
         let inst = one_m_instance();
-        let tpa = solve_one_csr(&inst).total_score();
+        let tpa = solve_one_csr(&ScoreOracle::new(&inst)).total_score();
         let exact = solve_one_csr_exact(&inst).total_score();
         assert!(exact >= tpa);
         assert!(2 * tpa >= exact);
@@ -137,6 +130,6 @@ mod tests {
     #[should_panic(expected = "exactly one M fragment")]
     fn multi_m_rejected() {
         let inst = fragalign_model::instance::paper_example();
-        solve_one_csr(&inst);
+        solve_one_csr(&ScoreOracle::new(&inst));
     }
 }

@@ -110,12 +110,13 @@ impl std::fmt::Display for SolutionStats {
 mod tests {
     use super::*;
     use crate::csr_improve;
+    use fragalign_align::ScoreOracle;
     use fragalign_model::instance::paper_example;
 
     #[test]
     fn stats_of_the_paper_optimum() {
         let inst = paper_example();
-        let res = csr_improve(&inst, false);
+        let res = csr_improve(&ScoreOracle::new(&inst), false);
         let stats = solution_stats(&inst, &res.matches).unwrap();
         assert_eq!(stats.score, 11);
         assert!(stats.matches >= 2);

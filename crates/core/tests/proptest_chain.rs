@@ -3,6 +3,7 @@
 //! optimum, chaining must stay consistent, deterministic, and at or
 //! below that optimum — a heuristic may lose score, never invent it.
 
+use fragalign_align::{solve_chain, ChainParams, ScoreOracle};
 use fragalign_core::{solve_exact, ExactLimits};
 use fragalign_model::check_consistency;
 use fragalign_sim::{generate, SimConfig};
@@ -32,7 +33,8 @@ proptest! {
             ..SimConfig::default()
         });
         let inst = &sim.instance;
-        let sol = fragalign_align::solve_chain(inst);
+        let chain = || solve_chain(&ScoreOracle::new(inst), &ChainParams::default());
+        let sol = chain();
         let report = check_consistency(inst, &sol);
         prop_assert!(report.is_ok(), "chain broke consistency: {report:?}");
         let optimum = solve_exact(inst, ExactLimits::default()).score;
@@ -41,6 +43,6 @@ proptest! {
             "chain scored {} above the optimum {optimum} on seed {seed}",
             sol.total_score()
         );
-        prop_assert_eq!(&sol, &fragalign_align::solve_chain(inst), "nondeterministic");
+        prop_assert_eq!(&sol, &chain(), "nondeterministic");
     }
 }

@@ -79,7 +79,7 @@ proptest! {
         });
         let inst = &sim.instance;
         // Start from a non-trivial solution.
-        let mut set = fragalign_core::solve_four_approx(inst);
+        let mut set = fragalign_core::solve_four_approx(&ScoreOracle::new(inst));
         let frags: Vec<_> = inst.all_frag_ids().collect();
         let frag = frags[frag_pick.index(frags.len())];
         let n = inst.frag_len(frag);
@@ -120,7 +120,7 @@ proptest! {
         });
         let inst = &sim.instance;
         let oracle = ScoreOracle::new(inst);
-        let set = fragalign_core::solve_four_approx(inst);
+        let set = fragalign_core::solve_four_approx(&ScoreOracle::new(inst));
         for attempt in enumerate_attempts(&oracle, &set, MethodSet::All, budget()) {
             match attempt {
                 Attempt::I1 { target, container, .. } => {

@@ -45,7 +45,7 @@
 //! let instance = fragalign::model::instance::paper_example();
 //!
 //! // Solve with the 3+ε iterative improvement algorithm.
-//! let result = csr_improve(&instance, false);
+//! let result = csr_improve(&ScoreOracle::new(&instance), false);
 //! assert_eq!(result.score, 11); // the paper's optimum
 //!
 //! // Lay the solution out as an explicit two-row alignment.
@@ -69,14 +69,14 @@ pub use fragalign_sim as sim;
 /// The most common imports in one place.
 pub mod prelude {
     pub use fragalign_align::{solve_chain, ChainParams, DpAligner, DpWorkspace, ScoreOracle};
+    pub use fragalign_core::improve::improve;
     pub use fragalign_core::{
-        border_improve, border_matching_2approx, csr_improve, full_improve, solve_batch,
-        solve_batch_reports, solve_exact, solve_four_approx, solve_greedy, solve_one_csr,
-        solve_single, solve_single_report, solve_single_traced, Auto, BatchOptions, BatchSolution,
-        CancelCause, CancelToken, EngineError, EngineOptions, ExactLimits, ImproveConfig,
-        ImproveResult, InstanceFeatures, MethodSet, Portfolio, PortfolioConfig, RacerBudget,
-        RacerReport, Router, RouterRule, SolveCtx, SolveOutcome, SolveReport, SolveRun, Solver,
-        SolverRegistry, SolverSpec, TraceHandle, TraceLog, TraceSink,
+        border_improve, border_matching_2approx, csr_improve, full_improve, solve_batch_reports,
+        solve_exact, solve_four_approx, solve_greedy, solve_one_csr, solve_single_traced, Auto,
+        BatchOptions, BatchSolution, CancelCause, CancelToken, EngineError, EngineOptions,
+        ExactLimits, ImproveConfig, ImproveResult, InstanceFeatures, MethodSet, Portfolio,
+        PortfolioConfig, RacerBudget, RacerReport, Router, RouterRule, SolveCtx, SolveOutcome,
+        SolveReport, Solver, SolverRegistry, SolverSpec, TraceHandle, TraceLog, TraceSink,
     };
     pub use fragalign_model::{
         check_consistency, FragId, Fragment, Instance, InstanceBuilder, LayoutBuilder, Match,
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn facade_quickstart_compiles_and_runs() {
         let instance = crate::model::instance::paper_example();
-        let result = csr_improve(&instance, false);
+        let result = csr_improve(&ScoreOracle::new(&instance), false);
         assert_eq!(result.score, 11);
     }
 }

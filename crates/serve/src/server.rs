@@ -32,14 +32,13 @@
 //! Each worker owns one [`DpWorkspace`] for its whole lifetime — the
 //! same shared-nothing reuse discipline as the batch pipeline, so two
 //! concurrent requests never share a DP buffer and results are
-//! bit-identical to a direct [`solve_single_report`] call. The result
+//! bit-identical to a direct [`solve_single_traced`] call. The result
 //! cache above the workers is the only cross-request state, and it
 //! stores finished response bodies keyed by (solver actually run,
 //! options, canonical instance) — degraded responses are keyed under
 //! the cheap tier that produced them, so a cache entry always equals
 //! a direct solve by its key's solver.
 //!
-//! [`solve_single_report`]: fragalign_core::solve_single_report
 
 use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionPolicy};
 use crate::cache::{self, ResultCache};
@@ -1470,7 +1469,9 @@ fn decode_instance(value: &Value) -> Result<Instance, String> {
 
 /// Strict `options` object → [`EngineOptions`]; every field optional,
 /// unknown fields rejected so typos fail loudly instead of silently
-/// keeping a default.
+/// keeping a default. Only `scaling` is settable over the wire: the
+/// exhaustive solver's limits stay at their defaults, so no request
+/// can hold a worker for an unbounded search.
 fn engine_options_from(value: &Value) -> Result<EngineOptions, String> {
     let Some(fields) = value.as_object() else {
         return Err("field \"options\" must be an object".to_string());
@@ -1479,36 +1480,7 @@ fn engine_options_from(value: &Value) -> Result<EngineOptions, String> {
     for (key, val) in fields {
         match key.as_str() {
             "scaling" => opts.scaling = expect_bool(val, "options.scaling")?,
-            "reuse_workspaces" => {
-                opts.reuse_workspaces = expect_bool(val, "options.reuse_workspaces")?
-            }
-            "exact_limits" => {
-                let Some(limits) = val.as_object() else {
-                    return Err("options.exact_limits must be an object".to_string());
-                };
-                for (lkey, lval) in limits {
-                    match lkey.as_str() {
-                        "max_frags" => {
-                            opts.exact_limits.max_frags =
-                                expect_usize(lval, "options.exact_limits.max_frags")?
-                        }
-                        "max_regions" => {
-                            opts.exact_limits.max_regions =
-                                expect_usize(lval, "options.exact_limits.max_regions")?
-                        }
-                        other => {
-                            return Err(format!(
-                                "unknown field options.exact_limits.{other} (allowed: max_frags, max_regions)"
-                            ))
-                        }
-                    }
-                }
-            }
-            other => {
-                return Err(format!(
-                "unknown field options.{other} (allowed: scaling, reuse_workspaces, exact_limits)"
-            ))
-            }
+            other => return Err(format!("unknown field options.{other} (allowed: scaling)")),
         }
     }
     Ok(opts)
@@ -1521,24 +1493,9 @@ fn expect_bool(value: &Value, what: &str) -> Result<bool, String> {
     }
 }
 
-fn expect_usize(value: &Value, what: &str) -> Result<usize, String> {
-    match value {
-        Value::Int(i) if *i >= 0 => Ok(*i as usize),
-        _ => Err(format!("{what} must be a non-negative integer")),
-    }
-}
-
-/// The options part of the cache key. `reuse_workspaces` never
-/// changes scores, but it does change the telemetry embedded in the
-/// cached body, so it participates.
+/// The options part of the cache key.
 fn options_tag(opts: &EngineOptions) -> String {
-    format!(
-        "scaling={} reuse={} max_frags={} max_regions={}",
-        opts.scaling,
-        opts.reuse_workspaces,
-        opts.exact_limits.max_frags,
-        opts.exact_limits.max_regions
-    )
+    format!("scaling={}", opts.scaling)
 }
 
 /// Engine refusals as HTTP errors: unknown solver → 400 listing every
@@ -1774,6 +1731,10 @@ mod tests {
             (
                 format!("{{\"instance\":{inst},\"options\":{{\"sclaing\":true}}}}"),
                 "unknown field options.sclaing",
+            ),
+            (
+                format!("{{\"instance\":{inst},\"options\":{{\"exact_limits\":{{}}}}}}"),
+                "unknown field options.exact_limits (allowed: scaling)",
             ),
         ] {
             let resp = client::post(server.addr(), "/v1/solve", &body).unwrap();

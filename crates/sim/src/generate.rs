@@ -467,7 +467,8 @@ mod tests {
         // Some contig is marked chimeric.
         assert!(chim.instance.m.iter().any(|f| f.name.ends_with('!')));
         // The instance still solves without panicking.
-        let sol = fragalign_core::solve_four_approx(&chim.instance);
+        let sol =
+            fragalign_core::solve_four_approx(&fragalign_align::ScoreOracle::new(&chim.instance));
         fragalign_model::check_consistency(&chim.instance, &sol).unwrap();
     }
 

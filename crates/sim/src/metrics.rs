@@ -162,7 +162,7 @@ mod tests {
             seed: 3,
             ..SimConfig::default()
         });
-        let sol = csr_improve(&sim.instance, false);
+        let sol = csr_improve(&fragalign_align::ScoreOracle::new(&sim.instance), false);
         let rep = evaluate_recovery(&sim, &sol.matches);
         assert!(rep.pair_recall >= 0.8, "recall {}", rep.pair_recall);
         assert!(rep.order_accuracy >= 0.5, "order {}", rep.order_accuracy);

@@ -6,7 +6,7 @@
 //! prefix-stable, and the batch pipeline must return bit-identical
 //! results at any thread width.
 
-use fragalign_core::{solve_batch, BatchOptions};
+use fragalign_core::{solve_batch_reports, BatchOptions};
 use fragalign_sim::{
     evaluate_recovery, gen_batch, generate_degenerate, generate_soup, generate_torn, soup_batch,
     torn_batch, DegenerateShape, SimConfig, SimInstance, SoupConfig, TornConfig,
@@ -153,10 +153,10 @@ proptest! {
         let solve_at = |threads: usize| {
             let mut opts = BatchOptions::new("auto");
             opts.engine.threads = threads;
-            solve_batch(&instances, &opts)
+            solve_batch_reports(&instances, &opts)
                 .expect("batch solves")
                 .into_iter()
-                .map(|sol| (sol.score, sol.matches))
+                .map(|(sol, _)| (sol.score, sol.matches))
                 .collect::<Vec<_>>()
         };
         let one = solve_at(1);

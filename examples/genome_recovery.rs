@@ -29,10 +29,11 @@ fn main() {
                 ..SimConfig::default()
             };
             let sim = generate(&cfg);
+            let oracle = ScoreOracle::new(&sim.instance);
             for (name, matches) in [
-                ("greedy", solve_greedy(&sim.instance)),
-                ("four", solve_four_approx(&sim.instance)),
-                ("csr", csr_improve(&sim.instance, false).matches),
+                ("greedy", solve_greedy(&oracle)),
+                ("four", solve_four_approx(&oracle)),
+                ("csr", csr_improve(&oracle, false).matches),
             ] {
                 let rep = evaluate_recovery(&sim, &matches);
                 println!(
@@ -58,7 +59,7 @@ fn main() {
         seed: 7,
         ..SimConfig::default()
     });
-    let result = csr_improve(&sim.instance, false);
+    let result = csr_improve(&ScoreOracle::new(&sim.instance), false);
     let rep = evaluate_recovery(&sim, &result.matches);
     println!(
         "score {} | pair recall {:.2} | order {:.2} | orient {:.2}",

@@ -26,7 +26,7 @@ fn main() {
     b.score("b", "dR", 8);
     let instance = b.build();
 
-    let result = csr_improve(&instance, false);
+    let result = csr_improve(&ScoreOracle::new(&instance), false);
     let layout = LayoutBuilder::new(&instance, &DpAligner)
         .layout(&result.matches)
         .expect("consistent");
@@ -80,7 +80,7 @@ fn main() {
         Ok(_) => unreachable!("Fig. 3 example must be inconsistent"),
     }
     // The optimiser keeps the best consistent subset instead.
-    let resolved = csr_improve(&conflicted, false);
+    let resolved = csr_improve(&ScoreOracle::new(&conflicted), false);
     println!(
         "optimiser resolves the conflict with score {} (one of the two alignments)",
         resolved.score

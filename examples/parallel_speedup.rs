@@ -33,7 +33,9 @@ fn main() {
     let mut t_count = 1;
     while t_count <= cores {
         let inst = sim.instance.clone();
-        let (res, elapsed) = with_threads(t_count, move || csr_improve(&inst, false).score);
+        let (res, elapsed) = with_threads(t_count, move || {
+            csr_improve(&ScoreOracle::new(&inst), false).score
+        });
         println!(
             "{:>7}  {:>8.1}  {res}",
             t_count,

@@ -31,16 +31,18 @@ fn main() {
     let exact = solve_exact(&instance, ExactLimits::default());
     println!("  exact optimum              : {}", exact.score);
 
-    let greedy = solve_greedy(&instance);
+    // One memoising score oracle serves every solver below.
+    let oracle = ScoreOracle::new(&instance);
+    let greedy = solve_greedy(&oracle);
     println!("  greedy heuristic           : {}", greedy.total_score());
 
-    let four = solve_four_approx(&instance);
+    let four = solve_four_approx(&oracle);
     println!("  4-approx (Corollary 1)     : {}", four.total_score());
 
-    let matching = border_matching_2approx(&instance);
+    let matching = border_matching_2approx(&oracle);
     println!("  matching (Lemma 9)         : {}", matching.total_score());
 
-    let improve = csr_improve(&instance, false);
+    let improve = csr_improve(&oracle, false);
     println!(
         "  CSR_Improve (3+ε, Thm 6)   : {} in {} rounds",
         improve.score, improve.rounds

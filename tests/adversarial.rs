@@ -15,6 +15,18 @@ use fragalign::sim::{
 };
 use proptest::prelude::*;
 
+/// One registered solve with default engine options.
+fn solve(name: &str, inst: &Instance) -> (BatchSolution, SolveReport) {
+    let mut ws = DpWorkspace::new();
+    solve_single_traced(
+        inst,
+        &BatchOptions::new(name),
+        &mut ws,
+        TraceHandle::disabled(),
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 /// Torn instance small enough that the exact solver usually admits it
 /// (few pieces, well under the region cap).
 fn small_torn(seed: u64) -> Instance {
@@ -88,7 +100,7 @@ proptest! {
                 if spec.build().supports(inst, &opts).is_err() {
                     continue;
                 }
-                let run = reg.solve(spec.name, inst, opts).unwrap();
+                let (run, _) = solve(spec.name, inst);
                 check_consistency(inst, &run.matches)
                     .unwrap_or_else(|e| panic!("{}/{iname}: {e}", spec.name));
                 prop_assert_eq!(
@@ -123,7 +135,7 @@ fn sweep(instances: &[Instance]) -> (i64, Vec<(&'static str, i64)>) {
             if spec.build().supports(inst, &opts).is_err() {
                 continue;
             }
-            let score = reg.solve(spec.name, inst, opts).unwrap().score;
+            let score = solve(spec.name, inst).0.score;
             totals[i].1 += score;
             best = best.max(score);
         }
@@ -239,22 +251,21 @@ fn auto_is_bit_identical_to_the_routed_table_choice() {
         ),
     ];
     instances.extend(small_degenerates(9));
-    let reg = SolverRegistry::global();
     let router = Router::default();
     let opts = EngineOptions::default();
     let mut routes_seen = std::collections::BTreeSet::new();
     for (iname, inst) in &instances {
         let choice = router.route(inst, &opts);
         routes_seen.insert(choice);
-        let auto = reg.solve("auto", inst, opts).unwrap();
-        let direct = reg.solve(choice, inst, opts).unwrap();
+        let (auto, auto_report) = solve("auto", inst);
+        let (direct, _) = solve(choice, inst);
         assert_eq!(
             auto.matches, direct.matches,
             "auto diverged from routed `{choice}` on {iname}"
         );
         assert_eq!(auto.score, direct.score, "{iname}: score drift");
         assert_eq!(
-            auto.report.routed_by.as_deref(),
+            auto_report.routed_by.as_deref(),
             Some(choice),
             "{iname}: routed_by must name the table choice"
         );
@@ -279,13 +290,13 @@ fn portfolio_dominates_every_member_on_adversarial_shapes() {
             generate_degenerate(DegenerateShape::SigmaDesert, 8, 13).instance,
         ),
     ] {
-        let portfolio = reg.solve("portfolio", &inst, opts).unwrap();
+        let (portfolio, _) = solve("portfolio", &inst);
         check_consistency(&inst, &portfolio.matches).unwrap();
         for spec in reg.specs() {
             if !spec.in_portfolio || spec.build().supports(&inst, &opts).is_err() {
                 continue;
             }
-            let run = reg.solve(spec.name, &inst, opts).unwrap();
+            let (run, _) = solve(spec.name, &inst);
             assert!(
                 portfolio.score >= run.score,
                 "portfolio ({}) lost to {} ({}) on {iname}",

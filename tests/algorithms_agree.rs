@@ -35,13 +35,14 @@ fn small_instances() -> Vec<(String, Instance)> {
 #[test]
 fn every_solver_is_consistent_on_every_instance() {
     for (name, inst) in small_instances() {
+        let oracle = ScoreOracle::new(&inst);
         for (algo, sol) in [
-            ("greedy", solve_greedy(&inst)),
-            ("four", solve_four_approx(&inst)),
-            ("matching", border_matching_2approx(&inst)),
-            ("full", full_improve(&inst, false).matches),
-            ("border", border_improve(&inst, false).matches),
-            ("csr", csr_improve(&inst, false).matches),
+            ("greedy", solve_greedy(&oracle)),
+            ("four", solve_four_approx(&oracle)),
+            ("matching", border_matching_2approx(&oracle)),
+            ("full", full_improve(&oracle, false).matches),
+            ("border", border_improve(&oracle, false).matches),
+            ("csr", csr_improve(&oracle, false).matches),
         ] {
             check_consistency(&inst, &sol).unwrap_or_else(|e| panic!("{algo} on {name}: {e}"));
         }
@@ -62,19 +63,20 @@ fn guarantees_hold_against_exact() {
         if exact == 0 {
             continue;
         }
+        let oracle = ScoreOracle::new(&inst);
         // Corollary 1: ratio 4.
-        let four = solve_four_approx(&inst).total_score();
+        let four = solve_four_approx(&oracle).total_score();
         assert!(4 * four >= exact, "{name}: four={four} exact={exact}");
         // Theorem 6: ratio 3 + ε (we assert the clean factor 3 since
         // scaling is off and gains are exact).
-        let csr = csr_improve(&inst, false).score;
+        let csr = csr_improve(&oracle, false).score;
         assert!(3 * csr >= exact, "{name}: csr={csr} exact={exact}");
         // No solver exceeds the optimum.
         for (algo, score) in [
-            ("greedy", solve_greedy(&inst).total_score()),
+            ("greedy", solve_greedy(&oracle).total_score()),
             ("four", four),
             ("csr", csr),
-            ("matching", border_matching_2approx(&inst).total_score()),
+            ("matching", border_matching_2approx(&oracle).total_score()),
         ] {
             assert!(score <= exact, "{name}: {algo}={score} > exact={exact}");
         }
@@ -84,9 +86,15 @@ fn guarantees_hold_against_exact() {
 #[test]
 fn improvement_dominates_its_seed() {
     for (name, inst) in small_instances() {
-        let four = solve_four_approx(&inst);
+        let oracle = ScoreOracle::new(&inst);
+        let four = solve_four_approx(&oracle);
         let four_score = four.total_score();
-        let seeded = fragalign::core::improve::improve(&inst, ImproveConfig::default(), four);
+        let seeded = improve(
+            &oracle,
+            ImproveConfig::default(),
+            four,
+            &CancelToken::never(),
+        );
         assert!(
             seeded.score >= four_score,
             "{name}: seeding with 4-approx must not lose score"
@@ -97,8 +105,9 @@ fn improvement_dominates_its_seed() {
 #[test]
 fn scaling_never_breaks_feasibility_and_stays_close() {
     for (name, inst) in small_instances().into_iter().take(4) {
-        let unscaled = csr_improve(&inst, false);
-        let scaled = csr_improve(&inst, true);
+        let oracle = ScoreOracle::new(&inst);
+        let unscaled = csr_improve(&oracle, false);
+        let scaled = csr_improve(&oracle, true);
         check_consistency(&inst, &scaled.matches).unwrap();
         // Scaling may lose up to ~1/k of the score (§4.1); allow a
         // generous 25% envelope on these tiny instances.

@@ -1,14 +1,28 @@
-//! Batch pipeline determinism: `solve_batch` must return identical
-//! solutions for a 1-thread pool, an N-thread pool, and per-instance
-//! sequential solves — per-worker workspaces and shared-nothing
-//! oracles are scratch, never signal. Solvers resolve through the
-//! registry, so the same loop covers every registered name.
+//! Batch pipeline determinism: `solve_batch_reports` must return
+//! identical solutions for a 1-thread pool, an N-thread pool, and
+//! per-instance sequential solves — per-worker workspaces and
+//! shared-nothing oracles are scratch, never signal. Solvers resolve
+//! through the registry, so the same loop covers every registered
+//! name.
 
 use fragalign::align::DpWorkspace;
 use fragalign::model::Instance;
 use fragalign::par::with_threads;
 use fragalign::prelude::*;
 use fragalign::sim::gen_batch;
+
+/// The batch's solutions, telemetry dropped.
+fn batch_solutions(instances: &[Instance], opts: &BatchOptions) -> Vec<BatchSolution> {
+    let runs = solve_batch_reports(instances, opts).unwrap();
+    runs.into_iter().map(|(solution, _)| solution).collect()
+}
+
+/// One instance through a caller-owned workspace.
+fn single_solution(inst: &Instance, opts: &BatchOptions, ws: &mut DpWorkspace) -> BatchSolution {
+    solve_single_traced(inst, opts, ws, TraceHandle::disabled())
+        .unwrap()
+        .0
+}
 
 fn batch_of_16() -> Vec<Instance> {
     gen_batch(
@@ -36,10 +50,10 @@ fn batch_is_deterministic_across_thread_counts() {
         let opts = BatchOptions::new(name);
         let insts_1 = instances.clone();
         let opts_1 = opts.clone();
-        let (single_thread, _) = with_threads(1, move || solve_batch(&insts_1, &opts_1).unwrap());
+        let (single_thread, _) = with_threads(1, move || batch_solutions(&insts_1, &opts_1));
         let insts_n = instances.clone();
         let opts_n = opts.clone();
-        let (many_threads, _) = with_threads(8, move || solve_batch(&insts_n, &opts_n).unwrap());
+        let (many_threads, _) = with_threads(8, move || batch_solutions(&insts_n, &opts_n));
         assert_eq!(
             single_thread, many_threads,
             "{name}: thread count changed batch results"
@@ -50,7 +64,7 @@ fn batch_is_deterministic_across_thread_counts() {
         let mut ws = DpWorkspace::new();
         let sequential: Vec<BatchSolution> = instances
             .iter()
-            .map(|inst| solve_single(inst, &opts, &mut ws).unwrap())
+            .map(|inst| single_solution(inst, &opts, &mut ws))
             .collect();
         assert_eq!(single_thread, sequential, "{name}: batch != sequential");
 
@@ -63,31 +77,15 @@ fn batch_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn batch_allocation_baseline_is_equivalent() {
-    // The reuse knob is purely mechanical: flipping it must never
-    // change a solution, only the allocation count — for every
-    // registered solver, now that all of them accept an external
-    // oracle.
-    let instances = batch_of_16();
-    for name in ["csr", "four", "greedy", "matching"] {
-        let reuse = solve_batch(&instances, &BatchOptions::new(name)).unwrap();
-        let mut opts = BatchOptions::new(name);
-        opts.engine.reuse_workspaces = false;
-        let baseline = solve_batch(&instances, &opts).unwrap();
-        assert_eq!(reuse, baseline, "{name}");
-    }
-}
-
-#[test]
 fn batch_preserves_input_order() {
     // Seeds differ per instance, so equal outputs in order imply the
     // pipeline did not shuffle results.
     let instances = batch_of_16();
-    let batch = solve_batch(&instances, &BatchOptions::new("greedy")).unwrap();
+    let batch = batch_solutions(&instances, &BatchOptions::new("greedy"));
     assert_eq!(batch.len(), instances.len());
     let mut ws = DpWorkspace::new();
     for (inst, sol) in instances.iter().zip(&batch) {
-        let lone = solve_single(inst, &BatchOptions::new("greedy"), &mut ws).unwrap();
+        let lone = single_solution(inst, &BatchOptions::new("greedy"), &mut ws);
         assert_eq!(sol, &lone);
     }
 }

@@ -1,6 +1,6 @@
 //! The engine layer's contract: every registered solver is
-//! bit-identical to the legacy direct entry point it wraps, workspace
-//! reuse is live for every solver (not just the improvement family),
+//! bit-identical to the algorithm function it wraps, workspace reuse
+//! is live for every solver (not just the improvement family),
 //! the racing portfolio dominates its members deterministically, and
 //! batch runs of the newly registered solvers (`one-csr`, `exact`,
 //! `portfolio`, `chain`) stay identical across thread counts.
@@ -64,27 +64,52 @@ fn single_m_instances() -> Vec<(String, Instance)> {
     out
 }
 
-fn engine_solve(name: &str, inst: &Instance) -> MatchSet {
-    SolverRegistry::global()
-        .solve(name, inst, EngineOptions::default())
+/// One registered solve with `engine` options through a caller-owned
+/// workspace.
+fn run(
+    name: &str,
+    inst: &Instance,
+    engine: EngineOptions,
+    ws: &mut DpWorkspace,
+) -> (BatchSolution, SolveReport) {
+    let opts = BatchOptions {
+        solver: name.to_owned(),
+        engine,
+    };
+    solve_single_traced(inst, &opts, ws, TraceHandle::disabled())
         .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .matches
+}
+
+fn engine_solve(name: &str, inst: &Instance) -> MatchSet {
+    run(
+        name,
+        inst,
+        EngineOptions::default(),
+        &mut DpWorkspace::new(),
+    )
+    .0
+    .matches
 }
 
 #[test]
 fn registered_solvers_match_their_legacy_entry_points() {
+    // Each algorithm called directly on its own fresh oracle.
     for (iname, inst) in multi_m_instances() {
-        let legacy: Vec<(&str, MatchSet)> = vec![
-            ("csr", csr_improve(&inst, false).matches),
-            ("full", full_improve(&inst, false).matches),
-            ("border", border_improve(&inst, false).matches),
-            ("four", solve_four_approx(&inst)),
-            ("matching", border_matching_2approx(&inst)),
-            ("greedy", solve_greedy(&inst)),
+        let oracle = || ScoreOracle::new(&inst);
+        let direct: Vec<(&str, MatchSet)> = vec![
+            ("csr", csr_improve(&oracle(), false).matches),
+            ("full", full_improve(&oracle(), false).matches),
+            ("border", border_improve(&oracle(), false).matches),
+            ("four", solve_four_approx(&oracle())),
+            ("matching", border_matching_2approx(&oracle())),
+            ("greedy", solve_greedy(&oracle())),
         ];
-        for (name, expected) in legacy {
+        for (name, expected) in direct {
             let got = engine_solve(name, &inst);
-            assert_eq!(got, expected, "{name} diverged from legacy on {iname}");
+            assert_eq!(
+                got, expected,
+                "{name} diverged from a direct call on {iname}"
+            );
             check_consistency(&inst, &got).unwrap_or_else(|e| panic!("{name}/{iname}: {e}"));
         }
         // Scaling flows through the engine options too.
@@ -92,12 +117,10 @@ fn registered_solvers_match_their_legacy_entry_points() {
             scaling: true,
             ..EngineOptions::default()
         };
-        let scaled = SolverRegistry::global()
-            .solve("csr", &inst, scaled_opts)
-            .unwrap();
+        let (scaled, _) = run("csr", &inst, scaled_opts, &mut DpWorkspace::new());
         assert_eq!(
             scaled.matches,
-            csr_improve(&inst, true).matches,
+            csr_improve(&oracle(), true).matches,
             "scaled csr diverged on {iname}"
         );
     }
@@ -109,8 +132,8 @@ fn one_csr_registered_and_matches_legacy() {
         let got = engine_solve("one-csr", &inst);
         assert_eq!(
             got,
-            solve_one_csr(&inst),
-            "one-csr diverged from legacy on {iname}"
+            solve_one_csr(&ScoreOracle::new(&inst)),
+            "one-csr diverged from a direct call on {iname}"
         );
         check_consistency(&inst, &got).unwrap();
     }
@@ -133,16 +156,16 @@ fn exact_registered_and_realises_the_optimum() {
 
 #[test]
 fn chain_registered_consistent_and_bounded_by_exact() {
-    // The chaining tier is a heuristic: always consistent, matches its
-    // legacy entry point, and never beats the optimum where the exact
-    // solver can certify one.
+    // The chaining tier is a heuristic: always consistent, matches a
+    // direct `solve_chain` call, and never beats the optimum where the
+    // exact solver can certify one.
     for (iname, inst) in multi_m_instances() {
         let got = engine_solve("chain", &inst);
         check_consistency(&inst, &got).unwrap_or_else(|e| panic!("chain/{iname}: {e}"));
         assert_eq!(
             got,
-            fragalign::align::solve_chain(&inst),
-            "chain diverged from legacy on {iname}"
+            solve_chain(&ScoreOracle::new(&inst), &ChainParams::default()),
+            "chain diverged from a direct call on {iname}"
         );
         let optimum = solve_exact(&inst, ExactLimits::default()).score;
         assert!(
@@ -183,25 +206,25 @@ fn portfolio_dominates_every_registered_solver_on_the_demo() {
     let inst = fragalign::model::instance::paper_example();
     let reg = SolverRegistry::global();
     let opts = EngineOptions::default();
-    let portfolio = reg.solve("portfolio", &inst, opts).unwrap();
+    let (portfolio, report) = run("portfolio", &inst, opts, &mut DpWorkspace::new());
     check_consistency(&inst, &portfolio.matches).unwrap();
     for spec in reg.specs() {
         if spec.name == "portfolio" || spec.build().supports(&inst, &opts).is_err() {
             continue;
         }
-        let run = reg.solve(spec.name, &inst, opts).unwrap();
+        let (member, _) = run(spec.name, &inst, opts, &mut DpWorkspace::new());
         assert!(
-            portfolio.score >= run.score,
+            portfolio.score >= member.score,
             "portfolio ({}) lost to {} ({})",
             portfolio.score,
             spec.name,
-            run.score
+            member.score
         );
     }
     // The paper optimum, with the tie broken by registry order: `csr`
     // reaches 11 and precedes every other 11-scorer.
     assert_eq!(portfolio.score, 11);
-    assert_eq!(portfolio.report.winner.as_deref(), Some("csr"));
+    assert_eq!(report.winner.as_deref(), Some("csr"));
     assert_eq!(portfolio.matches, engine_solve("csr", &inst));
 }
 
@@ -218,8 +241,8 @@ fn portfolio_members_race_in_registry_order() {
     let inst = fragalign::model::instance::paper_example();
     let mut ctx = SolveCtx::new(&inst, EngineOptions::default());
     let out = p.solve(&inst, &mut ctx);
-    let four = solve_four_approx(&inst);
-    let greedy = solve_greedy(&inst);
+    let four = solve_four_approx(&ScoreOracle::new(&inst));
+    let greedy = solve_greedy(&ScoreOracle::new(&inst));
     let best = if greedy.total_score() > four.total_score() {
         greedy
     } else {
@@ -230,11 +253,11 @@ fn portfolio_members_race_in_registry_order() {
 
 #[test]
 fn workspace_reuse_is_live_for_every_one_shot_solver() {
-    // Satellite of the engine refactor: `four`, `greedy` and
-    // `matching` now accept an external oracle, so a worker's warm
-    // workspace serves them across instances. Solve the same instance
-    // twice through one workspace: the second run must not grow a
-    // single buffer (and flipping reuse off must not change results).
+    // `four`, `greedy`, `matching` and `one-csr` take the run's
+    // oracle, so a worker's warm workspace serves them across
+    // instances. Solve the same instance twice through one workspace:
+    // the second run must not grow a single buffer, and must match a
+    // direct call of the algorithm on a fresh oracle.
     let inst = fragalign::sim::generate(&SimConfig {
         regions: 12,
         h_frags: 3,
@@ -244,28 +267,28 @@ fn workspace_reuse_is_live_for_every_one_shot_solver() {
     })
     .instance;
     let single = single_m_instances().swap_remove(0).1;
-    let reg = SolverRegistry::global();
-    for name in ["four", "greedy", "matching", "one-csr"] {
+    type Algorithm = fn(&ScoreOracle<'_>) -> MatchSet;
+    let direct: [(&str, Algorithm); 4] = [
+        ("four", solve_four_approx),
+        ("greedy", solve_greedy),
+        ("matching", border_matching_2approx),
+        ("one-csr", solve_one_csr),
+    ];
+    for (name, algorithm) in direct {
         let inst = if name == "one-csr" { &single } else { &inst };
         let mut ws = DpWorkspace::new();
         let opts = EngineOptions::default();
-        let cold = reg
-            .solve_with_workspace(name, inst, opts, &mut ws)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(cold.report.dp_fills > 0, "{name}: no tracked fills");
-        assert!(cold.report.dp_reallocs > 0, "{name}: cold run must grow");
-        let warm = reg.solve_with_workspace(name, inst, opts, &mut ws).unwrap();
+        let (cold, cold_report) = run(name, inst, opts, &mut ws);
+        assert!(cold_report.dp_fills > 0, "{name}: no tracked fills");
+        assert!(cold_report.dp_reallocs > 0, "{name}: cold run must grow");
+        let (warm, warm_report) = run(name, inst, opts, &mut ws);
         assert_eq!(warm.matches, cold.matches, "{name}: reuse changed results");
         assert_eq!(
-            warm.report.dp_reallocs, 0,
+            warm_report.dp_reallocs, 0,
             "{name}: warm run may not allocate"
         );
-        let baseline_opts = EngineOptions {
-            reuse_workspaces: false,
-            ..EngineOptions::default()
-        };
-        let baseline = reg.solve(name, inst, baseline_opts).unwrap();
-        assert_eq!(baseline.matches, cold.matches, "{name}: baseline differs");
+        let fresh = algorithm(&ScoreOracle::new(inst));
+        assert_eq!(fresh, cold.matches, "{name}: direct call differs");
     }
 }
 
@@ -287,7 +310,10 @@ fn newly_registered_solvers_batch_deterministically() {
         let run_at = |threads: usize| {
             let insts = instances.clone();
             let opts = opts.clone();
-            with_threads(threads, move || solve_batch(&insts, &opts).unwrap()).0
+            let runs = with_threads(threads, move || solve_batch_reports(&insts, &opts).unwrap()).0;
+            runs.into_iter()
+                .map(|(solution, _)| solution)
+                .collect::<Vec<_>>()
         };
         let one_thread = run_at(1);
         for threads in [2, 8] {
@@ -300,7 +326,11 @@ fn newly_registered_solvers_batch_deterministically() {
         let mut ws = DpWorkspace::new();
         let sequential: Vec<BatchSolution> = instances
             .iter()
-            .map(|inst| solve_single(inst, &opts, &mut ws).unwrap())
+            .map(|inst| {
+                solve_single_traced(inst, &opts, &mut ws, TraceHandle::disabled())
+                    .unwrap()
+                    .0
+            })
             .collect();
         assert_eq!(one_thread, sequential, "{name}: batch != sequential");
         for (inst, sol) in instances.iter().zip(&one_thread) {

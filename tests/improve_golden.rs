@@ -73,14 +73,17 @@ fn site(s: Site) -> String {
 }
 
 fn render() -> String {
-    let registry = SolverRegistry::global();
     let mut out = String::new();
     for (label, inst) in instances() {
         for solver in SOLVERS {
-            let run = registry
-                .solve(solver, &inst, EngineOptions::default())
-                .unwrap_or_else(|e| panic!("{solver} on {label}: {e}"));
-            let r = &run.report;
+            let mut ws = DpWorkspace::new();
+            let (run, r) = solve_single_traced(
+                &inst,
+                &BatchOptions::new(solver),
+                &mut ws,
+                TraceHandle::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{solver} on {label}: {e}"));
             writeln!(
                 out,
                 "{label} {solver}: score {} rounds {} attempts {} matches {}",

@@ -37,27 +37,35 @@ fn sim(seed: u64) -> Instance {
     .instance
 }
 
-fn solve_with(solver: &str, inst: &Instance, threads: usize, trace: TraceHandle) -> SolveRun {
+/// A finished solve: the solution and its telemetry.
+struct Run {
+    matches: MatchSet,
+    score: Score,
+    report: SolveReport,
+}
+
+fn solve_with(solver: &str, inst: &Instance, threads: usize, trace: TraceHandle) -> Run {
+    let opts = BatchOptions {
+        solver: solver.to_owned(),
+        engine: EngineOptions {
+            threads,
+            ..EngineOptions::default()
+        },
+    };
     let mut ws = DpWorkspace::new();
-    SolverRegistry::global()
-        .solve_traced(
-            solver,
-            inst,
-            EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-            &mut ws,
-            CancelToken::never(),
-            trace,
-        )
-        .expect("workload solves")
+    let (solution, report) =
+        solve_single_traced(inst, &opts, &mut ws, trace).expect("workload solves");
+    Run {
+        matches: solution.matches,
+        score: solution.score,
+        report,
+    }
 }
 
 /// The report fields that are deterministic at every thread width —
 /// everything except wall time, the per-racer list (timing-dependent
 /// for the portfolio), and the oracle cache statistics.
-fn counters(run: &SolveRun) -> (String, Score, usize, usize, usize, bool) {
+fn counters(run: &Run) -> (String, Score, usize, usize, usize, bool) {
     let r = &run.report;
     (
         r.solver.clone(),
@@ -73,7 +81,7 @@ fn counters(run: &SolveRun) -> (String, Score, usize, usize, usize, bool) {
 /// widths: under a parallel pool, which worker-local cache misses a
 /// pair first depends on scheduling (duplicate misses across workers),
 /// with or without tracing.
-fn cache_counters(run: &SolveRun) -> (u64, u64, u64, u64) {
+fn cache_counters(run: &Run) -> (u64, u64, u64, u64) {
     let r = &run.report;
     (r.dp_fills, r.dp_reallocs, r.table_misses, r.pair_misses)
 }

@@ -15,7 +15,7 @@ fn fig1_orient_order_inference() {
     b.score("a", "c", 10);
     b.score("b", "dR", 8);
     let inst = b.build();
-    let res = csr_improve(&inst, false);
+    let res = csr_improve(&ScoreOracle::new(&inst), false);
     assert_eq!(res.score, 18, "both alignments are realisable together");
     let layout = LayoutBuilder::new(&inst, &DpAligner)
         .layout(&res.matches)
@@ -42,7 +42,7 @@ fn fig2_fig4_running_example_optimum_11() {
     let inst = fragalign::model::instance::paper_example();
     let exact = solve_exact(&inst, ExactLimits::default());
     assert_eq!(exact.score, 11);
-    let improve = csr_improve(&inst, false);
+    let improve = csr_improve(&ScoreOracle::new(&inst), false);
     assert_eq!(improve.score, 11, "CSR_Improve reaches the optimum here");
     check_consistency(&inst, &improve.matches).unwrap();
 }
@@ -198,7 +198,7 @@ fn fig9_to_12_full_improve_monotone() {
     b.score("b", "q", 4);
     b.score("c", "q", 6);
     let inst = b.build();
-    let res = full_improve(&inst, false);
+    let res = full_improve(&ScoreOracle::new(&inst), false);
     check_consistency(&inst, &res.matches).unwrap();
     // Optimum: h1 → ⟨p⟩ (a–p = 4) and h2 → ⟨q⟩ (c–q = 6) total 10,
     // beating the tempting h1 → [p,q] (8) that blocks q. Reaching it
@@ -225,7 +225,7 @@ fn fig13_to_17_border_improve_builds_staircases() {
     b.score("b", "b'", 7);
     b.score("e", "e'", 7);
     let inst = b.build();
-    let res = csr_improve(&inst, false);
+    let res = csr_improve(&ScoreOracle::new(&inst), false);
     check_consistency(&inst, &res.matches).unwrap();
     assert_eq!(res.score, 19, "plug + staircase chain: 5 + 7 + 7");
     let report = check_consistency(&inst, &res.matches).unwrap();

@@ -2,13 +2,15 @@
 //! solvers at round boundaries (deterministically under work caps),
 //! the portfolio genuinely races — budget- and bound-cancelled members
 //! are observable in `SolveReport.racers` while the winner stays the
-//! sequential baseline's — and results are bit-identical across real
+//! sequential baseline's, and its report carries the winner's counters
+//! — and results and report counters are bit-identical across real
 //! 1/2/8-thread pools.
 
 use fragalign::align::DpWorkspace;
 use fragalign::model::Instance;
 use fragalign::par::with_threads;
 use fragalign::prelude::*;
+use serde::Value;
 
 /// An instance whose provable score upper bound is achievable: two
 /// perfectly matching two-region fragments, uniform score 5, so
@@ -22,17 +24,75 @@ fn saturating_instance() -> Instance {
     b.build()
 }
 
-fn solve_capped(name: &str, inst: &Instance, work_cap: u64) -> SolveRun {
-    let mut ws = DpWorkspace::new();
-    SolverRegistry::global()
-        .solve_cancellable(
-            name,
-            inst,
-            EngineOptions::default(),
-            &mut ws,
-            CancelToken::with_limits(None, Some(work_cap)),
-        )
+/// The seed-77 sim instances `tests/service.rs` serves.
+fn service_instances() -> Vec<Instance> {
+    gen_batch(
+        &SimConfig {
+            regions: 12,
+            h_frags: 3,
+            m_frags: 3,
+            loss_rate: 0.15,
+            shuffles: 2,
+            spurious: 3,
+            seed: 77,
+            ..SimConfig::default()
+        },
+        8,
+    )
+    .into_iter()
+    .map(|s| s.instance)
+    .collect()
+}
+
+/// One registered solve through the engine's single entry point.
+fn solve(
+    name: &str,
+    inst: &Instance,
+    engine: EngineOptions,
+) -> Result<(BatchSolution, SolveReport), EngineError> {
+    let opts = BatchOptions {
+        solver: name.to_owned(),
+        engine,
+    };
+    solve_single_traced(
+        inst,
+        &opts,
+        &mut DpWorkspace::new(),
+        TraceHandle::disabled(),
+    )
+}
+
+/// [`solve`] with default options, for solvers that must run here.
+fn solve_ok(name: &str, inst: &Instance) -> (BatchSolution, SolveReport) {
+    solve(name, inst, EngineOptions::default()).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Run the registered solver `name` directly under `cancel`.
+fn solve_under(name: &str, inst: &Instance, cancel: CancelToken) -> SolveOutcome {
+    let solver = SolverRegistry::global()
+        .spec(name)
         .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .build();
+    let mut ctx = SolveCtx::new(inst, EngineOptions::default());
+    ctx.cancel = cancel;
+    solver.solve(inst, &mut ctx)
+}
+
+fn solve_capped(name: &str, inst: &Instance, work_cap: u64) -> SolveOutcome {
+    solve_under(name, inst, CancelToken::with_limits(None, Some(work_cap)))
+}
+
+/// Every report field that must repeat at any pool width: all but
+/// `wall_secs`, `dp_reallocs` (which warm workspace served a fill) and
+/// `racers` (how far a retired racer got).
+fn counters(report: &SolveReport) -> Vec<(String, Value)> {
+    let Value::Object(fields) = serde_json::to_value(report).expect("reports serialise") else {
+        panic!("a report serialises to an object");
+    };
+    fields
+        .into_iter()
+        .filter(|(field, _)| !["wall_secs", "dp_reallocs", "racers"].contains(&field.as_str()))
+        .collect()
 }
 
 #[test]
@@ -41,17 +101,17 @@ fn work_capped_solves_stop_at_a_deterministic_round() {
     // Cap 1: the first improvement round already charges more, so the
     // loop stops at the second round boundary with the round-1 state.
     let capped = solve_capped("csr", &inst, 1);
-    assert!(capped.report.cancelled, "cap must interrupt the run");
-    assert!(capped.report.rounds <= 1);
+    assert!(capped.cancelled, "cap must interrupt the run");
+    assert!(capped.rounds <= 1);
     check_consistency(&inst, &capped.matches).expect("partial result stays consistent");
     // Deterministic: the same cap lands on the same round, bit for bit.
     let again = solve_capped("csr", &inst, 1);
     assert_eq!(capped.matches, again.matches);
-    assert_eq!(capped.report.rounds, again.report.rounds);
+    assert_eq!(capped.rounds, again.rounds);
     // A generous cap never trips.
     let free = solve_capped("csr", &inst, u64::MAX);
-    assert!(!free.report.cancelled);
-    assert_eq!(free.score, 11);
+    assert!(!free.cancelled);
+    assert_eq!(free.matches.total_score(), 11);
 }
 
 #[test]
@@ -59,18 +119,9 @@ fn expired_deadline_preempts_any_solver() {
     let inst = fragalign::model::instance::paper_example();
     let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
     for name in ["csr", "four", "greedy", "matching", "exact"] {
-        let mut ws = DpWorkspace::new();
-        let run = SolverRegistry::global()
-            .solve_cancellable(
-                name,
-                &inst,
-                EngineOptions::default(),
-                &mut ws,
-                CancelToken::with_limits(Some(past), None),
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(run.report.cancelled, "{name} must observe the deadline");
-        assert!(run.matches.is_empty(), "{name} must not have started");
+        let out = solve_under(name, &inst, CancelToken::with_limits(Some(past), None));
+        assert!(out.cancelled, "{name} must observe the deadline");
+        assert!(out.matches.is_empty(), "{name} must not have started");
     }
 }
 
@@ -78,13 +129,11 @@ fn expired_deadline_preempts_any_solver() {
 fn portfolio_budget_cancellation_is_observable_and_winner_stable() {
     let inst = fragalign::model::instance::paper_example();
     // Unbudgeted baseline: the winner every budgeted run must keep.
-    let baseline = SolverRegistry::global()
-        .solve("portfolio", &inst, EngineOptions::default())
-        .unwrap();
-    assert_eq!(baseline.report.winner.as_deref(), Some("csr"));
+    let (baseline, baseline_report) = solve_ok("portfolio", &inst);
+    assert_eq!(baseline_report.winner.as_deref(), Some("csr"));
     assert_eq!(baseline.score, 11);
     assert!(
-        baseline.report.racers.len() > 1,
+        baseline_report.racers.len() > 1,
         "racer telemetry must cover the race"
     );
 
@@ -226,17 +275,11 @@ fn portfolio_bound_cancellation_retires_unwinnable_racers() {
     // deterministically outraced.
     let inst = saturating_instance();
     assert_eq!(inst.score_upper_bound(), 10);
-    let run = with_threads(1, || {
-        SolverRegistry::global()
-            .solve("portfolio", &inst, EngineOptions::default())
-            .unwrap()
-    })
-    .0;
+    let (run, report) = with_threads(1, || solve_ok("portfolio", &inst)).0;
     assert_eq!(run.score, 10, "the bound is achievable here");
-    assert_eq!(run.report.winner.as_deref(), Some("csr"));
-    assert!(!run.report.cancelled);
-    let outraced: Vec<&str> = run
-        .report
+    assert_eq!(report.winner.as_deref(), Some("csr"));
+    assert!(!report.cancelled);
+    let outraced: Vec<&str> = report
         .racers
         .iter()
         .filter(|r| r.cancelled.as_deref() == Some("outraced"))
@@ -245,11 +288,10 @@ fn portfolio_bound_cancellation_retires_unwinnable_racers() {
     assert!(
         !outraced.is_empty(),
         "bound cancellation must retire at least one racer: {:?}",
-        run.report.racers
+        report.racers
     );
     // The winner itself ran to completion.
-    let winner = run
-        .report
+    let winner = report
         .racers
         .iter()
         .find(|r| r.name == "csr")
@@ -259,55 +301,89 @@ fn portfolio_bound_cancellation_retires_unwinnable_racers() {
     // At any pool width the winner and score stay put (which racers
     // happened to finish before the bound landed may vary — that is
     // telemetry, not results).
-    let wide = with_threads(8, || {
-        SolverRegistry::global()
-            .solve("portfolio", &inst, EngineOptions::default())
-            .unwrap()
-    })
-    .0;
+    let (wide, wide_report) = with_threads(8, || solve_ok("portfolio", &inst)).0;
     assert_eq!(wide.score, 10);
-    assert_eq!(wide.report.winner.as_deref(), Some("csr"));
+    assert_eq!(wide_report.winner.as_deref(), Some("csr"));
     assert_eq!(wide.matches, run.matches);
+    // The report counts the winner's work only, so the outraced
+    // racers' timing-dependent partials cannot leak into it.
+    assert_eq!(counters(&wide_report), counters(&report));
 }
 
 #[test]
 fn engine_threads_option_is_result_invariant() {
-    // `EngineOptions::threads` must be a wall-clock knob only, for
-    // single solves and batches alike.
-    let instances: Vec<Instance> = gen_batch(
-        &SimConfig {
-            regions: 10,
-            h_frags: 3,
-            m_frags: 3,
-            seed: 515,
-            ..SimConfig::default()
-        },
-        6,
-    )
-    .into_iter()
-    .map(|s| s.instance)
-    .collect();
-    let solve_with = |threads: usize| {
-        let opts = EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        };
-        SolverRegistry::global()
-            .solve("csr", &instances[0], opts)
-            .unwrap()
-            .matches
+    // `EngineOptions::threads` must be a wall-clock knob only: every
+    // registered solver returns the same match set and the same report
+    // counters at every width, and so does a batch.
+    let instances = service_instances();
+    let opts_at = |threads: usize| EngineOptions {
+        threads,
+        ..EngineOptions::default()
     };
-    let base = solve_with(0);
-    for t in [1, 2, 8] {
-        assert_eq!(base, solve_with(t), "threads={t} changed a single solve");
+    for spec in SolverRegistry::global().specs() {
+        for (i, inst) in instances.iter().enumerate() {
+            let at = |threads: usize| {
+                solve(spec.name, inst, opts_at(threads))
+                    .map(|(solution, report)| (solution, counters(&report)))
+            };
+            let base = at(1);
+            for threads in [2, 8] {
+                assert_eq!(
+                    base,
+                    at(threads),
+                    "{} on instance {i}: threads={threads} diverged from threads=1",
+                    spec.name
+                );
+            }
+        }
     }
     let batch_with = |threads: usize| {
         let mut opts = BatchOptions::new("csr");
         opts.engine.threads = threads;
-        solve_batch(&instances, &opts).unwrap()
+        solve_batch_reports(&instances, &opts)
+            .unwrap()
+            .into_iter()
+            .map(|(solution, _)| solution)
+            .collect::<Vec<_>>()
     };
     let batch_base = batch_with(0);
     for t in [1, 2, 8] {
         assert_eq!(batch_base, batch_with(t), "threads={t} changed the batch");
+    }
+}
+
+#[test]
+fn portfolio_reports_its_winners_counters() {
+    // The portfolio's report is its winner's: the same score, matches
+    // and work counters as a standalone run of the winning solver, at
+    // any pool width. The racers' own (possibly partial) counts stay
+    // in `racers`.
+    for (i, inst) in service_instances().iter().enumerate() {
+        for threads in [1, 2] {
+            let engine = EngineOptions {
+                threads,
+                ..EngineOptions::default()
+            };
+            let (race, report) = solve("portfolio", inst, engine).unwrap();
+            let winner = report.winner.clone().expect("the portfolio names a winner");
+            let (alone, alone_report) = solve(&winner, inst, engine).unwrap();
+            let work = |r: &SolveReport| {
+                (
+                    r.score,
+                    r.rounds,
+                    r.attempts,
+                    r.dp_fills,
+                    r.table_misses,
+                    r.pair_misses,
+                    r.cancelled,
+                )
+            };
+            assert_eq!(race, alone, "instance {i} threads={threads}: {winner}");
+            assert_eq!(
+                work(&report),
+                work(&alone_report),
+                "instance {i} threads={threads}: portfolio counters are not {winner}'s"
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@ fn simulate_solve_layout_roundtrip() {
             ..SimConfig::default()
         };
         let sim = generate(&cfg);
-        let res = csr_improve(&sim.instance, false);
+        let res = csr_improve(&ScoreOracle::new(&sim.instance), false);
         check_consistency(&sim.instance, &res.matches).unwrap();
 
         // Layout realises exactly the matches' total score.
@@ -56,7 +56,7 @@ fn dna_mode_end_to_end() {
         seed: 5,
         ..SimConfig::default()
     });
-    let res = csr_improve(&sim.instance, false);
+    let res = csr_improve(&ScoreOracle::new(&sim.instance), false);
     check_consistency(&sim.instance, &res.matches).unwrap();
     assert!(res.score > 0, "DNA-derived σ must produce signal");
     let rep = evaluate_recovery(&sim, &res.matches);
@@ -77,7 +77,7 @@ fn noise_free_instances_recover_order_and_orientation() {
             seed,
             ..SimConfig::default()
         });
-        let res = csr_improve(&sim.instance, false);
+        let res = csr_improve(&ScoreOracle::new(&sim.instance), false);
         let rep = evaluate_recovery(&sim, &res.matches);
         assert!(
             rep.pair_recall >= 0.75,
@@ -103,9 +103,9 @@ fn solvers_scale_to_medium_instances() {
         seed: 17,
         ..SimConfig::default()
     });
-    let four = solve_four_approx(&sim.instance);
+    let four = solve_four_approx(&ScoreOracle::new(&sim.instance));
     check_consistency(&sim.instance, &four).unwrap();
-    let res = csr_improve(&sim.instance, false);
+    let res = csr_improve(&ScoreOracle::new(&sim.instance), false);
     check_consistency(&sim.instance, &res.matches).unwrap();
     assert!(res.score >= four.total_score());
 }

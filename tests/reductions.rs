@@ -26,7 +26,7 @@ fn lemma1_roundtrip_on_simulated_instances() {
         for eps in [1.0, 0.5] {
             let red = reduce_to_ucsr(inst, eps);
             // Use the solver's aligned pairs as the CSR solution.
-            let res = csr_improve(inst, false);
+            let res = csr_improve(&ScoreOracle::new(inst), false);
             let layout = LayoutBuilder::new(inst, &DpAligner)
                 .layout(&res.matches)
                 .unwrap();
@@ -178,7 +178,7 @@ fn one_csr_via_isp_respects_ratio() {
             ..SimConfig::default()
         });
         let inst = &sim.instance;
-        let tpa = solve_one_csr(inst).total_score();
+        let tpa = solve_one_csr(&ScoreOracle::new(inst)).total_score();
         let exact = fragalign::core::one_csr::solve_one_csr_exact(inst).total_score();
         assert!(exact >= tpa, "seed {seed}");
         assert!(2 * tpa >= exact, "seed {seed}: {tpa} vs {exact}");

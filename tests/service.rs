@@ -1,7 +1,7 @@
 //! The serving layer end to end, over real sockets:
 //!
 //! * concurrent clients get answers bit-identical to direct
-//!   [`solve_single_report`] calls — per-worker DP workspaces are
+//!   [`solve_single_traced`] calls — per-worker DP workspaces are
 //!   scratch, the result cache stores finished bodies, and neither
 //!   may change a solution;
 //! * hit and miss paths return byte-identical bodies, and instance
@@ -20,7 +20,7 @@
 //!   before clients are.
 
 use fragalign::align::DpWorkspace;
-use fragalign::core::{solve_single_report, BatchOptions};
+use fragalign::core::{solve_single_traced, BatchOptions, TraceHandle};
 use fragalign::model::instance::paper_example;
 use fragalign::model::{Instance, Score, Sym};
 use fragalign::serve::{client, AdmissionConfig, ServeConfig, Server};
@@ -104,9 +104,13 @@ fn eight_concurrent_clients_match_direct_solves() {
 
     for ((solver, inst), doc) in solvers.iter().zip(&instances).zip(&responses) {
         let mut ws = DpWorkspace::new();
-        let (expected, expected_report) =
-            solve_single_report(inst, &BatchOptions::new(*solver), &mut ws)
-                .expect("direct solve succeeds");
+        let (expected, expected_report) = solve_single_traced(
+            inst,
+            &BatchOptions::new(*solver),
+            &mut ws,
+            TraceHandle::disabled(),
+        )
+        .expect("direct solve succeeds");
         assert_eq!(
             doc.get("score"),
             Some(&Value::Int(expected.score)),
@@ -215,9 +219,9 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
     // integer range, long strings, UTF-8, surrogate escapes, duplicate
     // keys), the decoder (score magnitudes the DP could overflow on, a
     // float for an integer) and the engine (a huge unknown solver name,
-    // `exact` past its limits). Every case must answer within a few
-    // seconds with its pinned status, and `/healthz` must answer after
-    // each.
+    // `exact` past its limits, a body raising those limits). Every case
+    // must answer within a few seconds with its pinned status, and
+    // `/healthz` must answer after each.
     let server = Server::start(ServeConfig::default()).expect("server starts");
     let addr = server.addr();
     let paper = paper_example();
@@ -301,6 +305,19 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
             solve_body(past_exact_limits, "exact").into_bytes(),
             400,
         ),
+        // The limits are not settable over the wire: a raised limit
+        // would let one request hold a worker for the whole search.
+        (
+            "raised exact limits",
+            solve_body(past_exact_limits, "exact")
+                .replacen(
+                    '{',
+                    r#"{"options":{"exact_limits":{"max_frags":1000,"max_regions":100000}},"#,
+                    1,
+                )
+                .into_bytes(),
+            400,
+        ),
     ];
     for (label, body, want) in cases {
         let t0 = Instant::now();
@@ -337,9 +354,13 @@ fn omitting_the_solver_field_routes_through_auto() {
     let doc: Value = serde_json::from_str(&resp.body).expect("response parses");
 
     let mut ws = DpWorkspace::new();
-    let (expected, expected_report) =
-        solve_single_report(inst, &BatchOptions::new("auto"), &mut ws)
-            .expect("direct auto solve succeeds");
+    let (expected, expected_report) = solve_single_traced(
+        inst,
+        &BatchOptions::new("auto"),
+        &mut ws,
+        TraceHandle::disabled(),
+    )
+    .expect("direct auto solve succeeds");
     assert_eq!(doc.get("score"), Some(&Value::Int(expected.score)));
     assert_eq!(
         doc.get("matches"),
@@ -492,8 +513,13 @@ fn degrade_watermark_reroutes_big_instances_with_header() {
     );
     // The degraded body is a faithful cheap-tier solve.
     let mut ws = DpWorkspace::new();
-    let (expected, _) = solve_single_report(inst, &BatchOptions::new(tier), &mut ws)
-        .expect("direct cheap-tier solve succeeds");
+    let (expected, _) = solve_single_traced(
+        inst,
+        &BatchOptions::new(tier),
+        &mut ws,
+        TraceHandle::disabled(),
+    )
+    .expect("direct cheap-tier solve succeeds");
     let doc: Value = serde_json::from_str(&resp.body).expect("response parses");
     assert_eq!(doc.get("score"), Some(&Value::Int(expected.score)));
     assert_eq!(

@@ -16,9 +16,9 @@ fn score_of(set: &MatchSet) -> Score {
 fn solver_scores_are_mutually_ordered_on_paper_example() {
     let inst = fragalign::model::instance::paper_example();
 
-    let greedy = solve_greedy(&inst);
-    let four = solve_four_approx(&inst);
-    let improved = csr_improve(&inst, false);
+    let greedy = solve_greedy(&ScoreOracle::new(&inst));
+    let four = solve_four_approx(&ScoreOracle::new(&inst));
+    let improved = csr_improve(&ScoreOracle::new(&inst), false);
     let exact = fragalign::core::solve_exact(&inst, ExactLimits::default());
 
     // Every solution must be consistent before scores mean anything.
@@ -73,8 +73,8 @@ fn ordering_holds_on_generated_instances() {
             ..SimConfig::default()
         });
         let inst = &sim.instance;
-        let four = solve_four_approx(inst);
-        let improved = csr_improve(inst, false);
+        let four = solve_four_approx(&ScoreOracle::new(inst));
+        let improved = csr_improve(&ScoreOracle::new(inst), false);
         assert!(
             check_consistency(inst, &improved.matches).is_ok(),
             "seed {seed}"

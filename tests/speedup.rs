@@ -45,14 +45,16 @@ fn four_threads_beat_one_by_1_5x_on_the_release_smoke_workload() {
     let instances = smoke_batch();
     let opts = BatchOptions::new("csr");
     // Warm-up, then best-of-two per width to shave scheduler noise.
-    let _ = solve_batch(&instances, &opts).unwrap();
+    let _ = solve_batch_reports(&instances, &opts).unwrap();
     let measure = |threads: usize| -> (Vec<BatchSolution>, Duration) {
         let mut best: Option<(Vec<BatchSolution>, Duration)> = None;
         for _ in 0..2 {
             let instances = &instances;
             let opts = opts.clone();
-            let (solutions, elapsed) =
-                with_threads(threads, move || solve_batch(instances, &opts).unwrap());
+            let (runs, elapsed) = with_threads(threads, move || {
+                solve_batch_reports(instances, &opts).unwrap()
+            });
+            let solutions: Vec<BatchSolution> = runs.into_iter().map(|(s, _)| s).collect();
             if best.as_ref().is_none_or(|(_, b)| elapsed < *b) {
                 best = Some((solutions, elapsed));
             }
