@@ -1,7 +1,9 @@
 //! The improvement family's results pinned byte for byte: `full`,
-//! `csr` and `border` on seeded sims, written as match lists with the
-//! score, committed rounds and attempts of every run. Changes to the
-//! attempt path (site preparation, plugging, the TPA refill) must leave
+//! `csr` and `border` on seeded sims, next to the `greedy` baseline
+//! that scores the same staircases, written as match lists with the
+//! score, committed rounds, attempts and interval tables filled of
+//! every run. Changes to the attempt path (site preparation, plugging,
+//! the TPA refill) or to how staircases are scored must leave
 //! `tests/golden/improve.txt` untouched. Re-bless with `BLESS=1 cargo
 //! test -p fragalign --test improve_golden` only when a change is meant
 //! to alter results.
@@ -10,7 +12,7 @@ use fragalign::model::Instance;
 use fragalign::prelude::*;
 use std::fmt::Write as _;
 
-const SOLVERS: [&str; 3] = ["full", "csr", "border"];
+const SOLVERS: [&str; 4] = ["full", "csr", "border", "greedy"];
 
 fn clean(regions: usize, h_frags: usize, m_frags: usize, spurious: usize, seed: u64) -> Instance {
     generate(&SimConfig {
@@ -86,8 +88,8 @@ fn render() -> String {
             .unwrap_or_else(|e| panic!("{solver} on {label}: {e}"));
             writeln!(
                 out,
-                "{label} {solver}: score {} rounds {} attempts {} matches {}",
-                r.score, r.rounds, r.attempts, r.matches
+                "{label} {solver}: score {} rounds {} attempts {} table_misses {} matches {}",
+                r.score, r.rounds, r.attempts, r.table_misses, r.matches
             )
             .unwrap();
             for (_, m) in run.matches.iter() {
