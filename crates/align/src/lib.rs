@@ -35,5 +35,5 @@ pub mod workspace;
 
 pub use chain::{solve_chain, ChainParams};
 pub use kernel::{KERNEL_BLOCK, PROFILE_MAX_CELLS, PROFILE_MIN_CELLS};
-pub use oracle::{OracleStats, OracleStatsSnapshot, ScoreOracle};
+pub use oracle::{BorderTable, OracleStats, OracleStatsSnapshot, ScoreOracle};
 pub use workspace::{DpAligner, DpWorkspace, KernelMode};

@@ -37,7 +37,7 @@
 //! workspace served which fill.
 
 use crate::workspace::DpWorkspace;
-use fragalign_model::{FragId, Instance, Orient, Score, Site, Species};
+use fragalign_model::{End, FragId, Instance, Orient, Score, Site, SiteClass, Species};
 use fragalign_obs::TraceHandle;
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
@@ -81,6 +81,43 @@ impl IntervalTable {
     /// Always false — tables exist for real fragments.
     pub fn is_empty(&self) -> bool {
         false
+    }
+}
+
+/// `P_score` of every staircase of one (H, M) fragment pair: a strict
+/// prefix or suffix of the H fragment against a strict prefix or
+/// suffix of the M fragment, under the orientation the two ends force
+/// (`Same` when they differ, `Reversed` when they agree). Flat storage
+/// of `4·(|h|−1)·(|m|−1)` scores, empty when either fragment has a
+/// single region (no strict border site).
+#[derive(Clone, Debug)]
+pub struct BorderTable {
+    h_len: usize,
+    m_len: usize,
+    scores: Vec<Score>,
+}
+
+impl BorderTable {
+    /// The staircase of border sites `h` (H) and `m` (M) of the
+    /// table's fragments: its score and forced orientation. `None`
+    /// when either site is not a strict prefix or suffix.
+    #[inline]
+    pub fn staircase(&self, h: Site, m: Site) -> Option<(Score, Orient)> {
+        let (SiteClass::Border(h_end), SiteClass::Border(m_end)) =
+            (h.classify(self.h_len), m.classify(self.m_len))
+        else {
+            return None;
+        };
+        // Blocks and rows in `DpWorkspace::border_scores` order.
+        let block = 2 * usize::from(h_end == End::Right) + usize::from(m_end == End::Right);
+        let row = block * (self.h_len - 1) + h.len() - 1;
+        let score = self.scores[row * (self.m_len - 1) + m.len() - 1];
+        let orient = if h_end != m_end {
+            Orient::Same
+        } else {
+            Orient::Reversed
+        };
+        Some((score, orient))
     }
 }
 
@@ -164,6 +201,7 @@ impl OracleStats {
 pub struct ScoreOracle<'a> {
     inst: &'a Instance,
     tables: RwLock<HashMap<(FragId, FragId), Arc<IntervalTable>>>,
+    borders: RwLock<HashMap<(FragId, FragId), Arc<BorderTable>>>,
     pairs: RwLock<HashMap<(Site, Site), (Score, Orient)>>,
     oriented: RwLock<HashMap<(Site, Site, Orient), Score>>,
     /// Warm DP buffers, one checked out per cache miss. Workers in a
@@ -186,6 +224,7 @@ impl<'a> ScoreOracle<'a> {
         ScoreOracle {
             inst,
             tables: RwLock::new(HashMap::new()),
+            borders: RwLock::new(HashMap::new()),
             pairs: RwLock::new(HashMap::new()),
             oriented: RwLock::new(HashMap::new()),
             workspaces: Mutex::new(Vec::new()),
@@ -342,6 +381,45 @@ impl<'a> ScoreOracle<'a> {
         }
     }
 
+    /// The border table of H fragment `h` and M fragment `m`: every
+    /// staircase of the pair, filled by one sweep on the first read.
+    /// Counts as a site-pair lookup: a build is one `pair_misses` and
+    /// its fills count in `dp_fills`; a read is one `pair_hits`.
+    pub fn border_table(&self, h: FragId, m: FragId) -> Arc<BorderTable> {
+        debug_assert!(h.species == Species::H && m.species == Species::M);
+        self.memo(
+            &self.borders,
+            (h, m),
+            &self.stats.pair_hits,
+            &self.stats.pair_misses,
+            |ws| Arc::new(self.build_border_table(h, m, ws)),
+        )
+    }
+
+    fn build_border_table(&self, h: FragId, m: FragId, ws: &mut DpWorkspace) -> BorderTable {
+        let hw = &self.inst.fragment(h).regions;
+        let mw = &self.inst.fragment(m).regions;
+        let (h_len, m_len) = (hw.len(), mw.len());
+        let mut scores = Vec::new();
+        if h_len >= 2 && m_len >= 2 {
+            if DpWorkspace::may_score(&self.inst.sigma, hw, mw) {
+                let mut span = self.trace.span("border_fill");
+                scores.reserve_exact(4 * (h_len - 1) * (m_len - 1));
+                let profiled = ws.border_scores(&self.inst.sigma, hw, mw, &mut scores);
+                span.set_label(if profiled { "profiled" } else { "scalar" });
+                span.set_args(h_len as i64, m_len as i64);
+            } else {
+                // No positive cell: every staircase scores 0.
+                scores.resize(4 * (h_len - 1) * (m_len - 1), 0);
+            }
+        }
+        BorderTable {
+            h_len,
+            m_len,
+            scores,
+        }
+    }
+
     /// `MS(h̄, m̄)` with memoisation. `h` must be an H-species site and
     /// `m` an M-species site.
     pub fn ms(&self, h: Site, m: Site) -> (Score, Orient) {
@@ -395,6 +473,7 @@ impl<'a> ScoreOracle<'a> {
     /// Pooled workspaces keep their warm buffers.
     pub fn clear(&self) {
         self.tables.write().clear();
+        self.borders.write().clear();
         self.pairs.write().clear();
         self.oriented.write().clear();
     }

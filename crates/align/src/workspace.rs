@@ -253,7 +253,7 @@ impl DpWorkspace {
     /// `false` lets the match-score entry points return 0 without a
     /// fill: empty words, or no positive cell under a non-positive
     /// default score.
-    fn may_score(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> bool {
+    pub(crate) fn may_score(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> bool {
         !u.is_empty()
             && !v.is_empty()
             && (sigma.default_score > 0 || any_positive_cell(sigma, u, v))
@@ -340,6 +340,84 @@ impl DpWorkspace {
             }
         }
         self.put_grid(grid);
+        profiled
+    }
+
+    /// The border-table fill behind the oracle: `P_score` of every
+    /// staircase of H fragment `h` and M fragment `m` (both at least
+    /// two regions), appended to `out` in the order [`BorderTable`]
+    /// reads: one block per end pair (H end, M end) in the order
+    /// (Left, Left), (Left, Right), (Right, Left), (Right, Right); in
+    /// each block, one row per H site length `a = 1..|h|` holding the
+    /// scores for M site lengths `b = 1..|m|`.
+    ///
+    /// σ is keyed by relative orientation, so reversing both words
+    /// keeps every score. With `X = h` for a suffix (Right) H site and
+    /// `X = h^R` for a prefix, and `Y = m` for a prefix (Left) M site
+    /// and `Y = m^R` for a suffix, the staircase of lengths `(a, b)`
+    /// scores `P_score(X[|h|−a..], Y[..b])` under the orientation the
+    /// ends force. So one query profile per `(X, Y)` and one fill of
+    /// `X[|h|−a..] × Y` per `a` leave every `b` in the final row:
+    /// `4·(|h|−1)` fills per pair. Returns whether every sweep ran
+    /// profiled.
+    ///
+    /// [`BorderTable`]: crate::oracle::BorderTable
+    pub(crate) fn border_scores(
+        &mut self,
+        sigma: &ScoreTable,
+        h: &[Sym],
+        m: &[Sym],
+        out: &mut Vec<Score>,
+    ) -> bool {
+        let (hn, mn) = (h.len(), m.len());
+        debug_assert!(hn >= 2 && mn >= 2, "staircases need two regions a side");
+        // One scratch spelling h^R followed by m^R.
+        let mut rev = std::mem::take(&mut self.rev);
+        rev.clear();
+        rev.extend_from_slice(h);
+        rev.extend_from_slice(m);
+        reverse_word_in_place(&mut rev[..hn]);
+        reverse_word_in_place(&mut rev[hn..]);
+        let (h_rev, m_rev) = rev.split_at(hn);
+        let mut profiled = true;
+        for x in [h_rev, h] {
+            for y in [m, m_rev] {
+                // The strict M prefixes of `y`: the last column is the
+                // whole fragment, never a border site.
+                let y = &y[..mn - 1];
+                let generation = self.profile.build(sigma, x, y, false);
+                if generation.is_some() {
+                    self.profile.map_rows(x, &mut self.row_map);
+                }
+                profiled &= generation.is_some();
+                for a in 1..hn {
+                    self.note_fill(mn);
+                    match generation {
+                        Some(generation) => {
+                            fill_profiled(
+                                &self.profile,
+                                generation,
+                                &self.row_map[hn - a..],
+                                0,
+                                mn - 1,
+                                KERNEL_BLOCK,
+                                &mut self.prev,
+                                &mut self.cur,
+                                &mut self.carry,
+                            );
+                        }
+                        // Profile over the cap: scalar fallback.
+                        None => {
+                            self.fill_scalar(sigma, &x[hn - a..], y, false);
+                        }
+                    }
+                    // `prev` holds the final row: `P_score(X[|h|-a..],
+                    // Y[..b])` at index `b`.
+                    out.extend_from_slice(&self.prev[1..mn]);
+                }
+            }
+        }
+        self.rev = rev;
         profiled
     }
 

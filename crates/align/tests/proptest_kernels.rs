@@ -359,8 +359,10 @@ fn assert_tables_match_site_pairs(label: &str, inst: &Instance) {
     }
 }
 
-#[test]
-fn interval_tables_equal_site_pair_scores() {
+/// The oracle differential corpus: the paper example, seeded clean,
+/// torn and read-soup sims, and the degenerate shapes (one mega
+/// fragment, all singletons, a σ desert).
+fn seeded_cases() -> Vec<(String, Instance)> {
     use fragalign_sim::{
         generate, generate_degenerate, generate_soup, generate_torn, DegenerateShape, SimConfig,
         SoupConfig, TornConfig,
@@ -409,8 +411,112 @@ fn interval_tables_equal_site_pair_scores() {
             ));
         }
     }
-    for (label, inst) in &cases {
+    cases
+}
+
+#[test]
+fn interval_tables_equal_site_pair_scores() {
+    for (label, inst) in &seeded_cases() {
         assert_tables_match_site_pairs(label, inst);
         assert_tables_match_site_pairs(&format!("{label} (species swapped)"), &inst.swapped());
+    }
+}
+
+/// Every cell of every border table equals the scalar reference on the
+/// sliced site words, the M word reversed for a `Reversed` staircase,
+/// and names the orientation the two ends force. A site that is not a
+/// strict prefix or suffix has no cell.
+fn assert_border_tables_match_reference(label: &str, inst: &Instance) {
+    let oracle = ScoreOracle::new(inst);
+    for h in inst.frag_ids(Species::H) {
+        let h_len = inst.frag_len(h);
+        for m in inst.frag_ids(Species::M) {
+            let m_len = inst.frag_len(m);
+            let table = oracle.border_table(h, m);
+            let (h_full, m_full) = (Site::full(h, h_len), Site::full(m, m_len));
+            if m_len >= 2 {
+                assert_eq!(table.staircase(h_full, Site::new(m, 0, 1)), None);
+            }
+            if h_len >= 2 {
+                assert_eq!(table.staircase(Site::new(h, 0, 1), m_full), None);
+            }
+            for a in 1..h_len {
+                for h_site in [Site::new(h, 0, a), Site::new(h, h_len - a, h_len)] {
+                    for b in 1..m_len {
+                        for m_site in [Site::new(m, 0, b), Site::new(m, m_len - b, m_len)] {
+                            // Ends differ (suffix ~ prefix, prefix ~
+                            // suffix): `Same`; ends agree: `Reversed`.
+                            let orient = if (h_site.lo == 0) != (m_site.lo == 0) {
+                                Orient::Same
+                            } else {
+                                Orient::Reversed
+                            };
+                            let h_word = inst.site_word(h_site);
+                            let m_word = match orient {
+                                Orient::Same => inst.site_word(m_site).to_vec(),
+                                Orient::Reversed => reverse_word(inst.site_word(m_site)),
+                            };
+                            let want = (scalar(&inst.sigma, h_word, &m_word), orient);
+                            assert_eq!(
+                                table.staircase(h_site, m_site),
+                                Some(want),
+                                "{label}: {h_site:?} ~ {m_site:?}"
+                            );
+                            assert_eq!(
+                                oracle.ms_oriented(h_site, m_site, orient),
+                                want.0,
+                                "{label}: {h_site:?} ~ {m_site:?} (site-pair path)"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A word of `len` distinct-ish symbols for the short-fragment cases.
+fn short_word(base: u32, len: usize) -> Vec<Sym> {
+    (0..len as u32)
+        .map(|i| Sym {
+            id: base + i % 3,
+            rev: i % 2 == 1,
+        })
+        .collect()
+}
+
+#[test]
+fn border_tables_equal_the_scalar_reference() {
+    let mut cases = seeded_cases();
+    // Fragments of one and two regions next to longer ones, under a
+    // positive default score (every cell positive, so the
+    // no-positive-cell exit never fires) and under a non-positive one.
+    for default_score in [1, 0] {
+        let mut sigma = dense_sigma();
+        sigma.default_score = default_score;
+        cases.push((
+            format!("short fragments, default {default_score}"),
+            Instance {
+                h: vec![
+                    Fragment::new("h0", short_word(0, 1)),
+                    Fragment::new("h1", short_word(0, 2)),
+                    Fragment::new("h2", short_word(2, 5)),
+                ],
+                m: vec![
+                    Fragment::new("m0", short_word(100, 2)),
+                    Fragment::new("m1", short_word(101, 1)),
+                    Fragment::new("m2", short_word(103, 4)),
+                ],
+                sigma,
+                alphabet: Default::default(),
+            },
+        ));
+    }
+    let mut positive = cases[1].1.clone();
+    positive.sigma.default_score = 1;
+    cases.push((format!("{} with a positive default", cases[1].0), positive));
+    for (label, inst) in &cases {
+        assert_border_tables_match_reference(label, inst);
+        assert_border_tables_match_reference(&format!("{label} (species swapped)"), &inst.swapped());
     }
 }
