@@ -203,7 +203,6 @@ pub struct ScoreOracle<'a> {
     tables: RwLock<HashMap<(FragId, FragId), Arc<IntervalTable>>>,
     borders: RwLock<HashMap<(FragId, FragId), Arc<BorderTable>>>,
     pairs: RwLock<HashMap<(Site, Site), (Score, Orient)>>,
-    oriented: RwLock<HashMap<(Site, Site, Orient), Score>>,
     /// Warm DP buffers, one checked out per cache miss. Workers in a
     /// parallel sweep each pop their own workspace, so fills never
     /// serialise on this lock.
@@ -226,7 +225,6 @@ impl<'a> ScoreOracle<'a> {
             tables: RwLock::new(HashMap::new()),
             borders: RwLock::new(HashMap::new()),
             pairs: RwLock::new(HashMap::new()),
-            oriented: RwLock::new(HashMap::new()),
             workspaces: Mutex::new(Vec::new()),
             trace: TraceHandle::disabled(),
             stats: OracleStats::default(),
@@ -449,33 +447,12 @@ impl<'a> ScoreOracle<'a> {
         self.interval_table(plug, container).get(d, e)
     }
 
-    /// `P_score` under a pinned relative orientation, memoised. Border
-    /// matches need this: their orientation is forced by the staircase
-    /// end condition, not free to maximise.
-    pub fn ms_oriented(&self, h: Site, m: Site, orient: Orient) -> Score {
-        self.memo(
-            &self.oriented,
-            (h, m, orient),
-            &self.stats.pair_hits,
-            &self.stats.pair_misses,
-            |ws| {
-                ws.p_score_oriented(
-                    &self.inst.sigma,
-                    self.inst.site_word(h),
-                    self.inst.site_word(m),
-                    orient,
-                )
-            },
-        )
-    }
-
     /// Drop all cached entries (used by the cache ablation bench).
     /// Pooled workspaces keep their warm buffers.
     pub fn clear(&self) {
         self.tables.write().clear();
         self.borders.write().clear();
         self.pairs.write().clear();
-        self.oriented.write().clear();
     }
 }
 
@@ -546,6 +523,46 @@ mod tests {
         oracle.clear();
         let _ = oracle.ms(Site::new(FragId::h(0), 0, 2), Site::new(FragId::m(0), 0, 2));
         assert_eq!(oracle.stats.pair_misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn border_tables_count_as_site_pairs() {
+        let inst = paper_example();
+        let oracle = ScoreOracle::new(&inst);
+        let (h1, m2) = (FragId::h(0), FragId::m(1));
+        // h1 suffix ⟨c⟩ ~ m2 prefix ⟨u⟩: ends differ, `Same`, σ(c, u) = 5.
+        let t = oracle.border_table(h1, m2);
+        assert_eq!(
+            t.staircase(Site::new(h1, 2, 3), Site::new(m2, 0, 1)),
+            Some((5, Orient::Same))
+        );
+        // A full site is no staircase.
+        assert_eq!(t.staircase(Site::full(h1, 3), Site::new(m2, 0, 1)), None);
+        let _ = oracle.border_table(h1, m2);
+        let s = oracle.stats.snapshot();
+        assert_eq!((s.pair_misses, s.pair_hits, s.table_misses), (1, 1, 0));
+        assert_eq!(s.dp_fills, 4 * 2, "one fill per H length per end pair");
+        // h2 = ⟨d⟩ has no border site: an empty table, no fill.
+        let empty = oracle.border_table(FragId::h(1), m2);
+        assert_eq!(
+            empty.staircase(Site::full(FragId::h(1), 1), Site::new(m2, 0, 1)),
+            None
+        );
+        assert_eq!(oracle.stats.snapshot().dp_fills, 8);
+    }
+
+    #[test]
+    fn border_table_without_a_positive_cell_skips_the_fill() {
+        let mut b = fragalign_model::InstanceBuilder::new();
+        b.h_frag("h", &["a", "b", "c"]);
+        b.m_frag("m", &["x", "y"]);
+        let inst = b.build();
+        let oracle = ScoreOracle::new(&inst);
+        let t = oracle.border_table(FragId::h(0), FragId::m(0));
+        let (h, m) = (Site::new(FragId::h(0), 0, 2), Site::new(FragId::m(0), 1, 2));
+        assert_eq!(t.staircase(h, m), Some((0, Orient::Same)));
+        assert_eq!(oracle.stats.snapshot().dp_fills, 0);
+        assert_eq!(oracle.stats.snapshot().pair_misses, 1);
     }
 
     #[test]

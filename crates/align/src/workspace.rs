@@ -293,25 +293,6 @@ impl DpWorkspace {
         }
     }
 
-    /// `P_score` under a pinned relative orientation (a border match's
-    /// orientation is forced by the staircase end condition). A pair
-    /// with no positive cell scores 0 without a fill.
-    pub fn p_score_oriented(
-        &mut self,
-        sigma: &ScoreTable,
-        u: &[Sym],
-        v: &[Sym],
-        orient: Orient,
-    ) -> Score {
-        if !Self::may_score(sigma, u, v) {
-            return 0;
-        }
-        match orient {
-            Orient::Same => self.p_score(sigma, u, v),
-            Orient::Reversed => self.p_score_reversed(sigma, u, v),
-        }
-    }
-
     /// The interval-table fill behind the oracle: `P_score(u, w[d..e])`
     /// into `same[d·(|w|+1) + e]` and `P_score(u, w[d..e]^R)` into
     /// `reversed` at the same index, for every `0 ≤ d ≤ e ≤ |w|`.
@@ -567,7 +548,6 @@ mod tests {
                 ws.p_score_kernel(&t, &u, &v, KernelMode::Profiled),
                 reference
             );
-            assert_eq!(ws.p_score_oriented(&t, &u, &v, Orient::Same), reference);
         }
     }
 
@@ -600,9 +580,8 @@ mod tests {
         let u = vec![Sym::fwd(1); 20];
         let v = vec![Sym::fwd(1001), Sym::rev(1001), Sym::fwd(1002)];
         let mut ws = DpWorkspace::new();
+        assert!(!DpWorkspace::may_score(&t, &u, &v));
         assert_eq!(ws.ms_words(&t, &u, &v), (0, Orient::Same));
-        assert_eq!(ws.p_score_oriented(&t, &u, &v, Orient::Same), 0);
-        assert_eq!(ws.p_score_oriented(&t, &u, &v, Orient::Reversed), 0);
         assert_eq!(ws.fills(), 0, "the early exit must not fill");
         // A positive default score makes every cell positive: no exit.
         t.default_score = 1;
@@ -682,14 +661,33 @@ mod tests {
     }
 
     #[test]
-    fn oriented_p_score_matches_ms_components() {
+    fn border_sweep_reads_every_staircase_from_the_final_rows() {
+        // h1 = ⟨a, b, c⟩ against m2 = ⟨u, v⟩: each (H end, M end)
+        // block holds |h|−1 rows of |m|−1 scores, 4·(|h|−1) fills.
         let inst = paper_example();
-        let u = inst.site_word(Site::full(FragId::h(0), 3));
-        let v = inst.site_word(Site::full(FragId::m(0), 2));
+        let h = &inst.fragment(FragId::h(0)).regions;
+        let m = &inst.fragment(FragId::m(1)).regions;
         let mut ws = DpWorkspace::new();
-        let same = ws.p_score_oriented(&inst.sigma, u, v, Orient::Same);
-        let rev = ws.p_score_oriented(&inst.sigma, u, v, Orient::Reversed);
-        let (best, _) = ws.ms_words(&inst.sigma, u, v);
-        assert_eq!(best, same.max(rev));
+        let mut out = Vec::new();
+        assert!(ws.border_scores(&inst.sigma, h, m, &mut out));
+        assert_eq!(out.len(), 4 * 2);
+        assert_eq!(ws.fills(), 4 * 2);
+        // (Right, Left) block, row a = 1: suffix ⟨c⟩ ~ prefix ⟨u⟩
+        // under `Same`, σ(c, u) = 5.
+        assert_eq!(out[2 * 2], 5);
+        // Every cell against the scalar reference on the site words.
+        let mut at = 0;
+        for (h_suffix, m_suffix) in [(false, false), (false, true), (true, false), (true, true)] {
+            for a in 1..h.len() {
+                let hs = if h_suffix { &h[h.len() - a..] } else { &h[..a] };
+                for b in 1..m.len() {
+                    let ms = if m_suffix { &m[m.len() - b..] } else { &m[..b] };
+                    let same = h_suffix != m_suffix;
+                    let mw = if same { ms.to_vec() } else { reverse_word(ms) };
+                    assert_eq!(out[at], scalar(&inst.sigma, hs, &mw), "cell {at}");
+                    at += 1;
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! Hammer one shared `ScoreOracle` from many threads: results must be
-//! stable (no torn cache fills under the `parking_lot` shim), the
-//! hit/miss counters coherent, and the miss and fill counters must
-//! repeat a one-thread run's exactly: a fill that loses an insert race
-//! counts as a hit and adds no DP fills.
+//! Hammer one shared `ScoreOracle` from many threads: interval tables,
+//! border tables and site pairs must be stable (no torn cache fills
+//! under the `parking_lot` shim), the hit/miss counters coherent, and
+//! the miss and fill counters must repeat a one-thread run's exactly: a
+//! fill that loses an insert race counts as a hit and adds no DP fills.
 
-use fragalign_align::ScoreOracle;
+use fragalign_align::{BorderTable, ScoreOracle};
 use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Sym};
 use std::sync::atomic::Ordering;
 
@@ -45,6 +45,27 @@ fn contended_instance() -> Instance {
     }
 }
 
+/// Every staircase read off a border table of fragments `h` and `m`.
+fn staircases(
+    inst: &Instance,
+    table: &BorderTable,
+    h: FragId,
+    m: FragId,
+) -> Vec<Option<(i64, Orient)>> {
+    let (h_len, m_len) = (inst.frag_len(h), inst.frag_len(m));
+    let mut out = Vec::new();
+    for a in 1..h_len {
+        for h_site in [Site::new(h, 0, a), Site::new(h, h_len - a, h_len)] {
+            for b in 1..m_len {
+                for m_site in [Site::new(m, 0, b), Site::new(m, m_len - b, m_len)] {
+                    out.push(table.staircase(h_site, m_site));
+                }
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn concurrent_queries_are_stable_and_counters_coherent() {
     const THREADS: usize = 8;
@@ -71,10 +92,13 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
                 .collect()
         })
         .collect();
+    let expected_borders: Vec<Vec<Option<(i64, Orient)>>> = queries
+        .iter()
+        .map(|&(h, m)| staircases(&inst, &reference.border_table(h, m), h, m))
+        .collect();
     let h_site = Site::full(FragId::h(0), inst.frag_len(FragId::h(0)));
     let m_site = Site::full(FragId::m(1), inst.frag_len(FragId::m(1)));
     let expected_ms = reference.ms(h_site, m_site);
-    let expected_oriented = reference.ms_oriented(h_site, m_site, Orient::Reversed);
 
     let oracle = ScoreOracle::new(&inst);
     std::thread::scope(|scope| {
@@ -82,6 +106,7 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
             let oracle = &oracle;
             let queries = &queries;
             let expected_tables = &expected_tables;
+            let expected_borders = &expected_borders;
             let inst = &inst;
             scope.spawn(move || {
                 for round in 0..ROUNDS {
@@ -89,7 +114,13 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
                     // different keys each round.
                     let shift = (worker + round) % queries.len();
                     for idx in 0..queries.len() {
-                        let (h, m) = queries[(idx + shift) % queries.len()];
+                        let slot = (idx + shift) % queries.len();
+                        let (h, m) = queries[slot];
+                        assert_eq!(
+                            staircases(inst, &oracle.border_table(h, m), h, m),
+                            expected_borders[slot],
+                            "torn border table for {h:?}/{m:?}"
+                        );
                         let table = oracle.interval_table(h, m);
                         let n = inst.frag_len(m);
                         let got: Vec<(i64, Orient)> = (0..=n)
@@ -97,16 +128,11 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
                             .map(|(d, e)| table.get(d, e))
                             .collect();
                         assert_eq!(
-                            got,
-                            expected_tables[(idx + shift) % queries.len()],
+                            got, expected_tables[slot],
                             "torn interval table for {h:?}/{m:?}"
                         );
                     }
                     assert_eq!(oracle.ms(h_site, m_site), expected_ms);
-                    assert_eq!(
-                        oracle.ms_oriented(h_site, m_site, Orient::Reversed),
-                        expected_oriented
-                    );
                 }
             });
         }
@@ -125,7 +151,10 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
         "table misses != distinct keys"
     );
 
-    let pair_lookups = (THREADS * ROUNDS * 2) as u64;
+    // Site pairs and border tables share the pair counters: one
+    // site-pair key plus one border table per (H, M) pair, each read
+    // once per round.
+    let pair_lookups = (THREADS * ROUNDS * (1 + queries.len())) as u64;
     let pair_hits = oracle.stats.pair_hits.load(Ordering::Relaxed);
     let pair_misses = oracle.stats.pair_misses.load(Ordering::Relaxed);
     assert_eq!(
@@ -133,7 +162,11 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
         pair_lookups,
         "pair lookups miscounted"
     );
-    assert_eq!(pair_misses, 2, "pair misses != distinct keys");
+    assert_eq!(
+        pair_misses,
+        1 + queries.len() as u64,
+        "pair misses != distinct keys"
+    );
 
     // Workspace accounting: the fills are the one-thread reference's
     // (same distinct keys), and with pooling on, buffer growth stays

@@ -1,7 +1,7 @@
 //! Differential property tests around the scalar reference kernel:
 //! every `DpWorkspace` entry point — `p_score`, both forced kernels,
-//! `ms_words`, `p_score_oriented`, `align_words` — and the oracle's
-//! interval tables must be bit-identical to `p_score_kernel(…,
+//! `ms_words`, `align_words` — and the oracle's interval and border
+//! tables must be bit-identical to `p_score_kernel(…,
 //! KernelMode::Scalar)` on a fresh workspace, on random words and score
 //! tables, including reversed-orientation cases and dirty (previously
 //! used, differently sized) workspace buffers.
@@ -89,7 +89,6 @@ proptest! {
         let big_v: Vec<Sym> = (0..19).map(|i| Sym::fwd(100 + i)).collect();
         let _ = ws.p_score(&sigma, &big_u, &big_v);
         prop_assert_eq!(ws.p_score(&sigma, &u, &v), reference);
-        prop_assert_eq!(ws.p_score_oriented(&sigma, &u, &v, Orient::Same), reference);
         // Forced kernel modes through the same dirty workspace.
         for mode in ALL_MODES {
             prop_assert_eq!(ws.p_score_kernel(&sigma, &u, &v, mode), reference, "{mode:?}");
@@ -120,35 +119,27 @@ proptest! {
     }
 
     /// Orientation search: the workspace `MS` (early exit included)
-    /// and both pinned orientations match the reference, and respect
-    /// the reversal identity `P(u, v) = P(u^R, v^R)`.
+    /// matches the reference, and both kernels respect the reversal
+    /// identity `P(u, v) = P(u^R, v^R)` that the border sweep rests on.
     #[test]
     fn ms_paths_agree_including_reversed(
         sigma in sigma_strategy(), u in word(0), v in word(100)
     ) {
         let mut ws = DpWorkspace::new();
         prop_assert_eq!(ws.ms_words(&sigma, &u, &v), reference_ms(&sigma, &u, &v));
-        // Pinned orientations.
-        let vr = reverse_word(&v);
-        prop_assert_eq!(
-            ws.p_score_oriented(&sigma, &u, &v, Orient::Same),
-            scalar(&sigma, &u, &v)
-        );
-        prop_assert_eq!(
-            ws.p_score_oriented(&sigma, &u, &v, Orient::Reversed),
-            scalar(&sigma, &u, &vr)
-        );
-        // Reversal invariance through the workspace path.
-        let ur = reverse_word(&u);
-        prop_assert_eq!(
-            ws.p_score_oriented(&sigma, &ur, &vr, Orient::Same),
-            scalar(&sigma, &u, &v)
-        );
+        let (ur, vr) = (reverse_word(&u), reverse_word(&v));
+        for mode in ALL_MODES {
+            prop_assert_eq!(
+                ws.p_score_kernel(&sigma, &ur, &vr, mode),
+                scalar(&sigma, &u, &v),
+                "{mode:?}"
+            );
+        }
     }
 
     /// Oracle entry points: the pooled-workspace oracle's interval
     /// tables and site-pair scores equal direct calls on a fresh
-    /// `DpWorkspace`.
+    /// `DpWorkspace`, and its border tables the scalar reference.
     #[test]
     fn oracle_paths_agree(
         sigma in sigma_strategy(),
@@ -190,12 +181,7 @@ proptest! {
             pooled.ms(h_site, m_site),
             DpWorkspace::new().ms_words(&inst.sigma, h_word, m_word)
         );
-        for orient in [Orient::Same, Orient::Reversed] {
-            prop_assert_eq!(
-                pooled.ms_oriented(h_site, m_site, orient),
-                DpWorkspace::new().p_score_oriented(&inst.sigma, h_word, m_word, orient)
-            );
-        }
+        assert_border_tables_match_reference("random", &inst);
     }
 }
 
@@ -298,7 +284,6 @@ fn shrinking_buffers_never_leak_stale_tails() {
             );
         }
         assert_eq!(ws.p_score(&sigma, &u, &v), reference);
-        assert_eq!(ws.p_score_oriented(&sigma, &u, &v, Orient::Same), reference);
         assert_eq!(ws.ms_words(&sigma, &u, &v), reference_ms(&sigma, &u, &v));
         let (score, cols) = ws.align_words(&sigma, &u, &v);
         let (fresh_score, fresh_cols) = DpWorkspace::new().align_words(&sigma, &u, &v);
@@ -306,8 +291,9 @@ fn shrinking_buffers_never_leak_stale_tails() {
         assert_eq!(cols, fresh_cols, "align_words columns {lu}x{lv}");
     }
 
-    // The oracle sweep through the same (adopted) workspace: interval
-    // tables after the wide fill must match a fresh oracle's.
+    // The oracle sweeps through the same (adopted) workspace: interval
+    // and border tables after the wide fill must match a fresh
+    // oracle's.
     let inst = Instance {
         h: vec![Fragment::new("h0", mixed_word(21, 7, 0))],
         m: vec![Fragment::new("m0", mixed_word(22, 9, 100))],
@@ -322,6 +308,21 @@ fn shrinking_buffers_never_leak_stale_tails() {
     for d in 0..=9 {
         for e in d..=9 {
             assert_eq!(a.get(d, e), b.get(d, e), "interval [{d},{e})");
+        }
+    }
+    let (h, m) = (FragId::h(0), FragId::m(0));
+    let (a, b) = (dirty.border_table(h, m), fresh.border_table(h, m));
+    for x in 1..7 {
+        for h_site in [Site::new(h, 0, x), Site::new(h, 7 - x, 7)] {
+            for y in 1..9 {
+                for m_site in [Site::new(m, 0, y), Site::new(m, 9 - y, 9)] {
+                    assert_eq!(
+                        a.staircase(h_site, m_site),
+                        b.staircase(h_site, m_site),
+                        "staircase {h_site:?} ~ {m_site:?}"
+                    );
+                }
+            }
         }
     }
 }
@@ -462,11 +463,6 @@ fn assert_border_tables_match_reference(label: &str, inst: &Instance) {
                                 Some(want),
                                 "{label}: {h_site:?} ~ {m_site:?}"
                             );
-                            assert_eq!(
-                                oracle.ms_oriented(h_site, m_site, orient),
-                                want.0,
-                                "{label}: {h_site:?} ~ {m_site:?} (site-pair path)"
-                            );
                         }
                     }
                 }
@@ -517,6 +513,9 @@ fn border_tables_equal_the_scalar_reference() {
     cases.push((format!("{} with a positive default", cases[1].0), positive));
     for (label, inst) in &cases {
         assert_border_tables_match_reference(label, inst);
-        assert_border_tables_match_reference(&format!("{label} (species swapped)"), &inst.swapped());
+        assert_border_tables_match_reference(
+            &format!("{label} (species swapped)"),
+            &inst.swapped(),
+        );
     }
 }

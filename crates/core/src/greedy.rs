@@ -9,12 +9,12 @@
 //! behind the §4 algorithms and the exact optimum.
 
 use fragalign_align::ScoreOracle;
-use fragalign_model::{
-    check_consistency, FragId, Match, MatchSet, Orient, Site, SiteClass, Species,
-};
+use fragalign_model::{check_consistency, FragId, Match, MatchSet, Score, Site, Species};
+use std::cmp::Reverse;
 
-/// Candidate single-match additions given the current solution.
-fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
+/// Full-plug candidates given the current solution: an unmatched
+/// fragment wholly into a free interval.
+fn plug_candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
     let inst = oracle.instance();
     let by_frag = set.sites_by_fragment();
     let free_sites = |g: FragId| -> Vec<Site> {
@@ -32,7 +32,6 @@ fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
         pieces
     };
     let mut out = Vec::new();
-    // Full plugs: an unmatched fragment into a free interval.
     for g in inst.all_frag_ids() {
         for zone in free_sites(g) {
             for f in inst.frag_ids(g.species.other()) {
@@ -59,7 +58,15 @@ fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
             }
         }
     }
-    // Staircases: free border sites on both sides, orientation forced.
+    out
+}
+
+/// Every positive staircase: a border site on each side, orientation
+/// forced, read from each fragment pair's border table. Independent of
+/// the current solution, so greedy builds them once per solve.
+fn staircase_candidates(oracle: &ScoreOracle<'_>) -> Vec<Match> {
+    let inst = oracle.instance();
+    let mut out = Vec::new();
     for h in inst.frag_ids(Species::H) {
         let h_len = inst.frag_len(h);
         for m in inst.frag_ids(Species::M) {
@@ -67,21 +74,14 @@ fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
             if h_len < 2 || m_len < 2 {
                 continue;
             }
+            let table = oracle.border_table(h, m);
             for a in 1..h_len {
                 for h_site in [Site::new(h, 0, a), Site::new(h, h_len - a, h_len)] {
                     for b in 1..m_len {
                         for m_site in [Site::new(m, 0, b), Site::new(m, m_len - b, m_len)] {
-                            let (SiteClass::Border(he), SiteClass::Border(me)) =
-                                (h_site.classify(h_len), m_site.classify(m_len))
-                            else {
+                            let Some((score, orient)) = table.staircase(h_site, m_site) else {
                                 continue;
                             };
-                            let orient = if he != me {
-                                Orient::Same
-                            } else {
-                                Orient::Reversed
-                            };
-                            let score = oracle.ms_oriented(h_site, m_site, orient);
                             if score > 0 {
                                 out.push(Match::new(h_site, m_site, orient, score));
                             }
@@ -94,18 +94,49 @@ fn candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
     out
 }
 
+/// Candidate order: highest score first, then by sites.
+fn order(m: &Match) -> (Reverse<Score>, Site, Site) {
+    (Reverse(m.score), m.h, m.m)
+}
+
 /// Greedy: best-scoring feasible addition until none improves. The
 /// oracle is scratch plus memoisation only: a warm one (a batch
 /// worker's pooled workspace) returns the same match set as a fresh
 /// one.
+///
+/// Each pass tries the candidates in [`order`], full plugs before
+/// staircases on a tie: the order a stable sort of the plugs followed
+/// by the staircases gives. The staircases are sorted once; each pass
+/// sorts only its plugs and merges.
 pub fn solve_greedy(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
+    let mut staircases = staircase_candidates(oracle);
+    staircases.sort_by_key(order);
     let mut set = MatchSet::new();
     loop {
-        let mut cands = candidates(oracle, &set);
-        cands.sort_by_key(|m| (std::cmp::Reverse(m.score), m.h, m.m));
+        let mut plugs = plug_candidates(oracle, &set);
+        plugs.sort_by_key(order);
+        let (mut i, mut j) = (0, 0);
+        let merged = std::iter::from_fn(|| {
+            let next = match (plugs.get(i), staircases.get(j)) {
+                (Some(p), Some(s)) if order(s) < order(p) => {
+                    j += 1;
+                    s
+                }
+                (Some(p), _) => {
+                    i += 1;
+                    p
+                }
+                (None, Some(s)) => {
+                    j += 1;
+                    s
+                }
+                (None, None) => return None,
+            };
+            Some(*next)
+        });
         let mut added = false;
-        for c in cands {
+        for c in merged {
             let mut tentative = set.clone();
             tentative.push(c);
             if check_consistency(inst, &tentative).is_ok() {

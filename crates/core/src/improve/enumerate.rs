@@ -17,7 +17,7 @@
 
 use super::MethodSet;
 use fragalign_align::ScoreOracle;
-use fragalign_model::{FragId, MatchSet, Score, Site, SiteClass, Species};
+use fragalign_model::{FragId, MatchSet, Score, Site, Species};
 use std::collections::HashMap;
 
 /// One I2-style border-match creation: the two border sites and their
@@ -193,6 +193,7 @@ pub fn enumerate_attempts(
                     continue;
                 }
                 let m_cov = covered(&by_frag, m);
+                let table = oracle.border_table(h, m);
                 let mut pair_best: Vec<(Score, I2Bundle)> = Vec::new();
                 for a in 1..h_len.min(budget.border_cap + 1) {
                     for h_site in [Site::new(h, 0, a), Site::new(h, h_len - a, h_len)] {
@@ -204,17 +205,9 @@ pub fn enumerate_attempts(
                                 if is_hidden(&m_cov, m_site) {
                                     continue;
                                 }
-                                let (SiteClass::Border(he), SiteClass::Border(me)) =
-                                    (h_site.classify(h_len), m_site.classify(m_len))
-                                else {
+                                let Some((score, _)) = table.staircase(h_site, m_site) else {
                                     continue;
                                 };
-                                let orient = if he != me {
-                                    fragalign_model::Orient::Same
-                                } else {
-                                    fragalign_model::Orient::Reversed
-                                };
-                                let score = oracle.ms_oriented(h_site, m_site, orient);
                                 if score <= 0 {
                                     continue;
                                 }

@@ -3,7 +3,7 @@
 
 use fragalign_align::ScoreOracle;
 use fragalign_isp::{solve_tpa, Interval, IspInstance};
-use fragalign_model::{FragId, Instance, Match, MatchSet, Orient, Score, Site, SiteClass, Species};
+use fragalign_model::{FragId, Instance, Match, MatchSet, Score, Site, Species};
 use std::collections::HashSet;
 
 /// A site could not be prepared because it is hidden by a matched site
@@ -142,16 +142,8 @@ fn try_shrink(oracle: &ScoreOracle<'_>, mat: &Match, on: FragId, piece: Site) ->
             };
             Some(full_match(oracle, plug.frag, container))
         }
-        fragalign_model::MatchKind::Border { h_end, m_end } => {
-            // Staircase condition forces the orientation.
-            let orient = if h_end != m_end {
-                Orient::Same
-            } else {
-                Orient::Reversed
-            };
-            let score = oracle.ms_oriented(h, m, orient);
-            Some(Match::new(h, m, orient, score))
-        }
+        // `kind` found two strict border sites: a staircase.
+        fragalign_model::MatchKind::Border { .. } => Some(staircase(oracle, h, m)),
     }
 }
 
@@ -246,26 +238,22 @@ pub fn plug_full(set: &mut MatchSet, plug: FragId, container_site: Site, oracle:
     set.push(full_match(oracle, plug, container_site));
 }
 
+/// The staircase of border sites `h` and `m`, scored and oriented by
+/// their fragment pair's border table. Panics unless both sites are
+/// strict prefixes or suffixes.
+fn staircase(oracle: &ScoreOracle<'_>, h: Site, m: Site) -> Match {
+    let (score, orient) = oracle
+        .border_table(h.frag, m.frag)
+        .staircase(h, m)
+        .unwrap_or_else(|| panic!("{h:?} ~ {m:?} is not a pair of border sites"));
+    Match::new(h, m, orient, score)
+}
+
 /// Create a border (staircase) match between two border sites; the
 /// orientation is forced by the ends.
 pub fn make_border(set: &mut MatchSet, a: Site, b: Site, oracle: &ScoreOracle<'_>) {
-    let inst = oracle.instance();
     let (h, m) = hm(a, b);
-    let h_end = match h.classify(inst.frag_len(h.frag)) {
-        SiteClass::Border(e) => e,
-        c => panic!("make_border on non-border H site ({c:?})"),
-    };
-    let m_end = match m.classify(inst.frag_len(m.frag)) {
-        SiteClass::Border(e) => e,
-        c => panic!("make_border on non-border M site ({c:?})"),
-    };
-    let orient = if h_end != m_end {
-        Orient::Same
-    } else {
-        Orient::Reversed
-    };
-    let score = oracle.ms_oriented(h, m, orient);
-    set.push(Match::new(h, m, orient, score));
+    set.push(staircase(oracle, h, m));
 }
 
 /// The TPA(B, S) subroutine of §4.2: refill the free `zones` with full
@@ -390,24 +378,10 @@ pub fn split_freed_by_species(freed: &[Site]) -> (Vec<Site>, Vec<Site>) {
 
 /// Apply one improvement attempt to `set`. On success `set` holds the
 /// attempt's result; the caller decides whether to commit by comparing
-/// (truncated) total scores. Errors leave `set` in an unspecified
-/// state — always apply to a clone.
+/// (truncated) total scores. Preparation and the border-cycle guard can
+/// fail partway through a multi-step attempt, so on `Err` `set` is
+/// left in an unspecified state: apply to a copy you can drop.
 pub fn apply_attempt(
-    set: &mut MatchSet,
-    attempt: &super::Attempt,
-    oracle: &ScoreOracle<'_>,
-    quantum: Score,
-) -> Result<(), ApplyError> {
-    // Transactional: preparation and the border-cycle guard can fail
-    // partway through a multi-step attempt, so mutate a scratch copy
-    // and commit only on success — `set` is untouched on `Err`.
-    let mut work = set.clone();
-    apply_attempt_steps(&mut work, attempt, oracle, quantum)?;
-    *set = work;
-    Ok(())
-}
-
-fn apply_attempt_steps(
     set: &mut MatchSet,
     attempt: &super::Attempt,
     oracle: &ScoreOracle<'_>,
