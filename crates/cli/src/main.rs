@@ -59,6 +59,33 @@ use serde::Serialize;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
+/// Write to stdout, exiting quietly (status 0) when its reader has gone
+/// away, as in `fragalign gen … | head`: a closed pipe ends the output
+/// early but is no error of this program. Any other write error panics,
+/// as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn algo_names() -> String {
     SolverRegistry::global().names().join("|")
 }
@@ -194,7 +221,7 @@ fn solve_batch_cmd(algo: &str, scaling: bool, threads: usize, json: bool, path: 
                 .collect(),
         };
         match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
+            Ok(s) => outln!("{s}"),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
@@ -203,9 +230,9 @@ fn solve_batch_cmd(algo: &str, scaling: bool, threads: usize, json: bool, path: 
         return ExitCode::SUCCESS;
     }
     for (name, (sol, _)) in names.iter().zip(&solutions) {
-        println!("{name}: score {}, {} matches", sol.score, sol.matches.len());
+        outln!("{name}: score {}, {} matches", sol.score, sol.matches.len());
     }
-    println!(
+    outln!(
         "batch: {} instances, total score {total}, algo {algo}, {per_sec:.1} instances/s",
         solutions.len(),
     );
@@ -214,20 +241,23 @@ fn solve_batch_cmd(algo: &str, scaling: bool, threads: usize, json: bool, path: 
 
 fn report(inst: &Instance, matches: &MatchSet) {
     match core::solution_stats(inst, matches) {
-        Ok(stats) => print!("{stats}"),
-        Err(e) => println!("inconsistent solution: {e}"),
+        Ok(stats) => out!("{stats}"),
+        Err(e) => outln!("inconsistent solution: {e}"),
     }
     for (id, m) in matches.iter() {
-        println!(
+        outln!(
             "  #{id}: {:?} ~ {:?} ({:?}, score {})",
-            m.h, m.m, m.orient, m.score
+            m.h,
+            m.m,
+            m.orient,
+            m.score
         );
     }
     match LayoutBuilder::new(inst, &DpAligner).layout(matches) {
         Ok(pair) => {
-            println!("layout (H over M):\n{}", pair.render(inst));
+            outln!("layout (H over M):\n{}", pair.render(inst));
         }
-        Err(e) => println!("layout failed: {e}"),
+        Err(e) => outln!("layout failed: {e}"),
     }
 }
 
@@ -276,7 +306,7 @@ fn solve_cmd(
     if json {
         return match serde_json::to_string_pretty(&run_report) {
             Ok(s) => {
-                println!("{s}");
+                outln!("{s}");
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -286,7 +316,7 @@ fn solve_cmd(
         };
     }
     if let Some(winner) = &run_report.winner {
-        println!("portfolio winner: {winner}");
+        outln!("portfolio winner: {winner}");
     }
     report(inst, &solution.matches);
     ExitCode::SUCCESS
@@ -395,8 +425,8 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("fragalign-serve listening on http://{}", server.addr());
-    println!(
+    outln!("fragalign-serve listening on http://{}", server.addr());
+    outln!(
         "  workers {} | queue depth {} | cache {} MiB in {} shards | default solver {}",
         banner_cfg.workers.max(1),
         banner_cfg.queue_depth.max(1),
@@ -404,7 +434,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         banner_cfg.cache_shards,
         banner_cfg.default_solver
     );
-    println!(
+    outln!(
         "  max conns {} | idle timeout {} ms | admission {} | trace sample {}",
         banner_cfg.max_conns.max(1),
         banner_cfg.idle_timeout_ms.max(1),
@@ -419,10 +449,10 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             "off".to_string()
         }
     );
-    println!(
+    outln!(
         "  endpoints: POST /v1/solve, POST /v1/batch, GET /v1/solvers, GET /healthz, GET /metrics"
     );
-    println!("  press ctrl-c to drain and stop");
+    outln!("  press ctrl-c to drain and stop");
     // Stdout is block-buffered when piped; the banner must reach
     // process supervisors (and the golden test) before the first
     // request arrives.
@@ -430,9 +460,9 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     while !shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    println!("fragalign-serve: draining workers and stopping");
+    outln!("fragalign-serve: draining workers and stopping");
     server.shutdown();
-    println!("fragalign-serve: stopped cleanly");
+    outln!("fragalign-serve: stopped cleanly");
     ExitCode::SUCCESS
 }
 
@@ -444,11 +474,11 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "demo" => {
             let inst = fragalign_model::instance::paper_example();
-            println!("instance: the paper's Fig. 2 example");
+            outln!("instance: the paper's Fig. 2 example");
             solve_cmd("csr", false, 0, false, None, &inst)
         }
         "solvers" => {
-            print!("{}", SolverRegistry::global().markdown_table());
+            out!("{}", SolverRegistry::global().markdown_table());
             ExitCode::SUCCESS
         }
         "serve" => serve_cmd(&args[1..]),
@@ -708,7 +738,7 @@ fn main() -> ExitCode {
             };
             match serde_json::to_string_pretty(&instance) {
                 Ok(s) => {
-                    println!("{s}");
+                    outln!("{s}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
