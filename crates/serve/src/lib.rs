@@ -67,4 +67,4 @@ pub use cache::{CacheStats, ResultCache};
 pub use client::{get, post, Connection, Response};
 pub use http::Request;
 pub use metrics::Telemetry;
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS};

@@ -61,6 +61,20 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Longest fragment a served instance may name, in regions. An `n`-region
+/// fragment costs `(n + 1)²` cells in every interval table it is the
+/// container of; the longest fragment any benchmark workload generates
+/// has 67 regions. The CLI takes larger local inputs.
+pub const MAX_FRAGMENT_REGIONS: usize = 1024;
+
+/// Most interval-table cells a served instance may need: `(|g| + 1)²`
+/// for every fragment `g`, once per fragment of the other species (one
+/// table per plug). Each cell holds two scores, and the border tables
+/// need at most twice as many cells again, so this caps a request's
+/// score tables at about 64 MiB. The largest benchmark instance needs
+/// about 43,000 cells.
+pub const MAX_TABLE_CELLS: usize = 1 << 21;
+
 /// Everything `fragalign serve` exposes as a flag.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -1457,14 +1471,42 @@ fn parse_solve_request(
     })
 }
 
-/// Decode, re-index, and validate one instance value.
+/// Decode, bound, re-index, and validate one instance value.
 fn decode_instance(value: &Value) -> Result<Instance, String> {
     let mut inst: Instance =
         serde_json::from_value(value.clone()).map_err(|e| format!("bad instance: {e}"))?;
+    check_size(&inst)?;
     inst.alphabet.rebuild_index();
     inst.validate()
         .map_err(|e| format!("invalid instance: {e}"))?;
     Ok(inst)
+}
+
+/// Refuse an instance whose score tables would not fit a request: a
+/// fragment over [`MAX_FRAGMENT_REGIONS`], or interval tables over
+/// [`MAX_TABLE_CELLS`] in total. The error names the limit.
+fn check_size(inst: &Instance) -> Result<(), String> {
+    let mut cells = 0usize;
+    for (frags, plugs) in [(&inst.h, inst.m.len()), (&inst.m, inst.h.len())] {
+        for frag in frags {
+            let n = frag.len();
+            if n > MAX_FRAGMENT_REGIONS {
+                return Err(format!(
+                    "instance too large: fragment {:?} has {n} regions \
+                     (limit {MAX_FRAGMENT_REGIONS} per fragment)",
+                    frag.name
+                ));
+            }
+            cells = cells.saturating_add(plugs.saturating_mul((n + 1) * (n + 1)));
+        }
+    }
+    if cells > MAX_TABLE_CELLS {
+        return Err(format!(
+            "instance too large: its interval tables need {cells} cells \
+             (limit {MAX_TABLE_CELLS})"
+        ));
+    }
+    Ok(())
 }
 
 /// Strict `options` object → [`EngineOptions`]; every field optional,

@@ -22,8 +22,10 @@
 use fragalign::align::DpWorkspace;
 use fragalign::core::{solve_single_traced, BatchOptions, TraceHandle};
 use fragalign::model::instance::paper_example;
-use fragalign::model::{Instance, Score, Sym};
-use fragalign::serve::{client, AdmissionConfig, ServeConfig, Server};
+use fragalign::model::{Instance, InstanceBuilder, Score, Sym};
+use fragalign::serve::{
+    client, AdmissionConfig, ServeConfig, Server, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS,
+};
 use fragalign::sim::gen_batch;
 use fragalign::sim::SimConfig;
 use serde::Value;
@@ -218,7 +220,8 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
     // off every connection. The cases probe the parser (nesting depth,
     // integer range, long strings, UTF-8, surrogate escapes, duplicate
     // keys), the decoder (score magnitudes the DP could overflow on, a
-    // float for an integer) and the engine (a huge unknown solver name,
+    // float for an integer, instances whose score tables would not
+    // fit in memory) and the engine (a huge unknown solver name,
     // `exact` past its limits, a body raising those limits). Every case
     // must answer within a few seconds with its pinned status, and
     // `/healthz` must answer after each.
@@ -244,6 +247,24 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
         };
         huge_scores.sigma.set(Sym::fwd(a), m_side, Score::MAX);
     }
+    // Bodies of a few hundred KB naming score tables of gigabytes:
+    // refused at decode, with the limit named in the reply.
+    let sized = |h_len: usize, m_len: usize, per_side: usize| {
+        let mut b = InstanceBuilder::new();
+        let h_word: Vec<&str> = ["a", "b", "c", "d"]
+            .into_iter()
+            .cycle()
+            .take(h_len)
+            .collect();
+        for i in 0..per_side {
+            b.h_frag(&format!("h{i}"), &h_word);
+            b.m_frag(&format!("m{i}"), &vec!["x"; m_len]);
+        }
+        b.score("a", "x", 1);
+        b.build()
+    };
+    let long_fragment = sized(20_000, 1, 1);
+    let many_cells = sized(1_000, 1_000, 2);
     let past_exact_limits = &gen_batch(
         &SimConfig {
             regions: 12,
@@ -318,7 +339,18 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
                 .into_bytes(),
             400,
         ),
+        (
+            "20,000-region fragment",
+            solve_body(&long_fragment, "greedy").into_bytes(),
+            400,
+        ),
+        (
+            "interval tables past the cell limit",
+            solve_body(&many_cells, "greedy").into_bytes(),
+            400,
+        ),
     ];
+    let mut replies = std::collections::HashMap::new();
     for (label, body, want) in cases {
         let t0 = Instant::now();
         let (status, text) = post_raw(addr, &body);
@@ -331,6 +363,17 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
         let health = client::request(addr, "GET", "/healthz", None, Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("{label}: server stopped answering: {e}"));
         assert_eq!(health.status, 200, "{label}: healthz after");
+        replies.insert(label, text);
+    }
+    for (label, limit) in [
+        ("20,000-region fragment", MAX_FRAGMENT_REGIONS),
+        ("interval tables past the cell limit", MAX_TABLE_CELLS),
+    ] {
+        assert!(
+            replies[label].contains(&format!("(limit {limit}")),
+            "{label}: the 400 must name the limit: {}",
+            head(&replies[label], 300)
+        );
     }
     server.shutdown();
 }
