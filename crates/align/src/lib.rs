@@ -10,15 +10,18 @@
 //!
 //! * one entry point to that dynamic program, [`DpWorkspace`]:
 //!   `P_score` ([`DpWorkspace::p_score`]), match scores with
-//!   orientation search ([`DpWorkspace::ms_words`],
-//!   [`DpWorkspace::p_score_oriented`]) and alignments with traceback
-//!   ([`DpWorkspace::align_words`]), all over reused buffers. Fills
-//!   run through a hash-free query-profile kernel — a branchless split
-//!   recurrence with cache blocking — that is bit-identical to the
-//!   scalar reference kernel; [`DpWorkspace::p_score_kernel`] forces
-//!   either one for benches and differential tests;
-//! * an all-intervals oracle `MS(h, m(d, e))` with memoisation for the
-//!   1-CSR → ISP reduction and for TPA profits ([`oracle`]),
+//!   orientation search ([`DpWorkspace::ms_words`]) and alignments
+//!   with traceback ([`DpWorkspace::align_words`]), all over reused
+//!   buffers. Fills run through a hash-free query-profile kernel — a
+//!   branchless split recurrence with cache blocking — that is
+//!   bit-identical to the scalar reference kernel;
+//!   [`DpWorkspace::p_score_kernel`] forces either one for benches and
+//!   differential tests;
+//! * a memoising score oracle ([`oracle`]): all-intervals tables
+//!   `MS(f, g(d, e))` for the 1-CSR → ISP reduction and TPA profits,
+//!   border tables scoring every staircase of a fragment pair for
+//!   greedy and the border improvement methods, and free-orientation
+//!   site pairs,
 //! * a fragment-chaining tier — minimizer anchors, LIS chaining, DP
 //!   only inside the chained windows — for instances too large for
 //!   the full DP family ([`chain`]),

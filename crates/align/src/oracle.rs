@@ -13,28 +13,41 @@
 //!   enumeration, and every full match the improvement operations
 //!   create or rescore: the TPA refill (§4.2), `plug_full`, and the
 //!   full-match branch of site preparation;
+//! * **border tables** `P_score` of every *staircase* of an (H, M)
+//!   fragment pair — a strict prefix or suffix of each fragment, under
+//!   the orientation the two ends force — from one profiled fill per H
+//!   site length and end pair ([`BorderTable`]). Readers: greedy's
+//!   staircase candidates, the I2/I3 scan of improvement enumeration,
+//!   `make_border`, and the border branch of site preparation;
 //! * **site pairs** `MS(h̄, m̄)` with free orientation, for arbitrary
 //!   site pairs. Reader: the border-matching 2-approximation, which
-//!   weighs whole-fragment pairs;
-//! * **oriented site pairs** `P_score` under a pinned orientation.
-//!   Readers: border (staircase) matches, whose orientation the end
-//!   condition forces — I2/I3 enumeration, `make_border`, the border
-//!   branch of site preparation, and greedy's border candidates.
+//!   weighs whole-fragment pairs.
+//!
+//! **Extent of a border table.** A table covers every strict border
+//! length of both fragments, because greedy reads them all. It holds
+//! `4·(|h|−1)·(|m|−1)` scores and costs about `2·|h|²·|m|` DP cells,
+//! once per pair per oracle. The improvement scan reads border sites
+//! only up to its `border_cap` (64 by default), so on fragments several
+//! times longer than that cap a table computes far more than `csr`
+//! reads, and a per-site-pair cache would be cheaper. The benchmark's
+//! fragments stay under 70 regions, where the one sweep per pair wins.
 //!
 //! Reads take a shared lock; a miss fills outside the lock and
 //! publishes under a write lock. The oracle is `Sync` and shared
 //! across rayon workers.
 //!
 //! **Counter contract** ([`OracleStats`]). Every lookup counts one hit
-//! or one miss. Only the fill whose insert publishes a key counts the
-//! miss and adds its DP fills; a thread that loses the race to fill the
+//! or one miss: interval tables in `table_hits`/`table_misses`, border
+//! tables and free site pairs together in `pair_hits`/`pair_misses`
+//! (a border-table build is one pair miss, however many staircases it
+//! scores). Only the fill whose insert publishes a key counts the miss
+//! and adds its DP fills; a thread that loses the race to fill the
 //! same key counts a hit and its fills are dropped. So `table_misses`,
-//! `pair_misses` (free and oriented pairs together) and the cached
-//! part of `dp_fills` count distinct keys, and repeat exactly at any
-//! pool width. `dp_fills` also counts uncached pooled fills (the chain
-//! tier's window alignments). `dp_reallocs` counts buffer growth in
-//! every fill, lost races included, so it depends on which warm
-//! workspace served which fill.
+//! `pair_misses` and the cached part of `dp_fills` count distinct
+//! keys, and repeat exactly at any pool width. `dp_fills` also counts
+//! uncached pooled fills (the chain tier's window alignments).
+//! `dp_reallocs` counts buffer growth in every fill, lost races
+//! included, so it depends on which warm workspace served which fill.
 
 use crate::workspace::DpWorkspace;
 use fragalign_model::{End, FragId, Instance, Orient, Score, Site, SiteClass, Species};
@@ -128,9 +141,9 @@ pub struct OracleStats {
     pub table_hits: AtomicU64,
     /// Interval tables computed.
     pub table_misses: AtomicU64,
-    /// Site-pair lookups served from cache.
+    /// Border-table and site-pair lookups served from cache.
     pub pair_hits: AtomicU64,
-    /// Site-pair scores computed (free and pinned orientation).
+    /// Border tables and site-pair scores computed.
     pub pair_misses: AtomicU64,
     /// DP fills behind the cached entries, plus uncached pooled fills.
     pub dp_fills: AtomicU64,
@@ -150,9 +163,9 @@ pub struct OracleStatsSnapshot {
     pub table_hits: u64,
     /// Interval tables computed.
     pub table_misses: u64,
-    /// Site-pair lookups served from cache.
+    /// Border-table and site-pair lookups served from cache.
     pub pair_hits: u64,
-    /// Site-pair scores computed (free and pinned orientation).
+    /// Border tables and site-pair scores computed.
     pub pair_misses: u64,
     /// DP fills behind the cached entries, plus uncached pooled fills.
     pub dp_fills: u64,

@@ -661,6 +661,18 @@ mod tests {
     }
 
     #[test]
+    fn oriented_p_score_matches_ms_components() {
+        let inst = paper_example();
+        let u = inst.site_word(Site::full(FragId::h(0), 3));
+        let v = inst.site_word(Site::full(FragId::m(0), 2));
+        let mut ws = DpWorkspace::new();
+        let same = ws.p_score(&inst.sigma, u, v);
+        let rev = ws.p_score(&inst.sigma, u, &reverse_word(v));
+        let (best, _) = ws.ms_words(&inst.sigma, u, v);
+        assert_eq!(best, same.max(rev));
+    }
+
+    #[test]
     fn border_sweep_reads_every_staircase_from_the_final_rows() {
         // h1 = ⟨a, b, c⟩ against m2 = ⟨u, v⟩: each (H end, M end)
         // block holds |h|−1 rows of |m|−1 scores, 4·(|h|−1) fills.

@@ -1,7 +1,8 @@
-//! Bench: the §4 improvement algorithms (EXPERIMENTS.md T1/T9).
+//! Bench: the §4 improvement algorithms, whose ratios `exp_ratio` and
+//! ablations `exp_ablation` measure.
 //!
-//! Compares Full/Border/General improvement and the scaling ablation
-//! (D4) on a fixed simulated instance.
+//! Compares Full/Border/General improvement with and without the §4.1
+//! scaling step on a fixed simulated instance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fragalign::prelude::*;

@@ -1,4 +1,5 @@
-//! Bench: the Berman–DasGupta two-phase algorithm (EXPERIMENTS.md T4).
+//! Bench: the Berman–DasGupta two-phase algorithm, whose ratio
+//! `exp_isp` measures.
 //!
 //! TPA is O(n log n); the greedy baseline O(n²) in the worst case
 //! (interval overlap scans). Exact is exponential and only benched at

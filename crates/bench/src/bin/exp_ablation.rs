@@ -1,4 +1,6 @@
-//! Experiment T9: ablations of the design decisions in DESIGN.md.
+//! Experiment T9: ablations of four implementation choices of the
+//! improvement algorithms, each a knob of `ImproveConfig` or the
+//! oracle.
 //!
 //! ```sh
 //! cargo run --release -p fragalign-bench --bin exp_ablation

@@ -195,7 +195,7 @@ pub struct SolveReport {
     pub dp_reallocs: u64,
     /// Interval tables computed.
     pub table_misses: u64,
-    /// Site-pair scores computed.
+    /// Border tables and site-pair scores computed.
     pub pair_misses: u64,
     /// Wall-clock seconds of the solve call.
     pub wall_secs: f64,

@@ -103,13 +103,12 @@ fn order(m: &Match) -> (Reverse<Score>, Site, Site) {
 /// oracle is scratch plus memoisation only: a warm one (a batch
 /// worker's pooled workspace) returns the same match set as a fresh
 /// one.
-///
-/// Each pass tries the candidates in [`order`], full plugs before
-/// staircases on a tie: the order a stable sort of the plugs followed
-/// by the staircases gives. The staircases are sorted once; each pass
-/// sorts only its plugs and merges.
 pub fn solve_greedy(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
+    // Each pass tries the candidates in `order`, full plugs first on a
+    // tie: the order a stable sort of the plugs followed by the
+    // staircases gives. Staircases do not depend on the set, so they
+    // are sorted once; each pass sorts its plugs and merges.
     let mut staircases = staircase_candidates(oracle);
     staircases.sort_by_key(order);
     let mut set = MatchSet::new();

@@ -2,7 +2,9 @@
 //!
 //! The paper quantifies improvement methods over all sites `f(i, j)`;
 //! we enumerate a polynomially bounded candidate set that contains the
-//! attempt shapes the §4 analysis uses (DESIGN.md decision D3):
+//! attempt shapes the §4 analysis uses. Containers are either the
+//! target itself or its maximal free extension, and site lengths are
+//! capped (`exp_ablation` measures both choices):
 //!
 //! * **I1(f, ḡ, ĝ)** — target sites `ḡ` range over all non-hidden
 //!   sites up to a length cap; the container `ĝ` is either `ḡ` itself
@@ -90,7 +92,7 @@ fn covered(by_frag: &HashMap<FragId, Vec<(usize, Site)>>, frag: FragId) -> Vec<S
 }
 
 /// Maximal extension of `site` over positions not covered by any
-/// matched site (the canonical container, DESIGN.md D3).
+/// matched site (the canonical container).
 fn free_extension(cov: &[Site], frag_len: usize, site: Site) -> Site {
     let mut lo = site.lo;
     let mut hi = site.hi;

@@ -15,13 +15,13 @@
 //! * **CSR_Improve** (§4.4, Theorem 6): all methods, with I2/I3
 //!   extended by TPA runs on the prepared containers. Ratio 3 + ε.
 //!
-//! Implementation notes (DESIGN.md D1–D4): attempts are applied to a
-//! clone of the current match set and committed only when the (scaled)
-//! total score strictly increases, so consistency and monotonicity are
-//! invariants rather than proof obligations; candidate attempts are
-//! evaluated in parallel with rayon; the Chandra–Halldórsson scaling
-//! step (§4.1) optionally truncates scores to multiples of `X/k²`,
-//! bounding the number of rounds by `4k²`.
+//! Implementation notes (the choices `exp_ablation` measures): attempts
+//! are applied to a clone of the current match set and committed only
+//! when the (scaled) total score strictly increases, so consistency and
+//! monotonicity are invariants rather than proof obligations;
+//! candidate attempts are evaluated in parallel with rayon; the
+//! Chandra–Halldórsson scaling step (§4.1) optionally truncates scores
+//! to multiples of `X/k²`, bounding the number of rounds by `4k²`.
 //!
 //! [`I1`]: Attempt::I1
 

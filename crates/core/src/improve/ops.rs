@@ -400,8 +400,8 @@ pub fn apply_attempt(
             let exclude: HashSet<FragId> = [*plug].into_iter().collect();
             // Step 3: TPA on the container leftovers.
             tpa_fill(set, &container.minus(target), &exclude, oracle, quantum);
-            // Step 4 (+D6 extension): TPA on sites freed by preparation
-            // and by detaching the plug, grouped per species.
+            // Step 4: TPA on sites freed by preparation and, beyond the
+            // paper's step, by detaching the plug, grouped per species.
             let (zh, zm) = split_freed_by_species(
                 &freed1
                     .iter()

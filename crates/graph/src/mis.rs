@@ -1,6 +1,6 @@
 //! Maximum independent set.
 //!
-//! The hardness experiment (EXPERIMENTS.md T6) needs exact MIS values
+//! The hardness experiment (`exp_reductions`, T6) needs exact MIS values
 //! on small 3-regular graphs to verify the Theorem 2 correspondence
 //! `|U*| = 5n + |W*|`. The exact solver is a branch-and-bound with the
 //! standard max-degree branching and a `remaining/(1+min_degree)`-free

@@ -1,8 +1,8 @@
 //! Deciding consistency of match sets and rebuilding conjecture pairs.
 //!
 //! Definition 2 calls a match set *consistent* when some conjecture
-//! pair produces it. DESIGN.md §4 derives the structural
-//! characterisation implemented here:
+//! pair produces it. This module decides it by the structural
+//! characterisation below:
 //!
 //! 1. matched sites on a fragment are pairwise disjoint;
 //! 2. a match is *full* iff one side is an entire fragment — that

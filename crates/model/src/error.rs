@@ -37,7 +37,8 @@ pub enum Inconsistency {
         site2: Site,
     },
     /// A match with no full side has an inner site: inner sites can
-    /// only be covered by whole opposite fragments (see DESIGN.md §4).
+    /// only be covered by whole opposite fragments (a match with no
+    /// full side must pair two border sites).
     InnerSiteNotFull {
         /// The offending match.
         m: MatchId,

@@ -1,5 +1,5 @@
 //! Recovery metrics: how much of the ground truth a solution
-//! reconstructs (EXPERIMENTS.md T7).
+//! reconstructs (the recovery experiment `exp_recovery`, T7).
 
 use crate::generate::SimInstance;
 use fragalign_align::DpAligner;

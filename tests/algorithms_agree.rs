@@ -1,5 +1,5 @@
 //! Cross-algorithm dominance and guarantee checks on random instances
-//! (EXPERIMENTS.md T1–T3 in test form).
+//! (the `exp_ratio` experiment, T1–T3, in test form).
 
 use fragalign::model::check_consistency;
 use fragalign::prelude::*;
