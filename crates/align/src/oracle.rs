@@ -105,6 +105,8 @@ impl IntervalTable {
 /// single region (no strict border site).
 #[derive(Clone, Debug)]
 pub struct BorderTable {
+    /// The (H, M) fragment pair.
+    frags: (FragId, FragId),
     h_len: usize,
     m_len: usize,
     scores: Vec<Score>,
@@ -116,6 +118,7 @@ impl BorderTable {
     /// when either site is not a strict prefix or suffix.
     #[inline]
     pub fn staircase(&self, h: Site, m: Site) -> Option<(Score, Orient)> {
+        debug_assert_eq!((h.frag, m.frag), self.frags, "sites of another pair");
         let (SiteClass::Border(h_end), SiteClass::Border(m_end)) =
             (h.classify(self.h_len), m.classify(self.m_len))
         else {
@@ -425,6 +428,7 @@ impl<'a> ScoreOracle<'a> {
             }
         }
         BorderTable {
+            frags: (h, m),
             h_len,
             m_len,
             scores,

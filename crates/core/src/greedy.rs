@@ -105,37 +105,18 @@ fn order(m: &Match) -> (Reverse<Score>, Site, Site) {
 /// one.
 pub fn solve_greedy(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
-    // Each pass tries the candidates in `order`, full plugs first on a
-    // tie: the order a stable sort of the plugs followed by the
-    // staircases gives. Staircases do not depend on the set, so they
-    // are sorted once; each pass sorts its plugs and merges.
+    // Staircases do not depend on the set: build and sort them once,
+    // so each pass's stable sort finds them as one sorted run. Their
+    // keys are distinct, so sorting them early changes no order.
     let mut staircases = staircase_candidates(oracle);
     staircases.sort_by_key(order);
     let mut set = MatchSet::new();
     loop {
-        let mut plugs = plug_candidates(oracle, &set);
-        plugs.sort_by_key(order);
-        let (mut i, mut j) = (0, 0);
-        let merged = std::iter::from_fn(|| {
-            let next = match (plugs.get(i), staircases.get(j)) {
-                (Some(p), Some(s)) if order(s) < order(p) => {
-                    j += 1;
-                    s
-                }
-                (Some(p), _) => {
-                    i += 1;
-                    p
-                }
-                (None, Some(s)) => {
-                    j += 1;
-                    s
-                }
-                (None, None) => return None,
-            };
-            Some(*next)
-        });
+        let mut cands = plug_candidates(oracle, &set);
+        cands.extend_from_slice(&staircases);
+        cands.sort_by_key(order);
         let mut added = false;
-        for c in merged {
+        for c in cands {
             let mut tentative = set.clone();
             tentative.push(c);
             if check_consistency(inst, &tentative).is_ok() {
