@@ -247,8 +247,9 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
         };
         huge_scores.sigma.set(Sym::fwd(a), m_side, Score::MAX);
     }
-    // Bodies of a few hundred KB naming score tables of gigabytes:
-    // refused at decode, with the limit named in the reply.
+    // Bodies of a few hundred KB whose score tables would take from
+    // 128 MB to 6.4 GB: refused at decode, the limit named in the
+    // reply.
     let sized = |h_len: usize, m_len: usize, per_side: usize| {
         let mut b = InstanceBuilder::new();
         let h_word: Vec<&str> = ["a", "b", "c", "d"]
