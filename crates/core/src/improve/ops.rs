@@ -256,13 +256,26 @@ pub fn make_border(set: &mut MatchSet, a: Site, b: Site, oracle: &ScoreOracle<'_
     set.push(staircase(oracle, h, m));
 }
 
+/// Sort `sites` and replace each run of overlapping sites on one
+/// fragment by their union. Adjacent sites stay apart.
+fn merge_overlaps(sites: &mut Vec<Site>) {
+    sites.sort_by_key(|s| (s.frag, s.lo, s.hi));
+    sites.dedup_by(|next, run| {
+        let overlaps = next.overlaps(run);
+        if overlaps {
+            run.hi = run.hi.max(next.hi);
+        }
+        overlaps
+    });
+}
+
 /// The TPA(B, S) subroutine of §4.2: refill the free `zones` with full
 /// matches chosen by the two-phase interval-selection algorithm.
 ///
-/// * `zones` — disjoint sites, all on fragments of one species; they
-///   are sanitised against the current solution (portions already
-///   matched are subtracted) so callers can pass freed sites
-///   optimistically.
+/// * `zones` — sites, all on fragments of one species; they are
+///   sanitised against the current solution (portions already matched
+///   are subtracted) and overlapping pieces are merged, so callers can
+///   pass freed sites optimistically.
 /// * `exclude` — fragments that must not be used as plugs (e.g. the
 ///   fragment just plugged by the surrounding improvement attempt).
 /// * profits are `MS(f, zone interval) − Cb(f, S)` (both truncated
@@ -300,9 +313,10 @@ pub fn tpa_fill(
         }
         clean.extend(pieces);
     }
-    // Merge duplicates/overlaps between passed zones defensively.
-    clean.sort_by_key(|s| (s.frag, s.lo, s.hi));
-    clean.dedup();
+    // Callers pass zones from several sources (a container leftover,
+    // sites freed by preparation) that can overlap; a plug in each of
+    // two overlapping zones would overlap too.
+    merge_overlaps(&mut clean);
     if clean.is_empty() {
         return;
     }

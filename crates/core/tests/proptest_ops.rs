@@ -6,7 +6,7 @@
 use fragalign_align::ScoreOracle;
 use fragalign_core::improve::{apply_attempt, enumerate_attempts, prepare_site, Attempt, Budget};
 use fragalign_core::MethodSet;
-use fragalign_model::{check_consistency, MatchSet, Site};
+use fragalign_model::{check_consistency, FragId, Match, MatchSet, Orient, Site};
 use fragalign_sim::{generate, SimConfig};
 use proptest::prelude::*;
 
@@ -138,5 +138,47 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// An I2 attempt's M zones mix the container leftover with sites freed
+/// by preparing the H container, and the two can overlap. The refill
+/// must treat overlapping zones as one, or it places two plugs on
+/// overlapping sites (here M0[0..2) and M0[1..2)).
+#[test]
+fn refill_merges_overlapping_zones() {
+    let sim = generate(&SimConfig {
+        regions: 20,
+        h_frags: 3,
+        m_frags: 3,
+        loss_rate: 0.1,
+        shuffles: 2,
+        spurious: 3,
+        seed: 7,
+        ..SimConfig::default()
+    });
+    let inst = &sim.instance;
+    let oracle = ScoreOracle::new(inst);
+    let (h0, h2, m0) = (FragId::h(0), FragId::h(2), FragId::m(0));
+    let set = MatchSet::from_matches(vec![
+        Match::new(
+            Site::new(h0, 0, 12),
+            Site::new(m0, 10, 13),
+            Orient::Same,
+            319,
+        ),
+        Match::new(Site::new(h2, 0, 4), Site::new(m0, 1, 4), Orient::Same, 33),
+    ]);
+    check_consistency(inst, &set).unwrap();
+    let attempt = Attempt::I2 {
+        h_site: Site::new(h2, 0, 1),
+        m_site: Site::new(m0, 2, 13),
+        h_container: Site::new(h2, 0, 4),
+        m_container: Site::new(m0, 0, 13),
+    };
+    let mut next = set.clone();
+    apply_attempt(&mut next, &attempt, &oracle, 1).unwrap();
+    if let Err(e) = check_consistency(inst, &next) {
+        panic!("{e:?}: {next:?}");
     }
 }
