@@ -453,17 +453,6 @@ impl<'a> ScoreOracle<'a> {
         )
     }
 
-    /// `MS(plug fragment, container(d, e))` through the interval table.
-    pub fn ms_full_vs_interval(
-        &self,
-        plug: FragId,
-        container: FragId,
-        d: usize,
-        e: usize,
-    ) -> (Score, Orient) {
-        self.interval_table(plug, container).get(d, e)
-    }
-
     /// Drop all cached entries (used by the cache ablation bench).
     /// Pooled workspaces keep their warm buffers.
     pub fn clear(&self) {

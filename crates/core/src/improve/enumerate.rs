@@ -139,7 +139,12 @@ pub fn enumerate_attempts(
         for g in inst.all_frag_ids() {
             let g_len = inst.frag_len(g);
             let cov = covered(&by_frag, g);
-            let plugs: Vec<FragId> = inst.frag_ids(g.species.other()).collect();
+            // Each plug's interval table on g and its contribution,
+            // read once per fragment rather than once per target.
+            let plugs: Vec<_> = inst
+                .frag_ids(g.species.other())
+                .map(|f| (f, oracle.interval_table(f, g), set.contribution(f)))
+                .collect();
             for lo in 0..g_len {
                 for hi in (lo + 1)..=(g_len.min(lo + budget.site_cap)) {
                     let target = Site::new(g, lo, hi);
@@ -149,10 +154,9 @@ pub fn enumerate_attempts(
                     // Rank plug candidates by optimistic profit.
                     let mut ranked: Vec<(Score, FragId)> = plugs
                         .iter()
-                        .filter_map(|&f| {
-                            let (ms, _) = oracle.ms_full_vs_interval(f, g, lo, hi);
-                            let profit = ms - set.contribution(f);
-                            (profit > 0).then_some((profit, f))
+                        .filter_map(|(f, table, contribution)| {
+                            let profit = table.get(lo, hi).0 - contribution;
+                            (profit > 0).then_some((profit, *f))
                         })
                         .collect();
                     ranked.sort_by_key(|&(p, f)| (std::cmp::Reverse(p), f));

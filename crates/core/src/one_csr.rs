@@ -47,7 +47,7 @@ fn selection_to_matches(
     let mut out = MatchSet::new();
     for c in &sel.chosen {
         let (h, d, e) = tags[c.tag];
-        let (score, orient) = oracle.ms_full_vs_interval(h, m, d, e);
+        let (score, orient) = oracle.interval_table(h, m).get(d, e);
         debug_assert_eq!(score, c.profit);
         out.push(Match::new(
             Site::full(h, inst.frag_len(h)),
