@@ -13,6 +13,7 @@
 //! * **D4** scaling: rounds and score with/without §4.1 truncation.
 
 use fragalign::align::ScoreOracle;
+use fragalign::core::improve::Commit;
 use fragalign::prelude::*;
 use fragalign_bench::sim_instance;
 use std::sync::atomic::Ordering;
@@ -25,7 +26,10 @@ fn main() {
         "T9/D1: commit policy (mean over {} instances)",
         instances.len()
     );
-    for (name, commit_best) in [("best-of-round", true), ("first-positive", false)] {
+    for (name, commit) in [
+        ("best-of-round", Commit::Best),
+        ("first-positive", Commit::FirstPositive),
+    ] {
         let mut score = 0;
         let mut rounds = 0;
         let mut ms = 0.0;
@@ -34,8 +38,7 @@ fn main() {
             let res = improve(
                 &ScoreOracle::new(inst),
                 ImproveConfig {
-                    commit_best,
-                    parallel: commit_best,
+                    commit,
                     ..Default::default()
                 },
                 MatchSet::new(),

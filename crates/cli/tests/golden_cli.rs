@@ -114,6 +114,7 @@ fn report_json_is_machine_readable() {
             "\"score\"",
             "\"rounds\"",
             "\"attempts\"",
+            "\"evaluated\"",
             "\"dp_fills\"",
             "\"dp_reallocs\"",
             "\"wall_secs\"",

@@ -114,6 +114,7 @@ pub fn solve_single_traced(
         matches: out.matches.len(),
         rounds: out.rounds,
         attempts: out.attempts,
+        evaluated: out.evaluated,
         dp_fills: stats.dp_fills,
         dp_reallocs: stats.dp_reallocs,
         table_misses: stats.table_misses,
@@ -198,6 +199,7 @@ mod tests {
         assert_eq!(report.matches, solution.matches.len());
         assert!(report.rounds > 0);
         assert!(report.attempts > 0);
+        assert!((1..=report.attempts).contains(&report.evaluated));
         assert!(report.dp_fills > 0);
         assert!(report.wall_secs >= 0.0);
         assert!(report.winner.is_none());

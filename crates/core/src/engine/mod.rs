@@ -122,10 +122,14 @@ pub struct SolveOutcome {
     pub matches: MatchSet,
     /// Committed improvement rounds (improvement family; 0 elsewhere).
     pub rounds: usize,
-    /// Candidate attempts evaluated (improvement family; the winner's
+    /// Candidate attempts enumerated (improvement family; the winner's
     /// for the portfolio, whose racers' partial counts stay in
     /// `racers`; 0 elsewhere).
     pub attempts: usize,
+    /// Attempts whose TPA refills ran, the rest being skipped on their
+    /// gain bound (improvement family; the winner's for the portfolio;
+    /// 0 elsewhere).
+    pub evaluated: usize,
     /// The racer that produced `matches` (portfolio only).
     pub winner: Option<&'static str>,
     /// Whether the run stopped early on its [`CancelToken`]; the match
@@ -145,6 +149,7 @@ impl SolveOutcome {
             matches,
             rounds: 0,
             attempts: 0,
+            evaluated: 0,
             winner: None,
             cancelled: false,
             racers: Vec::new(),
@@ -184,10 +189,14 @@ pub struct SolveReport {
     pub matches: usize,
     /// Committed improvement rounds (0 for one-shot solvers).
     pub rounds: usize,
-    /// Attempts evaluated (improvement family; the winner's for the
+    /// Attempts enumerated (improvement family; the winner's for the
     /// portfolio, whose racers' partial counts stay in `racers`; 0 for
     /// one-shot solvers).
     pub attempts: usize,
+    /// Attempts whose TPA refills ran; the rest of `attempts` were
+    /// skipped on their gain bound (improvement family; the winner's
+    /// for the portfolio; 0 for one-shot solvers).
+    pub evaluated: usize,
     /// DP fills served through the run's oracle(s), nested oracles
     /// included (the winner's oracle for the portfolio).
     pub dp_fills: u64,
@@ -228,7 +237,7 @@ pub struct RacerReport {
     /// Committed improvement rounds inside this racer (0 for one-shot
     /// racers).
     pub rounds: usize,
-    /// Candidate attempts the racer evaluated (0 for one-shot racers).
+    /// Candidate attempts the racer enumerated (0 for one-shot racers).
     pub attempts: usize,
     /// Wall-clock seconds the racer ran.
     pub wall_secs: f64,

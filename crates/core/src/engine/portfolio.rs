@@ -383,6 +383,7 @@ impl Solver for Portfolio {
             winner: Some(racers[idx].spec.name),
             rounds: out.rounds,
             attempts: out.attempts,
+            evaluated: out.evaluated,
             cancelled: out.cancelled,
             racers: reports,
             matches: out.matches,

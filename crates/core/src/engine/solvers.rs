@@ -39,7 +39,8 @@ impl Solver for Improve {
         SolveOutcome {
             matches: result.matches,
             rounds: result.rounds,
-            attempts: result.attempts_evaluated,
+            attempts: result.attempts,
+            evaluated: result.evaluated,
             winner: None,
             cancelled: result.cancelled,
             racers: Vec::new(),

@@ -1,12 +1,23 @@
-//! The improvement loop: enumerate → evaluate (in parallel) → commit.
+//! The improvement loop: enumerate → bound (in parallel) → evaluate in
+//! bound order → commit.
 
 use super::enumerate::{enumerate_attempts, Budget};
-use super::ops::{apply_attempt, trunc_total};
+use super::ops::{apply_attempt, attempt_bound, trunc_total};
 use super::MethodSet;
 use crate::cancel::CancelToken;
 use fragalign_align::ScoreOracle;
 use fragalign_model::{check_consistency, MatchSet, Score};
 use rayon::prelude::*;
+use std::cmp::Reverse;
+
+/// Which improving attempt a round commits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Commit {
+    /// The largest gain of the round, ties to the lowest index.
+    Best,
+    /// The lowest-index attempt with a positive gain (ablation D1).
+    FirstPositive,
+}
 
 /// Configuration of the iterative improvement driver.
 #[derive(Clone, Copy, Debug)]
@@ -28,11 +39,8 @@ pub struct ImproveConfig {
     pub plugs_per_target: usize,
     /// Border bundles per fragment pair.
     pub borders_per_pair: usize,
-    /// Evaluate attempts with rayon.
-    pub parallel: bool,
-    /// Commit the best attempt of the round (`true`, default) or the
-    /// first positive one (`false`) — ablation D1.
-    pub commit_best: bool,
+    /// Which improving attempt a round commits.
+    pub commit: Commit,
 }
 
 impl Default for ImproveConfig {
@@ -45,8 +53,7 @@ impl Default for ImproveConfig {
             border_cap: 64,
             plugs_per_target: 2,
             borders_per_pair: 4,
-            parallel: true,
-            commit_best: true,
+            commit: Commit::Best,
         }
     }
 }
@@ -60,8 +67,11 @@ pub struct ImproveResult {
     pub score: Score,
     /// Number of committed improvements.
     pub rounds: usize,
-    /// Number of attempts evaluated over all rounds.
-    pub attempts_evaluated: usize,
+    /// Attempts enumerated over all rounds.
+    pub attempts: usize,
+    /// Attempts whose TPA refills ran over all rounds: the rest were
+    /// skipped on their gain bound.
+    pub evaluated: usize,
     /// The scaling quantum used (1 = unscaled).
     pub quantum: Score,
     /// Whether the run stopped early on its cancellation token;
@@ -74,7 +84,7 @@ pub struct ImproveResult {
 /// empty set; seeding with a 4-approximation is a supported variant).
 /// The oracle is scratch plus memoisation only: it never changes
 /// results. The loop polls `ctl` at every round boundary and charges
-/// one work unit per evaluated attempt, so work-capped tokens stop the
+/// one work unit per enumerated attempt, so work-capped tokens stop the
 /// run at a deterministic round. On cancellation the current committed
 /// state — always a consistent match set — is returned with
 /// [`ImproveResult::cancelled`] set.
@@ -118,7 +128,8 @@ pub fn improve(
     let mut current = initial;
     let mut cur_trunc = trunc_total(&current, quantum);
     let mut rounds = 0;
-    let mut attempts_evaluated = 0;
+    let mut attempts = 0;
+    let mut evaluated = 0;
     let mut cancelled = false;
 
     // The oracle carries the trace handle, so the round loop spans
@@ -133,36 +144,55 @@ pub fn improve(
         }
         let mut round_span = trace.span("improve_round");
         let candidates = enumerate_attempts(oracle, &current, config.methods, budget);
-        attempts_evaluated += candidates.len();
+        attempts += candidates.len();
         ctl.charge(candidates.len() as u64);
         if candidates.is_empty() {
             break;
         }
 
-        let evaluate =
-            |(idx, attempt): (usize, &super::Attempt)| -> Option<(Score, usize, MatchSet)> {
-                let mut clone = current.clone();
-                apply_attempt(&mut clone, attempt, oracle, quantum).ok()?;
-                let gain = trunc_total(&clone, quantum) - cur_trunc;
-                (gain > 0).then_some((gain, idx, clone))
-            };
-
-        // Deterministic winner: maximum gain, ties to the lowest index.
-        let best = if config.parallel {
-            candidates
-                .par_iter()
-                .enumerate()
-                .filter_map(evaluate)
-                .reduce_with(pick)
-        } else if config.commit_best {
-            candidates
-                .iter()
-                .enumerate()
-                .filter_map(evaluate)
-                .reduce(pick)
-        } else {
-            candidates.iter().enumerate().filter_map(evaluate).next()
-        };
+        // Bound every attempt, then run the refills only of attempts
+        // that can still win: by bound, descending, for the best gain
+        // (stopping once no bound left can beat the best gain found,
+        // ties to the lowest index), or in index order for the first
+        // positive one.
+        let bounds: Vec<Option<Score>> = candidates
+            .par_iter()
+            .map(|attempt| attempt_bound(&current, attempt, oracle, quantum))
+            .collect();
+        let mut visit: Vec<(Score, usize)> = bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, bound)| bound.filter(|&b| b > 0).map(|b| (b, idx)))
+            .collect();
+        if config.commit == Commit::Best {
+            visit.sort_unstable_by_key(|&(bound, idx)| (Reverse(bound), idx));
+        }
+        let mut best: Option<(Score, usize, MatchSet)> = None;
+        for (bound, idx) in visit {
+            if let Some((gain, best_idx, _)) = &best {
+                if config.commit == Commit::FirstPositive
+                    || (bound, Reverse(idx)) < (*gain, Reverse(*best_idx))
+                {
+                    break;
+                }
+            }
+            evaluated += 1;
+            let mut next = current.clone();
+            apply_attempt(&mut next, &candidates[idx], oracle, quantum)
+                .expect("an attempt with a bound applies");
+            let gain = trunc_total(&next, quantum) - cur_trunc;
+            debug_assert!(
+                gain <= bound,
+                "gain {gain} exceeds bound {bound} of {:?}",
+                candidates[idx]
+            );
+            let wins = best
+                .as_ref()
+                .is_none_or(|(g, i, _)| (gain, Reverse(idx)) > (*g, Reverse(*i)));
+            if gain > 0 && wins {
+                best = Some((gain, idx, next));
+            }
+        }
 
         round_span.set_args(
             best.as_ref().map_or(0, |(gain, _, _)| *gain),
@@ -190,18 +220,10 @@ pub fn improve(
         matches: current,
         score,
         rounds,
-        attempts_evaluated,
+        attempts,
+        evaluated,
         quantum,
         cancelled,
-    }
-}
-
-/// Deterministic preference: larger gain first, then lower index.
-fn pick(a: (Score, usize, MatchSet), b: (Score, usize, MatchSet)) -> (Score, usize, MatchSet) {
-    if (b.0, std::cmp::Reverse(b.1)) > (a.0, std::cmp::Reverse(a.1)) {
-        b
-    } else {
-        a
     }
 }
 
@@ -293,15 +315,13 @@ mod tests {
     #[test]
     fn sequential_matches_parallel() {
         let inst = paper_example();
-        let par = csr(&inst, false);
-        let seq = run(
-            &inst,
-            ImproveConfig {
-                parallel: false,
-                ..Default::default()
-            },
+        let [seq, par] =
+            [1, 2].map(|threads| fragalign_par::with_threads(threads, || csr(&inst, false)).0);
+        assert_eq!(seq.matches, par.matches);
+        assert_eq!(
+            (seq.rounds, seq.attempts, seq.evaluated),
+            (par.rounds, par.attempts, par.evaluated)
         );
-        assert_eq!(par.score, seq.score);
     }
 
     #[test]
@@ -310,8 +330,7 @@ mod tests {
         let res = run(
             &inst,
             ImproveConfig {
-                parallel: false,
-                commit_best: false,
+                commit: Commit::FirstPositive,
                 ..Default::default()
             },
         );

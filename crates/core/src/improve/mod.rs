@@ -30,12 +30,12 @@ mod enumerate;
 mod ops;
 
 pub use driver::{
-    border_improve, csr_improve, full_improve, improve, ImproveConfig, ImproveResult,
+    border_improve, csr_improve, full_improve, improve, Commit, ImproveConfig, ImproveResult,
 };
 pub use enumerate::{enumerate_attempts, Attempt, Budget, I2Bundle};
 pub use ops::{
-    apply_attempt, detach_fragment, make_border, plug_full, prepare_site, tpa_fill, trunc_total,
-    ApplyError, CannotPrepare,
+    apply_attempt, attempt_bound, detach_fragment, make_border, plug_full, prepare_site, tpa_fill,
+    trunc_total, ApplyError, CannotPrepare,
 };
 
 /// Which improvement methods the driver enumerates.

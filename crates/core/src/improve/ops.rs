@@ -390,17 +390,22 @@ pub fn split_freed_by_species(freed: &[Site]) -> (Vec<Site>, Vec<Site>) {
     (h, m)
 }
 
-/// Apply one improvement attempt to `set`. On success `set` holds the
-/// attempt's result; the caller decides whether to commit by comparing
-/// (truncated) total scores. Preparation and the border-cycle guard can
-/// fail partway through a multi-step attempt, so on `Err` `set` is
-/// left in an unspecified state: apply to a copy you can drop.
-pub fn apply_attempt(
+/// What an attempt's prefix leaves to its TPA refills.
+struct Refills {
+    /// Fragments no refill may use as a plug.
+    exclude: HashSet<FragId>,
+    /// Each refill's zones, in the order the refills run.
+    zones: Vec<Vec<Site>>,
+}
+
+/// The cheap prefix of [`apply_attempt`]: the preparations, detaches,
+/// head match or matches and the border-cycle guard. Every way an
+/// attempt can fail lies here; the refills it returns always apply.
+fn apply_prefix(
     set: &mut MatchSet,
     attempt: &super::Attempt,
     oracle: &ScoreOracle<'_>,
-    quantum: Score,
-) -> Result<(), ApplyError> {
+) -> Result<Refills, ApplyError> {
     use super::Attempt;
     match attempt {
         Attempt::I1 {
@@ -411,21 +416,14 @@ pub fn apply_attempt(
             let freed1 = prepare_site(set, *container, oracle)?;
             let freed2 = detach_fragment(set, *plug, oracle);
             plug_full(set, *plug, *target, oracle);
-            let exclude: HashSet<FragId> = [*plug].into_iter().collect();
-            // Step 3: TPA on the container leftovers.
-            tpa_fill(set, &container.minus(target), &exclude, oracle, quantum);
-            // Step 4: TPA on sites freed by preparation and, beyond the
-            // paper's step, by detaching the plug, grouped per species.
-            let (zh, zm) = split_freed_by_species(
-                &freed1
-                    .iter()
-                    .chain(freed2.iter())
-                    .copied()
-                    .collect::<Vec<_>>(),
-            );
-            tpa_fill(set, &zm, &exclude, oracle, quantum);
-            tpa_fill(set, &zh, &exclude, oracle, quantum);
-            Ok(())
+            // Step 3: TPA on the container leftovers. Step 4: TPA on
+            // sites freed by preparation and, beyond the paper's step,
+            // by detaching the plug, grouped per species.
+            let (zh, zm) = split_freed_by_species(&[freed1, freed2].concat());
+            Ok(Refills {
+                exclude: HashSet::from([*plug]),
+                zones: vec![container.minus(target), zm, zh],
+            })
         }
         Attempt::I2 {
             h_site,
@@ -442,23 +440,17 @@ pub fn apply_attempt(
                 });
             }
             make_border(set, *h_site, *m_site, oracle);
-            let exclude: HashSet<FragId> = [h_site.frag, m_site.frag].into_iter().collect();
             // M-side zones: container leftovers on the M fragment plus
             // freed M sites; then symmetrically for H.
-            let (fh, fm) = split_freed_by_species(
-                &freed_h
-                    .iter()
-                    .chain(freed_m.iter())
-                    .copied()
-                    .collect::<Vec<_>>(),
-            );
+            let (fh, fm) = split_freed_by_species(&[freed_h, freed_m].concat());
             let mut zones_m = m_container.minus(m_site);
             zones_m.extend(fm);
-            tpa_fill(set, &zones_m, &exclude, oracle, quantum);
             let mut zones_h = h_container.minus(h_site);
             zones_h.extend(fh);
-            tpa_fill(set, &zones_h, &exclude, oracle, quantum);
-            Ok(())
+            Ok(Refills {
+                exclude: HashSet::from([h_site.frag, m_site.frag]),
+                zones: vec![zones_m, zones_h],
+            })
         }
         Attempt::I3 { first, second } => {
             // Two coordinated I2 bundles (break a 2-island, re-match
@@ -479,14 +471,6 @@ pub fn apply_attempt(
                 }
                 make_border(set, b.h_site, b.m_site, oracle);
             }
-            let exclude: HashSet<FragId> = [
-                first.h_site.frag,
-                first.m_site.frag,
-                second.h_site.frag,
-                second.m_site.frag,
-            ]
-            .into_iter()
-            .collect();
             let (fh, fm) = split_freed_by_species(&freed_all);
             let mut zones_m: Vec<Site> = Vec::new();
             let mut zones_h: Vec<Site> = Vec::new();
@@ -496,9 +480,104 @@ pub fn apply_attempt(
             }
             zones_m.extend(fm);
             zones_h.extend(fh);
-            tpa_fill(set, &zones_m, &exclude, oracle, quantum);
-            tpa_fill(set, &zones_h, &exclude, oracle, quantum);
-            Ok(())
+            Ok(Refills {
+                exclude: HashSet::from([
+                    first.h_site.frag,
+                    first.m_site.frag,
+                    second.h_site.frag,
+                    second.m_site.frag,
+                ]),
+                zones: vec![zones_m, zones_h],
+            })
         }
     }
+}
+
+/// Apply one improvement attempt to `set`. On success `set` holds the
+/// attempt's result; the caller decides whether to commit by comparing
+/// (truncated) total scores. Preparation and the border-cycle guard can
+/// fail partway through a multi-step attempt, so on `Err` `set` is
+/// left in an unspecified state: apply to a copy you can drop.
+pub fn apply_attempt(
+    set: &mut MatchSet,
+    attempt: &super::Attempt,
+    oracle: &ScoreOracle<'_>,
+    quantum: Score,
+) -> Result<(), ApplyError> {
+    let refills = apply_prefix(set, attempt, oracle)?;
+    for zones in &refills.zones {
+        tpa_fill(set, zones, &refills.exclude, oracle, quantum);
+    }
+    Ok(())
+}
+
+/// An upper bound on the truncated gain of [`apply_attempt`] on `set`,
+/// computed without running its TPA refills: `None` exactly when the
+/// attempt cannot be applied.
+///
+/// Run the prefix on a copy, giving S₁ and the refills. Every fragment
+/// `j` the refills may plug (a *job*: a fragment of the species
+/// opposite a refill's zones, not excluded) gets
+///
+/// * `B_j`, the largest truncated `MS(j, z)` over the zones `z` of the
+///   refills where `j` is a job, overlapping zones merged as in
+///   [`tpa_fill`];
+/// * `C_j`, the truncated mass of the S₁ matches credited to `j`. Each
+///   S₁ match is credited to at most one of its ends, and only to a
+///   job; when both ends are jobs it goes to the one with the larger
+///   `B − C` so far.
+///
+/// The bound is `trunc_total(S₁) − trunc_total(set) + Σ_j max(0, B_j −
+/// C_j)`. It holds because the refills only detach jobs and plug them
+/// into zone intervals. Let T be the jobs they detach. Every S₁ match
+/// touching T is removed and every other one survives. Each job in T
+/// keeps at most one placement, inside a (merged) zone of a refill
+/// where it is a job, and that placement scores at most `B_j` because
+/// `P_score` never drops when a word grows. So the refills add at most
+/// `Σ_{j∈T} B_j − mass(S₁ matches touching T) ≤ Σ_{j∈T} (B_j − C_j)`.
+/// Charging a match against both of its ends would be unsound:
+/// detaching one end lets a later refill re-place the other end at its
+/// full score.
+pub fn attempt_bound(
+    set: &MatchSet,
+    attempt: &super::Attempt,
+    oracle: &ScoreOracle<'_>,
+    quantum: Score,
+) -> Option<Score> {
+    let inst = oracle.instance();
+    let mut s1 = set.clone();
+    let refills = apply_prefix(&mut s1, attempt, oracle).ok()?;
+    // (job, B_j, C_j)
+    let mut jobs: Vec<(FragId, Score, Score)> = Vec::new();
+    for zones in refills.zones.into_iter().filter(|z| !z.is_empty()) {
+        let mut zones = zones;
+        merge_overlaps(&mut zones);
+        let plug_species = zones[0].frag.species.other();
+        for f in inst.frag_ids(plug_species) {
+            if refills.exclude.contains(&f) {
+                continue;
+            }
+            let best = zones
+                .iter()
+                .map(|z| trunc(oracle.interval_table(f, z.frag).get(z.lo, z.hi).0, quantum))
+                .max()
+                .expect("zones are non-empty");
+            match jobs.iter_mut().find(|(g, ..)| *g == f) {
+                Some(job) => job.1 = job.1.max(best),
+                None => jobs.push((f, best, 0)),
+            }
+        }
+    }
+    for (_, mat) in s1.iter() {
+        let job = |f: FragId| jobs.iter().position(|(g, ..)| *g == f);
+        let slack = |i: usize| jobs[i].1 - jobs[i].2;
+        let credit = match (job(mat.h.frag), job(mat.m.frag)) {
+            (Some(h), Some(m)) if slack(m) > slack(h) => m,
+            (Some(j), _) | (None, Some(j)) => j,
+            (None, None) => continue,
+        };
+        jobs[credit].2 += trunc(mat.score, quantum);
+    }
+    let refill_gain: Score = jobs.iter().map(|&(_, b, c)| (b - c).max(0)).sum();
+    Some(trunc_total(&s1, quantum) - trunc_total(set, quantum) + refill_gain)
 }

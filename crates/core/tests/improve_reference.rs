@@ -120,7 +120,7 @@ fn improve_matches_the_reference_loop() {
                     assert_eq!(&got.matches, matches, "{case}");
                     assert_eq!(got.score, matches.total_score(), "{case}");
                     assert_eq!(got.rounds, *rounds, "{case}");
-                    assert_eq!(got.attempts_evaluated, *attempts, "{case}");
+                    assert_eq!(got.attempts, *attempts, "{case}");
                     assert!(!got.cancelled, "{case}");
                 }
             }

@@ -1,14 +1,60 @@
 //! Failure-injection properties for the improvement primitives: no
 //! sequence of attempts — profitable or not — may ever corrupt a
-//! solution. The driver only commits improving attempts; these tests
-//! apply *arbitrary* ones and require consistency to survive.
+//! solution, and no attempt may gain more than its bound. The driver
+//! only commits improving attempts; these tests apply *arbitrary* ones
+//! and require consistency to survive.
 
 use fragalign_align::ScoreOracle;
-use fragalign_core::improve::{apply_attempt, enumerate_attempts, prepare_site, Attempt, Budget};
+use fragalign_core::improve::{
+    apply_attempt, attempt_bound, enumerate_attempts, prepare_site, trunc_total, Attempt, Budget,
+    ImproveConfig,
+};
 use fragalign_core::MethodSet;
-use fragalign_model::{check_consistency, FragId, Match, MatchSet, Orient, Site};
-use fragalign_sim::{generate, SimConfig};
+use fragalign_model::{check_consistency, FragId, Instance, Match, MatchSet, Orient, Score, Site};
+use fragalign_sim::{generate, generate_soup, generate_torn, SimConfig, SoupConfig, TornConfig};
 use proptest::prelude::*;
+
+/// The driver's default enumeration budget.
+fn default_budget() -> Budget {
+    let c = ImproveConfig::default();
+    Budget {
+        site_cap: c.site_cap,
+        border_cap: c.border_cap,
+        plugs_per_target: c.plugs_per_target,
+        borders_per_pair: c.borders_per_pair,
+    }
+}
+
+/// A clean sim of 20–24 regions (`shape` 0), a torn one (1) or a read
+/// soup (2).
+fn sim(shape: usize, seed: u64) -> Instance {
+    match shape {
+        0 => {
+            generate(&SimConfig {
+                regions: 20 + seed as usize % 5,
+                shuffles: 2,
+                spurious: 3,
+                seed,
+                ..SimConfig::default()
+            })
+            .instance
+        }
+        1 => {
+            generate_torn(&TornConfig {
+                seed,
+                ..TornConfig::default()
+            })
+            .instance
+        }
+        _ => {
+            generate_soup(&SoupConfig {
+                seed,
+                ..SoupConfig::default()
+            })
+            .instance
+        }
+    }
+}
 
 fn budget() -> Budget {
     Budget {
@@ -20,47 +66,65 @@ fn budget() -> Budget {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Applying any enumerated attempt — in any order, regardless of
     /// gain — keeps the solution consistent and all match scores
-    /// non-negative.
+    /// non-negative. At every visited state, every attempt's gain bound
+    /// is `None` exactly when the attempt fails to apply, and otherwise
+    /// at least its truncated gain.
     #[test]
     fn arbitrary_attempt_sequences_preserve_consistency(
+        shape in 0usize..3,
         seed in 0u64..500,
+        quantum in prop::sample::select(vec![1 as Score, 7]),
         picks in prop::collection::vec(any::<prop::sample::Index>(), 1..6),
     ) {
-        let sim = generate(&SimConfig {
-            regions: 10,
-            h_frags: 3,
-            m_frags: 3,
-            loss_rate: 0.1,
-            shuffles: 1,
-            spurious: 2,
-            seed,
-            ..SimConfig::default()
-        });
-        let inst = &sim.instance;
+        let inst = &sim(shape, seed);
         let oracle = ScoreOracle::new(inst);
         let mut set = MatchSet::new();
         for pick in picks {
-            let attempts = enumerate_attempts(&oracle, &set, MethodSet::All, budget());
+            let attempts = enumerate_attempts(&oracle, &set, MethodSet::All, default_budget());
             if attempts.is_empty() {
                 break;
             }
-            let attempt = attempts[pick.index(attempts.len())];
-            let mut next = set.clone();
-            if apply_attempt(&mut next, &attempt, &oracle, 1).is_ok() {
+            let pick = pick.index(attempts.len());
+            let base = trunc_total(&set, quantum);
+            let mut picked = None;
+            for (idx, attempt) in attempts.iter().enumerate() {
+                let bound = attempt_bound(&set, attempt, &oracle, quantum);
+                let mut next = set.clone();
+                let applied = apply_attempt(&mut next, attempt, &oracle, quantum);
+                prop_assert_eq!(
+                    bound.is_some(),
+                    applied.is_ok(),
+                    "{:?}: bound {:?}, applied {:?}",
+                    attempt,
+                    bound,
+                    applied
+                );
+                let Some(bound) = bound else { continue };
+                let gain = trunc_total(&next, quantum) - base;
+                prop_assert!(gain <= bound, "{attempt:?}: gain {gain} > bound {bound}");
                 let report = check_consistency(inst, &next);
                 prop_assert!(
                     report.is_ok(),
                     "attempt {attempt:?} broke consistency: {report:?}"
                 );
                 prop_assert!(next.iter().all(|(_, m)| m.score >= 0));
+                if idx == pick {
+                    picked = Some(next);
+                }
+            }
+            if let Some(next) = picked {
                 set = next;
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// After a successful prepare, the site is free of matches.
     #[test]

@@ -65,7 +65,7 @@ fn solve_with(solver: &str, inst: &Instance, threads: usize, trace: TraceHandle)
 /// The report fields that are deterministic at every thread width —
 /// everything except wall time, the per-racer list (timing-dependent
 /// for the portfolio), and the oracle cache statistics.
-fn counters(run: &Run) -> (String, Score, usize, usize, usize, bool) {
+fn counters(run: &Run) -> (String, Score, usize, usize, usize, usize, bool) {
     let r = &run.report;
     (
         r.solver.clone(),
@@ -73,6 +73,7 @@ fn counters(run: &Run) -> (String, Score, usize, usize, usize, bool) {
         r.matches,
         r.rounds,
         r.attempts,
+        r.evaluated,
         r.cancelled,
     )
 }

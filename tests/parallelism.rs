@@ -372,6 +372,7 @@ fn portfolio_reports_its_winners_counters() {
                     r.score,
                     r.rounds,
                     r.attempts,
+                    r.evaluated,
                     r.dp_fills,
                     r.table_misses,
                     r.pair_misses,

@@ -132,6 +132,7 @@ fn eight_concurrent_clients_match_direct_solves() {
             ("score", Value::Int(expected_report.score)),
             ("rounds", Value::Int(expected_report.rounds as i64)),
             ("attempts", Value::Int(expected_report.attempts as i64)),
+            ("evaluated", Value::Int(expected_report.evaluated as i64)),
             ("dp_fills", Value::Int(expected_report.dp_fills as i64)),
             (
                 "table_misses",
