@@ -549,8 +549,7 @@ pub fn attempt_bound(
     let refills = apply_prefix(&mut s1, attempt, oracle).ok()?;
     // (job, B_j, C_j)
     let mut jobs: Vec<(FragId, Score, Score)> = Vec::new();
-    for zones in refills.zones.into_iter().filter(|z| !z.is_empty()) {
-        let mut zones = zones;
+    for mut zones in refills.zones.into_iter().filter(|z| !z.is_empty()) {
         merge_overlaps(&mut zones);
         let plug_species = zones[0].frag.species.other();
         for f in inst.frag_ids(plug_species) {

@@ -72,12 +72,15 @@ proptest! {
     /// gain — keeps the solution consistent and all match scores
     /// non-negative. At every visited state, every attempt's gain bound
     /// is `None` exactly when the attempt fails to apply, and otherwise
-    /// at least its truncated gain.
+    /// at least its truncated gain. A greedy walk moves to the best
+    /// attempt, visiting the states the driver does; the others move to
+    /// a picked one.
     #[test]
     fn arbitrary_attempt_sequences_preserve_consistency(
         shape in 0usize..3,
         seed in 0u64..500,
         quantum in prop::sample::select(vec![1 as Score, 7]),
+        greedy in any::<bool>(),
         picks in prop::collection::vec(any::<prop::sample::Index>(), 1..6),
     ) {
         let inst = &sim(shape, seed);
@@ -91,6 +94,7 @@ proptest! {
             let pick = pick.index(attempts.len());
             let base = trunc_total(&set, quantum);
             let mut picked = None;
+            let mut best_gain = 0;
             for (idx, attempt) in attempts.iter().enumerate() {
                 let bound = attempt_bound(&set, attempt, &oracle, quantum);
                 let mut next = set.clone();
@@ -112,7 +116,10 @@ proptest! {
                     "attempt {attempt:?} broke consistency: {report:?}"
                 );
                 prop_assert!(next.iter().all(|(_, m)| m.score >= 0));
-                if idx == pick {
+                if greedy && gain > best_gain {
+                    best_gain = gain;
+                    picked = Some(next);
+                } else if !greedy && idx == pick {
                     picked = Some(next);
                 }
             }
