@@ -155,14 +155,13 @@ pub fn improve(
         // (stopping once no bound left can beat the best gain found,
         // ties to the lowest index), or in index order for the first
         // positive one.
-        let bounds: Vec<Option<Score>> = candidates
+        let mut visit: Vec<(Score, usize)> = candidates
             .par_iter()
-            .map(|attempt| attempt_bound(&current, attempt, oracle, quantum))
-            .collect();
-        let mut visit: Vec<(Score, usize)> = bounds
-            .iter()
             .enumerate()
-            .filter_map(|(idx, bound)| bound.filter(|&b| b > 0).map(|b| (b, idx)))
+            .filter_map(|(idx, attempt)| {
+                let bound = attempt_bound(&current, attempt, oracle, quantum)?;
+                (bound > 0).then_some((bound, idx))
+            })
             .collect();
         if config.commit == Commit::Best {
             visit.sort_unstable_by_key(|&(bound, idx)| (Reverse(bound), idx));
