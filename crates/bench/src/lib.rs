@@ -1,8 +1,8 @@
 //! # fragalign-bench
 //!
-//! Shared workload builders for the Criterion benches and the
-//! experiment binaries (T1–T9: approximation ratios, ISP, reductions,
-//! recovery, speedup and ablations).
+//! Shared workload builders for the experiment binaries (T1–T9:
+//! approximation ratios, ISP, reductions, recovery, speedup and
+//! ablations).
 //!
 //! The experiment binaries live in `src/bin/` (`exp_ratio`, `exp_isp`,
 //! `exp_reductions`, `exp_recovery`, `exp_speedup`, `exp_ablation`);

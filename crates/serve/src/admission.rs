@@ -25,6 +25,12 @@
 //! and requests that already name a cheap tier pass through
 //! untouched.
 //!
+//! The degrade decision splits along those two signals.
+//! [`AdmissionPolicy::degrade_tier`] reads only the instance and the
+//! requested solver, so the server computes it once per request body;
+//! [`AdmissionPolicy::degrades_at`] reads only the load. A request
+//! degrades when both say so.
+//!
 //! [`score_upper_bound`]: fragalign_model::Instance::score_upper_bound
 //! [`degraded_pick`]: fragalign_core::engine::Router::degraded_pick
 
@@ -66,15 +72,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// What the policy decided for one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Solve with the requested solver.
-    Admit,
-    /// Solve with this cheap tier instead, and say so in the response.
-    Degrade(&'static str),
-}
-
 /// The policy object: config plus the router whose `degraded_pick`
 /// names the cheap tier.
 pub struct AdmissionPolicy {
@@ -106,28 +103,31 @@ impl AdmissionPolicy {
         self.cfg.enabled && load >= self.cfg.reject_at
     }
 
-    /// Decide one solve request: `load` is the queue load stamped
-    /// when the request was enqueued, `features`/`bound` describe the
-    /// instance, `requested` is the solver the client asked for (or
-    /// defaulted to).
-    pub fn decide(
+    /// Whether a request arriving at queue-load `load` is past the
+    /// degrade watermark, where a body with a [`degrade_tier`] runs
+    /// that tier instead of what it asked for.
+    ///
+    /// [`degrade_tier`]: Self::degrade_tier
+    pub fn degrades_at(&self, load: f64) -> bool {
+        self.cfg.enabled && load >= self.cfg.degrade_at
+    }
+
+    /// The cheap tier a solve request runs past the degrade watermark,
+    /// or `None` when no load degrades it. `features`/`bound` describe
+    /// the instance and `requested` is the solver the client asked for
+    /// (or defaulted to). The answer does not depend on load, so the
+    /// server computes it once per request body.
+    pub fn degrade_tier(
         &self,
-        load: f64,
         features: &InstanceFeatures,
         bound: Score,
         requested: &str,
-    ) -> AdmissionDecision {
-        if !self.cfg.enabled || load < self.cfg.degrade_at {
-            return AdmissionDecision::Admit;
-        }
-        if CHEAP_TIERS.contains(&requested) {
-            return AdmissionDecision::Admit;
+    ) -> Option<&'static str> {
+        if !self.cfg.enabled || CHEAP_TIERS.contains(&requested) {
+            return None;
         }
         let big = features.total_regions() >= self.cfg.min_regions && bound >= self.cfg.min_bound;
-        if !big {
-            return AdmissionDecision::Admit;
-        }
-        AdmissionDecision::Degrade(self.router.degraded_pick(features))
+        big.then(|| self.router.degraded_pick(features))
     }
 }
 
@@ -160,39 +160,28 @@ mod tests {
     #[test]
     fn below_watermark_everything_admits() {
         let p = AdmissionPolicy::new(AdmissionConfig::default());
-        assert_eq!(
-            p.decide(0.49, &big_features(), 10_000, "csr"),
-            AdmissionDecision::Admit
-        );
+        assert!(!p.degrades_at(0.49));
         assert!(!p.should_reject(0.99));
     }
 
     #[test]
     fn above_watermark_big_instances_degrade_small_ones_pass() {
         let p = AdmissionPolicy::new(AdmissionConfig::default());
+        assert!(p.degrades_at(0.5));
         assert_eq!(
-            p.decide(0.5, &big_features(), 10_000, "csr"),
-            AdmissionDecision::Degrade("chain")
+            p.degrade_tier(&big_features(), 10_000, "csr"),
+            Some("chain")
         );
         // Small region count or small bound: cheap anyway, admit.
-        assert_eq!(
-            p.decide(0.9, &small_features(), 10_000, "csr"),
-            AdmissionDecision::Admit
-        );
-        assert_eq!(
-            p.decide(0.9, &big_features(), 3, "csr"),
-            AdmissionDecision::Admit
-        );
+        assert_eq!(p.degrade_tier(&small_features(), 10_000, "csr"), None);
+        assert_eq!(p.degrade_tier(&big_features(), 3, "csr"), None);
     }
 
     #[test]
     fn cheap_tiers_are_never_degraded() {
         let p = AdmissionPolicy::new(AdmissionConfig::default());
         for tier in CHEAP_TIERS {
-            assert_eq!(
-                p.decide(0.9, &big_features(), 10_000, tier),
-                AdmissionDecision::Admit
-            );
+            assert_eq!(p.degrade_tier(&big_features(), 10_000, tier), None);
         }
     }
 
@@ -206,9 +195,7 @@ mod tests {
             ..AdmissionConfig::default()
         });
         assert!(!off.should_reject(5.0));
-        assert_eq!(
-            off.decide(5.0, &big_features(), 10_000, "csr"),
-            AdmissionDecision::Admit
-        );
+        assert!(!off.degrades_at(5.0));
+        assert_eq!(off.degrade_tier(&big_features(), 10_000, "csr"), None);
     }
 }

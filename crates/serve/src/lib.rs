@@ -18,6 +18,9 @@
 //!   and a connection only occupies one of the fixed worker threads
 //!   while a fully-parsed request is being solved. Keep-alive and
 //!   pipelined connections return to the event loop between requests.
+//!   The loop frames requests but decodes no body: it answers a repeat
+//!   `/v1/solve` body's cache hit from a memo keyed on the raw body,
+//!   which the worker that decoded the body published.
 //!   The bounded crossbeam job queue is still the backpressure valve:
 //!   when it is full the server answers `503 Service Unavailable`
 //!   immediately instead of letting latency grow without bound, and
@@ -62,7 +65,7 @@ pub mod metrics;
 pub mod poll;
 pub mod server;
 
-pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionPolicy};
+pub use admission::{AdmissionConfig, AdmissionPolicy};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{get, post, Connection, Response};
 pub use http::Request;

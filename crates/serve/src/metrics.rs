@@ -314,6 +314,11 @@ impl Telemetry {
             .fetch_add(dropped, Ordering::Relaxed);
     }
 
+    /// Seconds since the server started.
+    pub fn uptime_secs(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
     /// Assemble the `/metrics` document.
     pub fn snapshot(
         &self,
@@ -322,7 +327,7 @@ impl Telemetry {
         cache: CacheStats,
     ) -> MetricsSnapshot {
         MetricsSnapshot {
-            uptime_secs: self.start.elapsed().as_secs_f64(),
+            uptime_secs: self.uptime_secs(),
             requests_total: self.requests.load(Ordering::Relaxed),
             rejected_503: self.rejected_busy.load(Ordering::Relaxed),
             client_errors_4xx: self.client_errors.load(Ordering::Relaxed),
@@ -381,7 +386,7 @@ impl Telemetry {
             &mut out,
             "fragalign_uptime_seconds",
             "Seconds since the server started.",
-            self.start.elapsed().as_secs_f64(),
+            self.uptime_secs(),
         );
         counter(
             &mut out,

@@ -22,6 +22,15 @@
 //! leftover bytes with it so the next request parses without another
 //! read.
 //!
+//! The loop frames requests but never decodes a body. For a plain
+//! `POST /v1/solve` it fingerprints the raw body and looks it up in the
+//! body memo that [`ServeState`] owns; on a memo hit it resolves
+//! admission at the current load and answers a cache hit inline.
+//! Everything else — an unseen body, a cache miss, a traced request —
+//! goes to a worker, which decodes the body once, under
+//! `catch_unwind`, and publishes the body's memo entry before it looks
+//! up the cache or answers.
+//!
 //! Backpressure has three stages instead of the old cliff: below the
 //! degrade watermark everything is solved as asked; above it, big
 //! instances are rerouted to cheap tiers by [`AdmissionPolicy`] (the
@@ -40,8 +49,8 @@
 //! a direct solve by its key's solver.
 //!
 
-use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionPolicy};
-use crate::cache::{self, ResultCache};
+use crate::admission::{AdmissionConfig, AdmissionPolicy};
+use crate::cache::{self, Fingerprint, ResultCache};
 use crate::http::{self, Parse, Request, RequestError};
 use crate::metrics::Telemetry;
 use crate::poll::{self, Poller};
@@ -173,7 +182,11 @@ pub struct ServeState {
     pub telemetry: Telemetry,
     /// The sharded result cache.
     pub cache: ResultCache,
-    default_solver: String,
+    /// Raw `/v1/solve` body fingerprint → that body's [`PrepMemo`].
+    /// Workers publish entries and the event loop reads them; the map
+    /// is cleared wholesale at [`PREP_MEMO_CAP`] entries.
+    prep_memo: parking_lot::Mutex<HashMap<Fingerprint, PrepMemo>>,
+    default_solver: &'static str,
     queue_capacity: usize,
     workers: usize,
     max_body_bytes: usize,
@@ -287,16 +300,18 @@ impl Server {
     /// return the running server. Fails fast on an unbindable address
     /// or an unregistered default solver.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
-        SolverRegistry::global()
+        let default_solver = SolverRegistry::global()
             .spec(&cfg.default_solver)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
+            .name;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let state = Arc::new(ServeState {
             telemetry: Telemetry::new(),
             cache: ResultCache::new(cfg.cache_shards, cfg.cache_mb * 1024 * 1024),
-            default_solver: cfg.default_solver.clone(),
+            prep_memo: parking_lot::Mutex::new(HashMap::new()),
+            default_solver,
             queue_capacity: cfg.queue_depth.max(1),
             workers,
             max_body_bytes: cfg.max_body_bytes,
@@ -445,7 +460,6 @@ fn event_loop(
     let mut poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut accepted: u64 = 0;
-    let mut prep_memo = PrepMemoCache::new();
     // Reads stop at this buffer size; the kernel's TCP window takes
     // over as backpressure for clients that pipeline faster than the
     // service drains.
@@ -577,8 +591,7 @@ fn event_loop(
                         // needs a solver costs a queue slot and a
                         // worker wakeup.
                         let t0 = Instant::now();
-                        if let Some(reply) = try_inline_hit(&request, &state, load, &mut prep_memo)
-                        {
+                        if let Some(reply) = try_inline_hit(&request, &state, load) {
                             state.telemetry.record_response(reply.status);
                             state.telemetry.record_service(t0.elapsed());
                             state.telemetry.record_latency(t0.elapsed());
@@ -915,7 +928,7 @@ fn handle_healthz(state: &ServeState) -> Reply {
         ("status".to_string(), Value::Str("ok".to_string())),
         (
             "uptime_secs".to_string(),
-            Value::Float(state.metrics().uptime_secs),
+            Value::Float(state.telemetry.uptime_secs()),
         ),
     ]);
     Reply::json(
@@ -990,143 +1003,89 @@ fn handle_solvers() -> Reply {
 /// The `/v1/solve` success body.
 #[derive(Serialize)]
 struct SolveResponse {
-    solver: String,
+    solver: &'static str,
     score: Score,
     matches: MatchSet,
     report: SolveReport,
 }
 
-/// Everything `/v1/solve` resolves before touching the cache or a
-/// worker: the decoded instance, the admission-resolved solver, and
-/// the canonical cache key. Side-effect free (no telemetry), so the
-/// event loop can run it speculatively for the inline hit path and
-/// the worker can run it again on a miss without double-counting.
+/// A decoded `/v1/solve` body: the instance, its engine options, and
+/// the memo entry that resolves admission at any load.
 struct SolvePrep {
     inst: Instance,
     engine: EngineOptions,
-    solver: String,
-    position: usize,
-    degraded: Option<&'static str>,
-    key: cache::Fingerprint,
-    /// The solver the client asked for (pre-admission), plus the key
-    /// ingredients — kept so the event loop can memoise the expensive
-    /// parse work by raw body (see [`PrepMemo`]).
-    requested: String,
-    requested_position: usize,
-    options_tag: String,
-    canonical: String,
+    memo: PrepMemo,
 }
 
-fn prepare_solve(
-    request: &Request,
-    state: &ServeState,
-    load: f64,
-) -> Result<SolvePrep, ParseRejection> {
-    let parsed = parse_solve_request(&request.body, state, &["instance"])?;
-    let inst_value = parsed
-        .doc
-        .get("instance")
-        .expect("checked by parse_solve_request");
-    let inst = match decode_instance(inst_value) {
-        Ok(inst) => inst,
-        Err(msg) => return Err(Reply::error(400, &msg).into()),
-    };
-    // Admission control: above the degrade watermark, big instances
-    // run a cheap tier instead of what they asked for. The substitute
-    // solver flows through everything downstream — per-solver
-    // counters, the cache key, the response's `solver` field — so a
-    // degraded response is indistinguishable from having asked for
-    // the cheap tier, except for the X-Fragalign-Degraded header.
-    let decision = state.admission.decide(
-        load,
-        &InstanceFeatures::of(&inst),
-        inst.score_upper_bound(),
-        &parsed.solver,
-    );
-    let (solver, position, degraded) = match decision {
-        AdmissionDecision::Admit => (parsed.solver.clone(), parsed.position, None),
-        AdmissionDecision::Degrade(tier) => {
-            let position = SolverRegistry::global()
-                .position(tier)
-                .expect("degraded tiers are registered");
-            (tier.to_string(), position, Some(tier))
-        }
-    };
+/// Decode and validate one `/v1/solve` body, then canonicalise it and
+/// compute its admission inputs, each exactly once. Only the worker
+/// runs this, under `catch_unwind`.
+fn prepare_solve(request: &Request, state: &ServeState) -> Result<SolvePrep, ParseRejection> {
+    let parsed = parse_solve_request(&request.body, state, "instance")?;
+    let inst = decode_instance(parsed.payload).map_err(|msg| Reply::error(400, &msg))?;
     // Canonicalise through the parsed instance so client formatting
     // (whitespace, pretty-printing) cannot split cache entries.
     let canonical = serde_json::to_string(&inst).expect("instances serialise");
     let tag = options_tag(&parsed.engine);
-    let key = cache::fingerprint(&format!("{solver}\n{tag}\n{canonical}"));
+    let key = |solver: &str| cache::fingerprint(&format!("{solver}\n{tag}\n{canonical}"));
+    let degrade = state
+        .admission
+        .degrade_tier(
+            &InstanceFeatures::of(&inst),
+            inst.score_upper_bound(),
+            parsed.solver,
+        )
+        .map(|tier| {
+            let position = SolverRegistry::global()
+                .position(tier)
+                .expect("degraded tiers are registered");
+            (tier, position, key(tier))
+        });
+    let memo = PrepMemo {
+        admit: (parsed.solver, parsed.position, key(parsed.solver)),
+        degrade,
+    };
     Ok(SolvePrep {
         inst,
         engine: parsed.engine,
-        solver,
-        position,
-        degraded,
-        key,
-        requested: parsed.solver,
-        requested_position: parsed.position,
-        options_tag: tag,
-        canonical,
+        memo,
     })
 }
 
-/// The load-independent fruits of preparing one `/v1/solve` body,
-/// memoised by the event loop keyed on the raw body's fingerprint.
-/// Repeat bodies — the cache-hit hot path by construction — skip the
-/// JSON decode, instance validation, and canonical re-serialisation
-/// that otherwise dominate a hit's service time. Admission stays
-/// load-dependent, so only its per-body inputs (shape features, score
-/// bound, requested solver) are stored and the decision itself is
-/// re-run on every request; both possible cache keys are precomputed
-/// because the degraded tier is a pure function of the features.
+/// What one `/v1/solve` body resolves to, load aside: the
+/// `(solver, registry position, cache key)` it runs as asked, and the
+/// same for the cheap tier it degrades to (`None` for bodies that no
+/// load degrades). Workers publish it under the raw body's
+/// fingerprint, so the event loop answers a repeat of the body
+/// without decoding it.
+#[derive(Clone, Copy)]
 struct PrepMemo {
-    features: InstanceFeatures,
-    bound: Score,
-    /// The solver the client asked for (the admission decision input).
-    solver: String,
-    position: usize,
-    /// Cache key when admitted as requested.
-    admit_key: cache::Fingerprint,
-    /// `(tier, registry position, cache key)` when degradable at all;
-    /// `None` for bodies no load level would ever degrade.
-    degrade: Option<(&'static str, usize, cache::Fingerprint)>,
+    admit: (&'static str, usize, Fingerprint),
+    degrade: Option<(&'static str, usize, Fingerprint)>,
 }
 
 impl PrepMemo {
-    fn of(state: &ServeState, prep: &SolvePrep) -> Self {
-        let features = InstanceFeatures::of(&prep.inst);
-        let bound = prep.inst.score_upper_bound();
-        let admit_key = cache::fingerprint(&format!(
-            "{}\n{}\n{}",
-            prep.requested, prep.options_tag, prep.canonical
-        ));
-        // Whether this body can ever degrade — and to which tier — is
-        // load-independent; probing the policy at infinite load
-        // extracts it once.
-        let degrade = match state
-            .admission
-            .decide(f64::INFINITY, &features, bound, &prep.requested)
-        {
-            AdmissionDecision::Admit => None,
-            AdmissionDecision::Degrade(tier) => {
-                let position = SolverRegistry::global()
-                    .position(tier)
-                    .expect("degraded tiers are registered");
-                let key = cache::fingerprint(&format!(
-                    "{tier}\n{}\n{}",
-                    prep.options_tag, prep.canonical
-                ));
-                Some((tier, position, key))
+    /// The solver, its registry position, the degraded tier (if any)
+    /// and the cache key at queue load `load`. Past the degrade
+    /// watermark a degradable body runs its cheap tier instead of what
+    /// it asked for. The substitute flows through everything
+    /// downstream — per-solver counters, the cache key, the response's
+    /// `solver` field — so a degraded response is indistinguishable
+    /// from having asked for the cheap tier, except for the
+    /// `X-Fragalign-Degraded` header.
+    fn resolve(
+        self,
+        state: &ServeState,
+        load: f64,
+    ) -> (&'static str, usize, Option<&'static str>, Fingerprint) {
+        match self.degrade {
+            Some((tier, position, key)) if state.admission.degrades_at(load) => {
+                (tier, position, Some(tier), key)
             }
-        };
-        PrepMemo {
-            features,
-            bound,
-            solver: prep.requested.clone(),
-            position: prep.requested_position,
-            admit_key,
-            degrade,
+            _ => {
+                let (solver, position, key) = self.admit;
+                (solver, position, None, key)
+            }
         }
     }
 }
@@ -1136,71 +1095,24 @@ impl PrepMemo {
 /// recency would cost more than the occasional cold restart.
 const PREP_MEMO_CAP: usize = 4096;
 
-/// The event loop's single-threaded body→prep memo (no locks — only
-/// the loop thread touches it).
-struct PrepMemoCache {
-    map: HashMap<cache::Fingerprint, PrepMemo>,
-}
-
-impl PrepMemoCache {
-    fn new() -> Self {
-        PrepMemoCache {
-            map: HashMap::new(),
-        }
-    }
-
-    fn insert(&mut self, key: cache::Fingerprint, memo: PrepMemo) {
-        if self.map.len() >= PREP_MEMO_CAP {
-            self.map.clear();
-        }
-        self.map.insert(key, memo);
-    }
-}
-
-/// The event loop's speculative fast path: answer a plain `/v1/solve`
-/// cache hit without occupying a worker. Returns `None` for anything
-/// that needs one — a miss, a traced request, or a body that fails
-/// validation (the worker re-runs the parse and owns the error reply
-/// and its telemetry). A served hit records the same counters the
-/// worker's hit path would. Known bodies resolve through `memo`
-/// without touching JSON at all.
-fn try_inline_hit(
-    request: &Request,
-    state: &ServeState,
-    load: f64,
-    memo: &mut PrepMemoCache,
-) -> Option<Reply> {
+/// The event loop's fast path: answer a plain `/v1/solve` cache hit
+/// without occupying a worker. It reads only the raw body's
+/// fingerprint, the memo and the cache, and returns `None` for
+/// anything that needs a worker — an unseen body, a miss, a traced
+/// request. A served hit records the same counters the worker's hit
+/// path would.
+fn try_inline_hit(request: &Request, state: &ServeState, load: f64) -> Option<Reply> {
     if request.method != "POST"
         || request.path != "/v1/solve"
         || request.param("trace") == Some("1")
     {
         return None;
     }
-    let raw = cache::fingerprint(&request.body);
-    let (position, degraded, key) = match memo.map.get(&raw) {
-        Some(m) => match state
-            .admission
-            .decide(load, &m.features, m.bound, &m.solver)
-        {
-            AdmissionDecision::Admit => (m.position, None, m.admit_key),
-            AdmissionDecision::Degrade(tier) => {
-                let (memo_tier, position, key) = m.degrade?;
-                if memo_tier != tier {
-                    // The policy disagreed with the memo (cannot
-                    // happen while the config is fixed; be safe and
-                    // let the worker re-derive everything).
-                    return None;
-                }
-                (position, Some(tier), key)
-            }
-        },
-        None => {
-            let prep = prepare_solve(request, state, load).ok()?;
-            let entry = PrepMemo::of(state, &prep);
-            memo.insert(raw, entry);
-            (prep.position, prep.degraded, prep.key)
-        }
-    };
+    let memo = *state
+        .prep_memo
+        .lock()
+        .get(&cache::fingerprint(&request.body))?;
+    let (_, position, degraded, key) = memo.resolve(state, load);
     let body = state.cache.peek(key)?;
     if degraded.is_some() {
         state.telemetry.record_degraded();
@@ -1216,7 +1128,7 @@ fn try_inline_hit(
 }
 
 fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, load: f64) -> Reply {
-    let prep = match prepare_solve(request, state, load) {
+    let SolvePrep { inst, engine, memo } = match prepare_solve(request, state) {
         Ok(p) => p,
         Err(rejection) => {
             if rejection.unknown_solver {
@@ -1225,15 +1137,16 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
             return rejection.reply;
         }
     };
-    let SolvePrep {
-        inst,
-        engine,
-        solver,
-        position,
-        degraded,
-        key,
-        ..
-    } = prep;
+    // Publish before the cache lookup and the reply, so a repeat of
+    // this body finds its entry whichever connection it comes on.
+    {
+        let mut memos = state.prep_memo.lock();
+        if memos.len() >= PREP_MEMO_CAP {
+            memos.clear();
+        }
+        memos.insert(cache::fingerprint(&request.body), memo);
+    }
+    let (solver, position, degraded, key) = memo.resolve(state, load);
     if degraded.is_some() {
         state.telemetry.record_degraded();
     }
@@ -1259,7 +1172,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
         }
     }
     let opts = BatchOptions {
-        solver: solver.clone(),
+        solver: solver.to_string(),
         engine,
     };
     let sink = traced.then(TraceSink::new);
@@ -1326,7 +1239,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
 /// The `/v1/batch` success body: one entry per instance, input order.
 #[derive(Serialize)]
 struct BatchResponse {
-    solver: String,
+    solver: &'static str,
     instances: usize,
     total_score: Score,
     results: Vec<BatchItem>,
@@ -1342,22 +1255,22 @@ struct BatchItem {
 
 fn handle_batch(request: &Request, state: &ServeState) -> Reply {
     state.telemetry.record_batch();
-    let parsed = match parse_solve_request(&request.body, state, &["instances"]) {
+    let parsed = match parse_solve_request(&request.body, state, "instances") {
         Ok(p) => p,
         Err(rejection) => return rejection.reply,
     };
-    let Some(list) = parsed.doc.get("instances").and_then(Value::as_array) else {
+    let Value::Array(list) = parsed.payload else {
         return Reply::error(400, "field \"instances\" must be an array of instances");
     };
     let mut instances = Vec::with_capacity(list.len());
-    for (i, value) in list.iter().enumerate() {
+    for (i, value) in list.into_iter().enumerate() {
         match decode_instance(value) {
             Ok(inst) => instances.push(inst),
             Err(msg) => return Reply::error(400, &format!("instances[{i}]: {msg}")),
         }
     }
     let opts = BatchOptions {
-        solver: parsed.solver.clone(),
+        solver: parsed.solver.to_string(),
         engine: parsed.engine,
     };
     // `core::batch` does the mapping: per-worker workspaces under the
@@ -1385,11 +1298,11 @@ fn handle_batch(request: &Request, state: &ServeState) -> Reply {
 }
 
 /// The fields shared by `/v1/solve` and `/v1/batch` bodies, already
-/// validated: the parsed document, the resolved solver name, and the
-/// engine options.
+/// validated: the endpoint's payload (moved out of the document), the
+/// registry's name for the solver, and the engine options.
 struct ParsedSolveRequest {
-    doc: Value,
-    solver: String,
+    payload: Value,
+    solver: &'static str,
     /// The solver's registry position, for per-solver counters.
     position: usize,
     engine: EngineOptions,
@@ -1421,50 +1334,49 @@ impl From<Reply> for ParseRejection {
 fn parse_solve_request(
     body: &str,
     state: &ServeState,
-    payload_key: &[&str],
+    payload_key: &str,
 ) -> Result<ParsedSolveRequest, ParseRejection> {
     let doc: Value = serde_json::from_str(body)
         .map_err(|e| Reply::error(400, &format!("request body is not valid JSON: {e}")))?;
-    let Some(fields) = doc.as_object() else {
+    let Value::Object(mut fields) = doc else {
         return Err(Reply::error(400, "request body must be a JSON object").into());
     };
-    for (key, _) in fields {
-        if key != "solver" && key != "options" && !payload_key.contains(&key.as_str()) {
+    for (key, _) in &fields {
+        if key != "solver" && key != "options" && key != payload_key {
             return Err(Reply::error(
                 400,
-                &format!(
-                    "unknown field {key:?} (allowed: {}, solver, options)",
-                    payload_key.join(", ")
-                ),
+                &format!("unknown field {key:?} (allowed: {payload_key}, solver, options)"),
             )
             .into());
         }
     }
-    for required in payload_key {
-        if doc.get(required).is_none() {
-            return Err(Reply::error(400, &format!("missing required field {required:?}")).into());
-        }
-    }
-    let solver = match doc.get("solver") {
-        None => state.default_solver.clone(),
-        Some(Value::Str(s)) => s.clone(),
+    // A duplicated key's first occurrence wins, as in `Value::get`.
+    let Some(payload_at) = fields.iter().position(|(key, _)| key == payload_key) else {
+        return Err(Reply::error(400, &format!("missing required field {payload_key:?}")).into());
+    };
+    let field = |name: &str| fields.iter().find(|(key, _)| key == name).map(|(_, v)| v);
+    let registry = SolverRegistry::global();
+    let spec = match field("solver") {
+        None => registry.spec(state.default_solver),
+        Some(Value::Str(s)) => registry.spec(s),
         Some(_) => return Err(Reply::error(400, "field \"solver\" must be a string").into()),
     };
-    if let Err(err) = SolverRegistry::global().spec(&solver) {
-        return Err(ParseRejection {
-            reply: engine_error_reply(err),
-            unknown_solver: true,
-        });
-    }
-    let position = SolverRegistry::global()
-        .position(&solver)
-        .expect("solver resolved above");
-    let engine = match doc.get("options") {
+    let solver = match spec {
+        Ok(spec) => spec.name,
+        Err(err) => {
+            return Err(ParseRejection {
+                reply: engine_error_reply(err),
+                unknown_solver: true,
+            })
+        }
+    };
+    let position = registry.position(solver).expect("solver resolved above");
+    let engine = match field("options") {
         None => EngineOptions::default(),
         Some(v) => engine_options_from(v).map_err(|msg| Reply::error(400, &msg))?,
     };
     Ok(ParsedSolveRequest {
-        doc,
+        payload: fields.swap_remove(payload_at).1,
         solver,
         position,
         engine,
@@ -1472,9 +1384,9 @@ fn parse_solve_request(
 }
 
 /// Decode, bound, re-index, and validate one instance value.
-fn decode_instance(value: &Value) -> Result<Instance, String> {
+fn decode_instance(value: Value) -> Result<Instance, String> {
     let mut inst: Instance =
-        serde_json::from_value(value.clone()).map_err(|e| format!("bad instance: {e}"))?;
+        serde_json::from_value(value).map_err(|e| format!("bad instance: {e}"))?;
     check_size(&inst)?;
     inst.alphabet.rebuild_index();
     inst.validate()
@@ -1635,6 +1547,41 @@ mod tests {
         assert_eq!(first.body, second.body);
         let stats = server.state().cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn event_loop_answers_only_bodies_a_worker_decoded() {
+        let server = test_server();
+        let state = server.state();
+        let inst = serde_json::to_string(&paper_example()).unwrap();
+        let solve = |body: &str| Request {
+            method: "POST".to_string(),
+            path: "/v1/solve".to_string(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.to_string(),
+            keep_alive: true,
+            expect_continue: false,
+        };
+        // An unseen body is left to a worker: the loop decodes nothing
+        // and remembers nothing.
+        let body = format!("{{\"instance\":{inst},\"solver\":\"csr\"}}");
+        assert!(try_inline_hit(&solve(&body), &state, 0.0).is_none());
+        assert!(state.prep_memo.lock().is_empty());
+        // The worker that solves it publishes the body's memo entry,
+        // after which the loop answers the body from the cache.
+        let miss = client::post(server.addr(), "/v1/solve", &body).unwrap();
+        assert_eq!(miss.header("x-fragalign-cache"), Some("miss"));
+        assert_eq!(state.prep_memo.lock().len(), 1);
+        let hit = try_inline_hit(&solve(&body), &state, 0.0).expect("memoised body hits");
+        assert_eq!(hit.cache_marker, Some("hit"));
+        assert_eq!(hit.body, miss.body);
+        // A body the worker refuses publishes no entry.
+        let unknown = format!("{{\"instance\":{inst},\"solver\":\"greddy\"}}");
+        let refused = client::post(server.addr(), "/v1/solve", &unknown).unwrap();
+        assert_eq!(refused.status, 400, "{}", refused.body);
+        assert_eq!(state.prep_memo.lock().len(), 1);
         server.shutdown();
     }
 

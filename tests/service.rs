@@ -216,11 +216,12 @@ fn post_raw(addr: std::net::SocketAddr, body: &[u8]) -> (u16, String) {
 
 #[test]
 fn deeply_nested_json_is_a_400_and_the_server_survives() {
-    // A corpus of hostile bodies against one server. The event loop
-    // decodes unseen bodies itself, so a panic or a stall there cuts
-    // off every connection. The cases probe the parser (nesting depth,
-    // integer range, long strings, UTF-8, surrogate escapes, duplicate
-    // keys), the decoder (score magnitudes the DP could overflow on, a
+    // A corpus of hostile bodies against one server. Workers decode
+    // every body under `catch_unwind`, so a panic there costs its
+    // request a 500 rather than the server, and a stall holds a
+    // worker; the pinned statuses rule out both. The cases probe the
+    // parser (nesting depth, integer range, long strings, UTF-8,
+    // surrogate escapes, duplicate keys), the decoder (score magnitudes the DP could overflow on, a
     // float for an integer, instances whose score tables would not
     // fit in memory) and the engine (a huge unknown solver name,
     // `exact` past its limits, a body raising those limits). Every case
@@ -578,6 +579,15 @@ fn degrade_watermark_reroutes_big_instances_with_header() {
         "degraded response must report the solver actually used"
     );
     assert_eq!(server.state().metrics().admission_degraded, 1);
+
+    // The same body again is a cache hit under the same tier: the
+    // event loop resolves it from the body memo the worker published.
+    let again = client::post(addr, "/v1/solve", &solve_body(inst, "csr")).unwrap();
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(again.header("x-fragalign-cache"), Some("hit"));
+    assert_eq!(again.header("x-fragalign-degraded"), Some(tier));
+    assert_eq!(again.body, resp.body);
+    assert_eq!(server.state().metrics().admission_degraded, 2);
 
     // The result was cached under the tier actually used: asking for
     // that tier directly is a hit with an identical body (and no
