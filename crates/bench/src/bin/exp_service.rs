@@ -29,7 +29,7 @@
 //! the dominant cost of the close discipline.
 
 use fragalign::model::Instance;
-use fragalign::serve::{client, ServeConfig, Server};
+use fragalign::serve::{client, ServeConfig, Server, Stat};
 use fragalign::sim::{gen_batch, SimConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,7 +118,7 @@ struct Report {
     /// pipelined req/s over close-per-request req/s.
     pipelined_speedup: f64,
     /// The server's own `/metrics` document at the end of the run.
-    server_metrics: fragalign::serve::metrics::MetricsSnapshot,
+    server_metrics: serde::Value,
 }
 
 /// Drive `sequence` through `exchange` once, timing the whole arm.
@@ -311,15 +311,16 @@ fn main() {
     let pipelined_speedup = pipelined_arm.requests_per_sec / close_arm.requests_per_sec.max(1e-9);
     let connection_arms = vec![close_arm, keepalive_arm, pipelined_arm];
 
-    let server_metrics = server.state().metrics();
+    let state = server.state();
+    let server_metrics = state.metrics();
     server.shutdown();
     assert!(
-        server_metrics.keepalive_reuse > 0,
+        state.telemetry.get(Stat::KeepaliveReuse) > 0,
         "the persistent arms must register keep-alive reuse"
     );
 
     assert!(
-        server_metrics.rejected_503 == 0,
+        state.telemetry.get(Stat::Rejected503) == 0,
         "load generator outran its own queue depth"
     );
     assert!(

@@ -122,9 +122,8 @@ fn entry_cost(body: &Arc<str>) -> usize {
     body.len() + ENTRY_OVERHEAD
 }
 
-/// Aggregate cache counters, surfaced in `/metrics` and
-/// `BENCH_service.json`.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+/// Aggregate cache counters, surfaced in `/metrics`.
+#[derive(Clone, Copy, Debug)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,

@@ -69,5 +69,5 @@ pub use admission::{AdmissionConfig, AdmissionPolicy};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{get, post, Connection, Response};
 pub use http::Request;
-pub use metrics::Telemetry;
+pub use metrics::{Stat, Telemetry};
 pub use server::{ServeConfig, Server, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS};

@@ -1,11 +1,21 @@
-//! Service telemetry: request counters, queue gauges, and an
-//! approximate latency histogram, all lock-free atomics so the hot
-//! path never serialises on a metrics mutex.
+//! Service telemetry: request counters, gauges and approximate latency
+//! histograms, all lock-free atomics so the hot path never serialises
+//! on a metrics mutex.
+//!
+//! One metric table declares every family the service exports, once:
+//! its JSON key, its Prometheus name, its HELP text and how to read its
+//! sample. [`Telemetry::json`] (the `GET /metrics` document) and
+//! [`Telemetry::prometheus`] (`GET /metrics?format=prometheus`) each
+//! walk that table in order, so no family can reach one export without
+//! the other. A JSON key written `group.key` nests under `group`.
+//!
+//! Every scalar counter and gauge lives in one array indexed by
+//! [`Stat`]. A new one is one `Stat` variant plus one row of the table.
 
 use crate::cache::CacheStats;
 use fragalign_core::SolverRegistry;
-use serde::Serialize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use serde::{Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Power-of-two microsecond buckets: bucket `i` holds latencies in
@@ -51,11 +61,6 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Sum of all observations, in milliseconds.
-    pub fn sum_ms(&self) -> f64 {
-        self.sum_micros.load(Ordering::Relaxed) as f64 / 1000.0
-    }
-
     /// Approximate quantile `q ∈ (0, 1]` in milliseconds; 0 when empty.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         let counts: Vec<u64> = self
@@ -81,6 +86,16 @@ impl Histogram {
             }
         }
         unreachable!("cumulative count reaches total");
+    }
+
+    /// The JSON summary: observations, p50 and p99 in milliseconds
+    /// (bucket upper bounds, clamped to the largest observation).
+    fn summary(&self) -> Value {
+        Value::Object(vec![
+            ("count".to_string(), self.count().serialize()),
+            ("p50_ms".to_string(), Value::Float(self.quantile_ms(0.50))),
+            ("p99_ms".to_string(), Value::Float(self.quantile_ms(0.99))),
+        ])
     }
 
     /// Append this histogram as Prometheus text exposition under
@@ -121,197 +136,150 @@ impl Histogram {
     }
 }
 
+/// A scalar counter or gauge of [`Telemetry`], stored once and read
+/// with [`Telemetry::get`]. What each one counts is its family's HELP
+/// text in the metric table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stat {
+    /// `fragalign_requests_total`.
+    Requests,
+    /// `fragalign_rejected_503_total`.
+    Rejected503,
+    /// `fragalign_client_errors_4xx_total`.
+    ClientErrors4xx,
+    /// `fragalign_unknown_solver_requests_total`.
+    UnknownSolverRequests,
+    /// `fragalign_batch_requests_total`.
+    BatchRequests,
+    /// `fragalign_traced_requests_total`.
+    TracedRequests,
+    /// `fragalign_trace_events_dropped_total`.
+    TraceEventsDropped,
+    /// `fragalign_sampled_traces_total`.
+    SampledTraces,
+    /// `fragalign_connections_accepted_total`.
+    ConnectionsAccepted,
+    /// `fragalign_connections_open` (a gauge).
+    ConnectionsOpen,
+    /// `fragalign_keepalive_reuse_total`.
+    KeepaliveReuse,
+    /// `fragalign_admission_degraded_total`.
+    AdmissionDegraded,
+    /// `fragalign_queue_depth` (a gauge).
+    QueueDepth,
+    /// `fragalign_busy_workers` (a gauge).
+    BusyWorkers,
+}
+
+impl Stat {
+    /// The number of variants; `BusyWorkers` is the last.
+    const COUNT: usize = Stat::BusyWorkers as usize + 1;
+}
+
+/// One row of the metric table: a family named once for both exports.
+pub(crate) struct Family<'a> {
+    /// Key in the JSON document; `group.key` nests under `group`.
+    pub(crate) json: &'static str,
+    /// Prometheus family name.
+    prom: &'static str,
+    /// Prometheus HELP text.
+    help: &'static str,
+    sample: Sample<'a>,
+}
+
+/// How a family's value is read.
+#[derive(Clone, Copy)]
+enum Sample<'a> {
+    Counter(u64),
+    Gauge(u64),
+    /// Seconds since the server started (a float gauge).
+    Uptime(f64),
+    /// A counter per registered solver, registry order.
+    PerSolver(&'a [AtomicU64]),
+    Histogram(&'a Histogram),
+    /// A histogram per registered solver; only solvers with an
+    /// observation are rendered, and the family only when one has.
+    PerSolverHistogram(&'a [Histogram]),
+}
+
+impl Sample<'_> {
+    /// Whether the family renders nothing in either export.
+    fn is_empty(&self) -> bool {
+        match self {
+            Sample::PerSolverHistogram(hs) => hs.iter().all(|h| h.count() == 0),
+            _ => false,
+        }
+    }
+}
+
 /// All service counters (see module docs). One instance per server,
-/// shared by the acceptor and every worker.
+/// shared by the event loop and every worker.
 pub struct Telemetry {
     start: Instant,
-    requests: AtomicU64,
-    rejected_busy: AtomicU64,
-    client_errors: AtomicU64,
-    unknown_solver: AtomicU64,
-    batch_requests: AtomicU64,
+    stats: [AtomicU64; Stat::COUNT],
     /// `/v1/solve` requests per registered solver, registry order.
     solve_requests: Vec<AtomicU64>,
-    queue_depth: AtomicUsize,
-    busy_workers: AtomicUsize,
-    latency: Histogram,
+    /// Solve wall time per registered solver, registry order.
+    solve_latency: Vec<Histogram>,
+    /// End-to-end latency of every response (queue wait + handling).
+    pub latency: Histogram,
     /// Time a connection sat in the bounded queue before a worker
     /// picked it up.
-    queue_wait: Histogram,
-    /// Time the worker spent actually handling the connection
-    /// (`latency` ≈ `queue_wait` + `service` per request).
-    service: Histogram,
-    /// Per-solver solve latency (registry order; `/v1/solve` only).
-    solve_latency: Vec<Histogram>,
-    /// `?trace=1` requests served.
-    traced_requests: AtomicU64,
-    /// Trace events lost to ring overwrite across all traced requests
-    /// (the obs layer's drop-oldest policy, made visible).
-    trace_events_dropped: AtomicU64,
-    /// Connections the event loop ever accepted.
-    connections_accepted: AtomicU64,
-    /// Connections currently alive (idle, reading, or being served).
-    connections_open: AtomicUsize,
-    /// Requests served on an already-used connection (request ≥ 2 on
-    /// its keep-alive connection).
-    keepalive_reuse: AtomicU64,
-    /// Solve requests rerouted to a cheap tier by admission control.
-    admission_degraded: AtomicU64,
-    /// Plain requests traced by the 1-in-N sampler (`--trace-sample`).
-    sampled_traces: AtomicU64,
+    pub queue_wait: Histogram,
+    /// Time spent handling a request once it left the queue.
+    pub service: Histogram,
 }
 
 impl Telemetry {
-    /// Fresh counters; the per-solver table is sized from the global
+    /// Fresh counters; the per-solver tables are sized from the global
     /// registry.
     pub fn new() -> Self {
+        let solvers = SolverRegistry::global().names().len();
         Telemetry {
             start: Instant::now(),
-            requests: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            unknown_solver: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            solve_requests: SolverRegistry::global()
-                .names()
-                .iter()
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            queue_depth: AtomicUsize::new(0),
-            busy_workers: AtomicUsize::new(0),
+            stats: std::array::from_fn(|_| AtomicU64::new(0)),
+            solve_requests: (0..solvers).map(|_| AtomicU64::new(0)).collect(),
+            solve_latency: (0..solvers).map(|_| Histogram::new()).collect(),
             latency: Histogram::new(),
             queue_wait: Histogram::new(),
             service: Histogram::new(),
-            solve_latency: SolverRegistry::global()
-                .names()
-                .iter()
-                .map(|_| Histogram::new())
-                .collect(),
-            traced_requests: AtomicU64::new(0),
-            trace_events_dropped: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            connections_open: AtomicUsize::new(0),
-            keepalive_reuse: AtomicU64::new(0),
-            admission_degraded: AtomicU64::new(0),
-            sampled_traces: AtomicU64::new(0),
         }
     }
 
-    /// The event loop accepted a connection (it is now open).
-    pub fn note_conn_opened(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
+    /// Add `n` to `stat`.
+    pub fn add(&self, stat: Stat, n: u64) {
+        self.stats[stat as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A connection closed (any path: served, idle-timed-out, error).
-    pub fn note_conn_closed(&self) {
-        self.connections_open.fetch_sub(1, Ordering::Relaxed);
+    /// Subtract `n` from the gauge `stat`.
+    pub fn sub(&self, stat: Stat, n: u64) {
+        self.stats[stat as usize].fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Connections currently alive.
-    pub fn connections_open(&self) -> usize {
-        self.connections_open.load(Ordering::Relaxed)
+    /// The current value of `stat`.
+    pub fn get(&self, stat: Stat) -> u64 {
+        self.stats[stat as usize].load(Ordering::Relaxed)
     }
 
-    /// A request arrived on an already-used keep-alive connection.
-    pub fn record_keepalive_reuse(&self) {
-        self.keepalive_reuse.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admission control rerouted a solve to a cheap tier.
-    pub fn record_degraded(&self) {
-        self.admission_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The 1-in-N sampler traced a plain request.
-    pub fn record_sampled(&self) {
-        self.sampled_traces.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection entered the worker queue.
-    pub fn note_queued(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection left the worker queue (picked up or rejected).
-    pub fn note_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently waiting in the worker queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// A worker started (`true`) or finished (`false`) a connection.
-    pub fn note_busy(&self, busy: bool) {
-        if busy {
-            self.busy_workers.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.busy_workers.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Workers currently handling a connection.
-    pub fn busy_workers(&self) -> usize {
-        self.busy_workers.load(Ordering::Relaxed)
-    }
-
-    /// A worker finished a connection with response `status`.
+    /// One response written with `status`; a 4xx also counts as a
+    /// client error.
     pub fn record_response(&self, status: u16) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.add(Stat::Requests, 1);
         if (400..500).contains(&status) {
-            self.client_errors.fetch_add(1, Ordering::Relaxed);
+            self.add(Stat::ClientErrors4xx, 1);
         }
     }
 
-    /// The acceptor turned a connection away with `503` (queue full).
-    pub fn record_rejected(&self) {
-        self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `/v1/solve` request resolved to the solver at registry
-    /// position `pos`.
+    /// A fully-validated `/v1/solve` request resolved to the solver at
+    /// registry position `pos` (cache hits included).
     pub fn record_solve(&self, pos: usize) {
         self.solve_requests[pos].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A `/v1/solve` request named an unregistered solver.
-    pub fn record_unknown_solver(&self) {
-        self.unknown_solver.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `/v1/batch` request arrived.
-    pub fn record_batch(&self) {
-        self.batch_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One end-to-end observation (queue wait + handling).
-    pub fn record_latency(&self, d: Duration) {
-        self.latency.record(d);
-    }
-
-    /// Time one connection waited in the queue before pickup.
-    pub fn record_queue_wait(&self, d: Duration) {
-        self.queue_wait.record(d);
-    }
-
-    /// Time one connection spent being handled by its worker.
-    pub fn record_service(&self, d: Duration) {
-        self.service.record(d);
-    }
-
-    /// Solve wall time for the solver at registry position `pos`.
+    /// Solve wall time for the solver at registry position `pos` (only
+    /// actual solves are timed, never cache hits).
     pub fn record_solve_latency(&self, pos: usize, d: Duration) {
         self.solve_latency[pos].record(d);
-    }
-
-    /// A `?trace=1` request completed, losing `dropped` events to the
-    /// trace ring's drop-oldest overwrite.
-    pub fn record_traced(&self, dropped: u64) {
-        self.traced_requests.fetch_add(1, Ordering::Relaxed);
-        self.trace_events_dropped
-            .fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Seconds since the server started.
@@ -319,253 +287,279 @@ impl Telemetry {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Assemble the `/metrics` document.
-    pub fn snapshot(
+    /// The metric table, in exposition order, read at this instant.
+    pub(crate) fn families(
         &self,
         workers: usize,
         queue_capacity: usize,
-        cache: CacheStats,
-    ) -> MetricsSnapshot {
-        MetricsSnapshot {
-            uptime_secs: self.uptime_secs(),
-            requests_total: self.requests.load(Ordering::Relaxed),
-            rejected_503: self.rejected_busy.load(Ordering::Relaxed),
-            client_errors_4xx: self.client_errors.load(Ordering::Relaxed),
-            unknown_solver_requests: self.unknown_solver.load(Ordering::Relaxed),
-            batch_requests: self.batch_requests.load(Ordering::Relaxed),
-            solve_requests: SolverRegistry::global()
-                .names()
-                .iter()
-                .zip(&self.solve_requests)
-                .zip(&self.solve_latency)
-                .map(|((name, count), lat)| SolverRequests {
-                    solver: (*name).to_string(),
-                    requests: count.load(Ordering::Relaxed),
-                    latency: LatencySnapshot::of(lat),
-                })
-                .collect(),
-            latency: LatencySnapshot::of(&self.latency),
-            queue_wait: LatencySnapshot::of(&self.queue_wait),
-            service: LatencySnapshot::of(&self.service),
-            traced_requests: self.traced_requests.load(Ordering::Relaxed),
-            trace_events_dropped: self.trace_events_dropped.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_open: self.connections_open(),
-            keepalive_reuse: self.keepalive_reuse.load(Ordering::Relaxed),
-            admission_degraded: self.admission_degraded.load(Ordering::Relaxed),
-            sampled_traces: self.sampled_traces.load(Ordering::Relaxed),
-            queue: QueueSnapshot {
-                depth: self.queue_depth(),
-                capacity: queue_capacity,
-                workers,
-                busy_workers: self.busy_workers(),
-            },
-            cache,
-        }
+        cache: &CacheStats,
+    ) -> [Family<'_>; 27] {
+        let row = |json, prom, help, sample| Family {
+            json,
+            prom,
+            help,
+            sample,
+        };
+        let counter = |stat| Sample::Counter(self.get(stat));
+        let gauge = |stat| Sample::Gauge(self.get(stat));
+        [
+            row(
+                "uptime_secs",
+                "fragalign_uptime_seconds",
+                "Seconds since the server started.",
+                Sample::Uptime(self.uptime_secs()),
+            ),
+            row(
+                "requests_total",
+                "fragalign_requests_total",
+                "Connections handled by workers (any status).",
+                counter(Stat::Requests),
+            ),
+            row(
+                "rejected_503",
+                "fragalign_rejected_503_total",
+                "Connections rejected because the queue was full.",
+                counter(Stat::Rejected503),
+            ),
+            row(
+                "client_errors_4xx",
+                "fragalign_client_errors_4xx_total",
+                "Worker responses with a 4xx status.",
+                counter(Stat::ClientErrors4xx),
+            ),
+            row(
+                "unknown_solver_requests",
+                "fragalign_unknown_solver_requests_total",
+                "Solve requests naming an unregistered solver.",
+                counter(Stat::UnknownSolverRequests),
+            ),
+            row(
+                "batch_requests",
+                "fragalign_batch_requests_total",
+                "Batch requests received.",
+                counter(Stat::BatchRequests),
+            ),
+            row(
+                "traced_requests",
+                "fragalign_traced_requests_total",
+                "Requests served with ?trace=1.",
+                counter(Stat::TracedRequests),
+            ),
+            row(
+                "trace_events_dropped",
+                "fragalign_trace_events_dropped_total",
+                "Trace events lost to the ring's drop-oldest overwrite.",
+                counter(Stat::TraceEventsDropped),
+            ),
+            row(
+                "sampled_traces",
+                "fragalign_sampled_traces_total",
+                "Plain requests traced by the 1-in-N sampler.",
+                counter(Stat::SampledTraces),
+            ),
+            row(
+                "connections_accepted",
+                "fragalign_connections_accepted_total",
+                "Connections accepted by the event loop.",
+                counter(Stat::ConnectionsAccepted),
+            ),
+            row(
+                "connections_open",
+                "fragalign_connections_open",
+                "Connections currently alive (idle, reading, or served).",
+                gauge(Stat::ConnectionsOpen),
+            ),
+            row(
+                "keepalive_reuse",
+                "fragalign_keepalive_reuse_total",
+                "Requests served on an already-used keep-alive connection.",
+                counter(Stat::KeepaliveReuse),
+            ),
+            row(
+                "admission_degraded",
+                "fragalign_admission_degraded_total",
+                "Solve requests rerouted to a cheap tier under load.",
+                counter(Stat::AdmissionDegraded),
+            ),
+            row(
+                "solve_requests",
+                "fragalign_solve_requests_total",
+                "Solve requests per registered solver.",
+                Sample::PerSolver(&self.solve_requests),
+            ),
+            row(
+                "queue.depth",
+                "fragalign_queue_depth",
+                "Connections waiting in the bounded queue.",
+                gauge(Stat::QueueDepth),
+            ),
+            row(
+                "queue.capacity",
+                "fragalign_queue_capacity",
+                "The bounded queue's capacity.",
+                Sample::Gauge(queue_capacity as u64),
+            ),
+            row(
+                "queue.workers",
+                "fragalign_workers",
+                "Worker-pool size.",
+                Sample::Gauge(workers as u64),
+            ),
+            row(
+                "queue.busy_workers",
+                "fragalign_busy_workers",
+                "Workers currently mid-connection.",
+                gauge(Stat::BusyWorkers),
+            ),
+            row(
+                "cache.hits",
+                "fragalign_cache_hits_total",
+                "Result-cache hits.",
+                Sample::Counter(cache.hits),
+            ),
+            row(
+                "cache.misses",
+                "fragalign_cache_misses_total",
+                "Result-cache misses.",
+                Sample::Counter(cache.misses),
+            ),
+            row(
+                "cache.evictions",
+                "fragalign_cache_evictions_total",
+                "Result-cache LRU evictions.",
+                Sample::Counter(cache.evictions),
+            ),
+            row(
+                "cache.entries",
+                "fragalign_cache_entries",
+                "Result-cache resident entries.",
+                Sample::Gauge(cache.entries as u64),
+            ),
+            row(
+                "cache.bytes",
+                "fragalign_cache_bytes",
+                "Result-cache resident bytes.",
+                Sample::Gauge(cache.bytes as u64),
+            ),
+            row(
+                "latency",
+                "fragalign_request_duration_seconds",
+                "End-to-end latency (queue wait + handling).",
+                Sample::Histogram(&self.latency),
+            ),
+            row(
+                "queue_wait",
+                "fragalign_queue_wait_seconds",
+                "Time connections waited for a worker.",
+                Sample::Histogram(&self.queue_wait),
+            ),
+            row(
+                "service",
+                "fragalign_service_seconds",
+                "Time workers spent handling connections.",
+                Sample::Histogram(&self.service),
+            ),
+            row(
+                "solve_latency",
+                "fragalign_solve_duration_seconds",
+                "Solve wall time per solver.",
+                Sample::PerSolverHistogram(&self.solve_latency),
+            ),
+        ]
     }
 
-    /// Render the whole telemetry set in the Prometheus text
-    /// exposition format (version 0.0.4): every counter and gauge of
-    /// the JSON document plus real cumulative histograms for
-    /// end-to-end latency, queue wait, service time, and per-solver
-    /// solve latency (solvers that served no request render counters
-    /// only, keeping the document compact).
-    pub fn prometheus(&self, workers: usize, queue_capacity: usize, cache: CacheStats) -> String {
-        let mut out = String::with_capacity(4096);
-        let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        gauge(
-            &mut out,
-            "fragalign_uptime_seconds",
-            "Seconds since the server started.",
-            self.uptime_secs(),
-        );
-        counter(
-            &mut out,
-            "fragalign_requests_total",
-            "Connections handled by workers (any status).",
-            self.requests.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_rejected_503_total",
-            "Connections rejected because the queue was full.",
-            self.rejected_busy.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_client_errors_4xx_total",
-            "Worker responses with a 4xx status.",
-            self.client_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_unknown_solver_requests_total",
-            "Solve requests naming an unregistered solver.",
-            self.unknown_solver.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_batch_requests_total",
-            "Batch requests received.",
-            self.batch_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_traced_requests_total",
-            "Requests served with ?trace=1.",
-            self.traced_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_trace_events_dropped_total",
-            "Trace events lost to the ring's drop-oldest overwrite.",
-            self.trace_events_dropped.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_sampled_traces_total",
-            "Plain requests traced by the 1-in-N sampler.",
-            self.sampled_traces.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_connections_accepted_total",
-            "Connections accepted by the event loop.",
-            self.connections_accepted.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "fragalign_connections_open",
-            "Connections currently alive (idle, reading, or served).",
-            self.connections_open() as f64,
-        );
-        counter(
-            &mut out,
-            "fragalign_keepalive_reuse_total",
-            "Requests served on an already-used keep-alive connection.",
-            self.keepalive_reuse.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "fragalign_admission_degraded_total",
-            "Solve requests rerouted to a cheap tier under load.",
-            self.admission_degraded.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP fragalign_solve_requests_total Solve requests per registered solver.\n\
-             # TYPE fragalign_solve_requests_total counter\n",
-        );
+    /// The `/metrics` JSON document: one key per family of the table,
+    /// in table order.
+    pub fn json(&self, workers: usize, queue_capacity: usize, cache: CacheStats) -> Value {
         let names = SolverRegistry::global().names();
-        for (name, count) in names.iter().zip(&self.solve_requests) {
-            out.push_str(&format!(
-                "fragalign_solve_requests_total{{solver=\"{name}\"}} {}\n",
-                count.load(Ordering::Relaxed)
-            ));
-        }
-        gauge(
-            &mut out,
-            "fragalign_queue_depth",
-            "Connections waiting in the bounded queue.",
-            self.queue_depth() as f64,
-        );
-        gauge(
-            &mut out,
-            "fragalign_queue_capacity",
-            "The bounded queue's capacity.",
-            queue_capacity as f64,
-        );
-        gauge(
-            &mut out,
-            "fragalign_workers",
-            "Worker-pool size.",
-            workers as f64,
-        );
-        gauge(
-            &mut out,
-            "fragalign_busy_workers",
-            "Workers currently mid-connection.",
-            self.busy_workers() as f64,
-        );
-        counter(
-            &mut out,
-            "fragalign_cache_hits_total",
-            "Result-cache hits.",
-            cache.hits,
-        );
-        counter(
-            &mut out,
-            "fragalign_cache_misses_total",
-            "Result-cache misses.",
-            cache.misses,
-        );
-        counter(
-            &mut out,
-            "fragalign_cache_evictions_total",
-            "Result-cache LRU evictions.",
-            cache.evictions,
-        );
-        gauge(
-            &mut out,
-            "fragalign_cache_entries",
-            "Result-cache resident entries.",
-            cache.entries as f64,
-        );
-        gauge(
-            &mut out,
-            "fragalign_cache_bytes",
-            "Result-cache resident bytes.",
-            cache.bytes as f64,
-        );
-        let histo = |out: &mut String, name: &str, help: &str, h: &Histogram, labels: &str| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            h.render_prometheus(out, name, labels);
-        };
-        histo(
-            &mut out,
-            "fragalign_request_duration_seconds",
-            "End-to-end latency (queue wait + handling).",
-            &self.latency,
-            "",
-        );
-        histo(
-            &mut out,
-            "fragalign_queue_wait_seconds",
-            "Time connections waited for a worker.",
-            &self.queue_wait,
-            "",
-        );
-        histo(
-            &mut out,
-            "fragalign_service_seconds",
-            "Time workers spent handling connections.",
-            &self.service,
-            "",
-        );
-        let mut solver_histos = String::new();
-        for (name, h) in names.iter().zip(&self.solve_latency) {
-            if h.count() > 0 {
-                h.render_prometheus(
-                    &mut solver_histos,
-                    "fragalign_solve_duration_seconds",
-                    &format!("solver=\"{name}\""),
-                );
+        let mut doc: Vec<(String, Value)> = Vec::new();
+        for family in self.families(workers, queue_capacity, &cache) {
+            if family.sample.is_empty() {
+                continue;
             }
+            let value = match family.sample {
+                Sample::Counter(v) | Sample::Gauge(v) => v.serialize(),
+                Sample::Uptime(secs) => Value::Float(secs),
+                Sample::PerSolver(counts) => Value::Object(
+                    names
+                        .iter()
+                        .zip(counts)
+                        .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed).serialize()))
+                        .collect(),
+                ),
+                Sample::Histogram(h) => h.summary(),
+                Sample::PerSolverHistogram(hs) => Value::Object(
+                    names
+                        .iter()
+                        .zip(hs)
+                        .filter(|(_, h)| h.count() > 0)
+                        .map(|(name, h)| (name.to_string(), h.summary()))
+                        .collect(),
+                ),
+            };
+            let (fields, key) = match family.json.split_once('.') {
+                None => (&mut doc, family.json),
+                Some((group, key)) => {
+                    let at = match doc.iter().position(|(k, _)| k == group) {
+                        Some(at) => at,
+                        None => {
+                            doc.push((group.to_string(), Value::Object(Vec::new())));
+                            doc.len() - 1
+                        }
+                    };
+                    let Value::Object(fields) = &mut doc[at].1 else {
+                        unreachable!("{group} is a family key and a group")
+                    };
+                    (fields, key)
+                }
+            };
+            fields.push((key.to_string(), value));
         }
-        if !solver_histos.is_empty() {
-            out.push_str(
-                "# HELP fragalign_solve_duration_seconds Solve wall time per solver.\n\
-                 # TYPE fragalign_solve_duration_seconds histogram\n",
-            );
-            out.push_str(&solver_histos);
+        Value::Object(doc)
+    }
+
+    /// The Prometheus text exposition (version 0.0.4): one HELP/TYPE
+    /// block per family of the table, in table order. Histograms are
+    /// real cumulative bucket sets in seconds.
+    pub fn prometheus(&self, workers: usize, queue_capacity: usize, cache: CacheStats) -> String {
+        let names = SolverRegistry::global().names();
+        let mut out = String::with_capacity(4096);
+        for Family {
+            prom: name,
+            help,
+            sample,
+            ..
+        } in self.families(workers, queue_capacity, &cache)
+        {
+            if sample.is_empty() {
+                continue;
+            }
+            let kind = match sample {
+                Sample::Counter(_) | Sample::PerSolver(_) => "counter",
+                Sample::Gauge(_) | Sample::Uptime(_) => "gauge",
+                Sample::Histogram(_) | Sample::PerSolverHistogram(_) => "histogram",
+            };
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            match sample {
+                Sample::Counter(v) | Sample::Gauge(v) => out.push_str(&format!("{name} {v}\n")),
+                Sample::Uptime(secs) => out.push_str(&format!("{name} {secs}\n")),
+                Sample::PerSolver(counts) => {
+                    for (solver, c) in names.iter().zip(counts) {
+                        out.push_str(&format!(
+                            "{name}{{solver=\"{solver}\"}} {}\n",
+                            c.load(Ordering::Relaxed)
+                        ));
+                    }
+                }
+                Sample::Histogram(h) => h.render_prometheus(&mut out, name, ""),
+                Sample::PerSolverHistogram(hs) => {
+                    for (solver, h) in names.iter().zip(hs) {
+                        if h.count() > 0 {
+                            h.render_prometheus(&mut out, name, &format!("solver=\"{solver}\""));
+                        }
+                    }
+                }
+            }
         }
         out
     }
@@ -575,99 +569,6 @@ impl Default for Telemetry {
     fn default() -> Self {
         Telemetry::new()
     }
-}
-
-/// `/v1/solve` traffic for one registered solver.
-#[derive(Serialize)]
-pub struct SolverRequests {
-    /// Registered solver name.
-    pub solver: String,
-    /// Fully-validated `/v1/solve` requests that asked for it
-    /// (cache hits included; batch traffic and requests rejected
-    /// during validation are not counted here).
-    pub requests: u64,
-    /// Solve wall time for this solver (cache hits excluded — only
-    /// actual solves are timed).
-    pub latency: LatencySnapshot,
-}
-
-/// Latency summary over one histogram.
-#[derive(Serialize)]
-pub struct LatencySnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Approximate median, milliseconds (bucket upper bound, clamped
-    /// to the largest observation).
-    pub p50_ms: f64,
-    /// Approximate 99th percentile, milliseconds (bucket upper bound,
-    /// clamped to the largest observation).
-    pub p99_ms: f64,
-}
-
-impl LatencySnapshot {
-    fn of(h: &Histogram) -> Self {
-        LatencySnapshot {
-            count: h.count(),
-            p50_ms: h.quantile_ms(0.50),
-            p99_ms: h.quantile_ms(0.99),
-        }
-    }
-}
-
-/// Worker-queue occupancy at snapshot time.
-#[derive(Serialize)]
-pub struct QueueSnapshot {
-    /// Connections waiting in the bounded queue.
-    pub depth: usize,
-    /// The queue's capacity (`--queue-depth`).
-    pub capacity: usize,
-    /// Worker-pool size.
-    pub workers: usize,
-    /// Workers currently mid-connection.
-    pub busy_workers: usize,
-}
-
-/// The `/metrics` document.
-#[derive(Serialize)]
-pub struct MetricsSnapshot {
-    /// Seconds since the server started.
-    pub uptime_secs: f64,
-    /// Connections handled by workers (any status).
-    pub requests_total: u64,
-    /// Connections rejected by the acceptor because the queue was full.
-    pub rejected_503: u64,
-    /// Worker responses with a 4xx status.
-    pub client_errors_4xx: u64,
-    /// `/v1/solve` requests naming an unregistered solver.
-    pub unknown_solver_requests: u64,
-    /// `/v1/batch` requests.
-    pub batch_requests: u64,
-    /// `/v1/solve` traffic per registered solver, registry order.
-    pub solve_requests: Vec<SolverRequests>,
-    /// End-to-end latency (queue wait + handling).
-    pub latency: LatencySnapshot,
-    /// Time connections waited in the bounded queue for a worker.
-    pub queue_wait: LatencySnapshot,
-    /// Time workers spent handling connections.
-    pub service: LatencySnapshot,
-    /// Requests served with `?trace=1`.
-    pub traced_requests: u64,
-    /// Trace events lost to the ring's drop-oldest overwrite.
-    pub trace_events_dropped: u64,
-    /// Connections the event loop ever accepted.
-    pub connections_accepted: u64,
-    /// Connections currently alive (idle, reading, or being served).
-    pub connections_open: usize,
-    /// Requests served on an already-used keep-alive connection.
-    pub keepalive_reuse: u64,
-    /// Solve requests rerouted to a cheap tier by admission control.
-    pub admission_degraded: u64,
-    /// Plain requests traced by the 1-in-N sampler.
-    pub sampled_traces: u64,
-    /// Worker-queue occupancy.
-    pub queue: QueueSnapshot,
-    /// Result-cache counters.
-    pub cache: CacheStats,
 }
 
 #[cfg(test)]
@@ -742,17 +643,18 @@ mod tests {
         let t = Telemetry::new();
         t.record_response(200);
         t.record_solve(0);
-        t.record_latency(Duration::from_millis(3));
-        t.record_queue_wait(Duration::from_micros(40));
-        t.record_service(Duration::from_millis(2));
+        t.latency.record(Duration::from_millis(3));
+        t.queue_wait.record(Duration::from_micros(40));
+        t.service.record(Duration::from_millis(2));
         t.record_solve_latency(0, Duration::from_millis(2));
-        t.record_traced(5);
-        t.note_conn_opened();
-        t.note_conn_opened();
-        t.note_conn_closed();
-        t.record_keepalive_reuse();
-        t.record_degraded();
-        t.record_sampled();
+        t.add(Stat::TracedRequests, 1);
+        t.add(Stat::TraceEventsDropped, 5);
+        t.add(Stat::ConnectionsAccepted, 2);
+        t.add(Stat::ConnectionsOpen, 2);
+        t.sub(Stat::ConnectionsOpen, 1);
+        t.add(Stat::KeepaliveReuse, 1);
+        t.add(Stat::AdmissionDegraded, 1);
+        t.add(Stat::SampledTraces, 1);
         let text = t.prometheus(4, 64, crate::ResultCache::new(2, 1024).stats());
         for needle in [
             "fragalign_requests_total 1",
@@ -776,37 +678,112 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reflects_counters() {
+    fn json_document_reflects_counters() {
         let t = Telemetry::new();
         t.record_response(200);
         t.record_response(400);
-        t.record_rejected();
+        t.add(Stat::Rejected503, 1);
         t.record_solve(0);
         t.record_solve(0);
-        t.record_batch();
-        t.record_latency(Duration::from_millis(3));
-        t.note_queued();
-        t.note_conn_opened();
-        t.record_keepalive_reuse();
-        t.record_degraded();
-        t.record_sampled();
-        let snap = t.snapshot(4, 64, crate::ResultCache::new(2, 1024).stats());
-        assert_eq!(snap.requests_total, 2);
-        assert_eq!(snap.connections_accepted, 1);
-        assert_eq!(snap.connections_open, 1);
-        assert_eq!(snap.keepalive_reuse, 1);
-        assert_eq!(snap.admission_degraded, 1);
-        assert_eq!(snap.sampled_traces, 1);
-        assert_eq!(snap.client_errors_4xx, 1);
-        assert_eq!(snap.rejected_503, 1);
-        assert_eq!(snap.solve_requests[0].requests, 2);
-        assert_eq!(snap.batch_requests, 1);
-        assert_eq!(snap.latency.count, 1);
-        assert_eq!(snap.queue.depth, 1);
-        assert_eq!(snap.queue.capacity, 64);
-        // The whole document serialises.
-        assert!(serde_json::to_string(&snap)
-            .unwrap()
-            .contains("uptime_secs"));
+        t.add(Stat::BatchRequests, 1);
+        t.latency.record(Duration::from_millis(3));
+        t.add(Stat::QueueDepth, 1);
+        t.add(Stat::ConnectionsAccepted, 1);
+        t.add(Stat::ConnectionsOpen, 1);
+        t.add(Stat::KeepaliveReuse, 1);
+        t.add(Stat::AdmissionDegraded, 1);
+        t.add(Stat::SampledTraces, 1);
+        let doc = t.json(4, 64, crate::ResultCache::new(2, 1024).stats());
+        let at = |path: &str| {
+            path.split('.')
+                .try_fold(&doc, |v, key| v.get(key))
+                .unwrap_or_else(|| panic!("no {path} in {doc:?}"))
+                .clone()
+        };
+        for (path, want) in [
+            ("requests_total", 2),
+            ("connections_accepted", 1),
+            ("connections_open", 1),
+            ("keepalive_reuse", 1),
+            ("admission_degraded", 1),
+            ("sampled_traces", 1),
+            ("client_errors_4xx", 1),
+            ("rejected_503", 1),
+            ("solve_requests.csr", 2),
+            ("solve_requests.full", 0),
+            ("batch_requests", 1),
+            ("latency.count", 1),
+            ("queue.depth", 1),
+            ("queue.capacity", 64),
+            ("cache.hits", 0),
+        ] {
+            assert_eq!(at(path), Value::Int(want), "{path}");
+        }
+        // No solver ran a solve, so no per-solver latency is listed.
+        assert_eq!(doc.get("solve_latency"), None);
+        t.record_solve_latency(0, Duration::from_millis(2));
+        let doc = t.json(4, 64, crate::ResultCache::new(2, 1024).stats());
+        let solve_latency = doc.get("solve_latency").and_then(Value::as_object);
+        assert_eq!(
+            solve_latency.map(|s| s.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>()),
+            Some(vec!["csr"])
+        );
+    }
+
+    /// Every row of the table reaches both exports: its JSON key is at
+    /// its path, its family has a `# TYPE` line, and a counter or
+    /// gauge reads the same value in both. Each stat holds a distinct
+    /// value, so a row that reads the wrong stat shows too.
+    #[test]
+    fn every_family_reaches_both_exports() {
+        let t = Telemetry::new();
+        for (i, stat) in t.stats.iter().enumerate() {
+            stat.store(100 + i as u64, Ordering::Relaxed);
+        }
+        t.record_solve(0);
+        t.record_solve_latency(0, Duration::from_micros(1_500));
+        t.latency.record(Duration::from_micros(2_500));
+        t.queue_wait.record(Duration::from_micros(100));
+        t.service.record(Duration::from_micros(2_400));
+        let cache = CacheStats {
+            hits: 5,
+            misses: 7,
+            evictions: 2,
+            entries: 3,
+            bytes: 4096,
+            byte_budget: 1 << 20,
+            shards: 16,
+            hit_rate: 5.0 / 12.0,
+        };
+        let json = t.json(4, 64, cache);
+        let prom = t.prometheus(4, 64, cache);
+        let families = t.families(4, 64, &cache);
+        let mut stats_seen = Vec::new();
+        for family in &families {
+            let value = family
+                .json
+                .split('.')
+                .try_fold(&json, |v, key| v.get(key))
+                .unwrap_or_else(|| panic!("JSON document lacks {}", family.json));
+            let type_line = format!("# TYPE {} ", family.prom);
+            assert!(prom.contains(&type_line), "exposition lacks {type_line:?}");
+            if let Sample::Counter(v) | Sample::Gauge(v) = family.sample {
+                assert_eq!(value, &Value::Int(v as i64), "{}", family.json);
+                let sample = format!("{} {v}", family.prom);
+                assert!(
+                    prom.lines().any(|l| l == sample),
+                    "exposition lacks {sample:?}"
+                );
+                if (100..100 + Stat::COUNT as u64).contains(&v) {
+                    stats_seen.push(v);
+                }
+            }
+        }
+        stats_seen.sort_unstable();
+        assert_eq!(
+            stats_seen,
+            (100..100 + Stat::COUNT as u64).collect::<Vec<_>>(),
+            "every stat must be read by exactly one row"
+        );
     }
 }

@@ -52,7 +52,7 @@
 use crate::admission::{AdmissionConfig, AdmissionPolicy};
 use crate::cache::{self, Fingerprint, ResultCache};
 use crate::http::{self, Parse, Request, RequestError};
-use crate::metrics::Telemetry;
+use crate::metrics::{Stat, Telemetry};
 use crate::poll::{self, Poller};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use fragalign_align::DpWorkspace;
@@ -200,7 +200,7 @@ struct OpenConn(Arc<ServeState>);
 
 impl Drop for OpenConn {
     fn drop(&mut self) {
-        self.0.telemetry.note_conn_closed();
+        self.0.telemetry.sub(Stat::ConnectionsOpen, 1);
     }
 }
 
@@ -406,10 +406,10 @@ impl Drop for Server {
 }
 
 impl ServeState {
-    /// The `/metrics` document for this instant.
-    pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
+    /// The `/metrics` JSON document for this instant.
+    pub fn metrics(&self) -> Value {
         self.telemetry
-            .snapshot(self.workers, self.queue_capacity, self.cache.stats())
+            .json(self.workers, self.queue_capacity, self.cache.stats())
     }
 }
 
@@ -517,7 +517,8 @@ fn event_loop(
                         // the worker's response write.
                         let _ = stream.set_read_timeout(Some(knobs.io_timeout));
                         let _ = stream.set_write_timeout(Some(knobs.io_timeout));
-                        state.telemetry.note_conn_opened();
+                        state.telemetry.add(Stat::ConnectionsAccepted, 1);
+                        state.telemetry.add(Stat::ConnectionsOpen, 1);
                         let sampled = state
                             .sampler
                             .as_ref()
@@ -525,7 +526,7 @@ fn event_loop(
                         accepted += 1;
                         let mut conn = Conn::new(stream, &state, sampled);
                         if conns.len() >= knobs.max_conns {
-                            state.telemetry.record_rejected();
+                            state.telemetry.add(Stat::Rejected503, 1);
                             state.telemetry.record_response(503);
                             let body = error_object(
                                 "server busy: connection limit reached, retry shortly",
@@ -572,10 +573,10 @@ fn event_loop(
                         break;
                     }
                     Pump::Dispatch(request) => {
-                        let load =
-                            state.telemetry.queue_depth() as f64 / state.queue_capacity as f64;
+                        let load = state.telemetry.get(Stat::QueueDepth) as f64
+                            / state.queue_capacity as f64;
                         if state.admission.should_reject(load) {
-                            state.telemetry.record_rejected();
+                            state.telemetry.add(Stat::Rejected503, 1);
                             state.telemetry.record_response(503);
                             let keep = request.keep_alive;
                             let body = error_object(
@@ -593,8 +594,8 @@ fn event_loop(
                         let t0 = Instant::now();
                         if let Some(reply) = try_inline_hit(&request, &state, load) {
                             state.telemetry.record_response(reply.status);
-                            state.telemetry.record_service(t0.elapsed());
-                            state.telemetry.record_latency(t0.elapsed());
+                            state.telemetry.service.record(t0.elapsed());
+                            state.telemetry.latency.record(t0.elapsed());
                             let mut extra: Vec<(&str, &str)> = Vec::new();
                             if let Some(marker) = reply.cache_marker {
                                 extra.push(("X-Fragalign-Cache", marker));
@@ -610,7 +611,7 @@ fn event_loop(
                             );
                             continue;
                         }
-                        state.telemetry.note_queued();
+                        state.telemetry.add(Stat::QueueDepth, 1);
                         let conn = conns.swap_remove(i);
                         match tx.try_send(Job {
                             conn,
@@ -620,8 +621,8 @@ fn event_loop(
                         }) {
                             Ok(()) => {}
                             Err(TrySendError::Full(job)) => {
-                                state.telemetry.note_dequeued();
-                                state.telemetry.record_rejected();
+                                state.telemetry.sub(Stat::QueueDepth, 1);
+                                state.telemetry.add(Stat::Rejected503, 1);
                                 state.telemetry.record_response(503);
                                 let mut conn = job.conn;
                                 let keep = job.request.keep_alive;
@@ -707,7 +708,7 @@ fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize)
             conn.buf.drain(..consumed);
             conn.served += 1;
             if conn.served >= 2 {
-                state.telemetry.record_keepalive_reuse();
+                state.telemetry.add(Stat::KeepaliveReuse, 1);
             }
             if peer_eof {
                 // The client half-closed after sending; answer, then
@@ -776,12 +777,12 @@ fn worker_loop(
 ) {
     let mut ws = DpWorkspace::new();
     while let Ok(mut job) = rx.recv() {
-        state.telemetry.note_dequeued();
-        state.telemetry.note_busy(true);
+        state.telemetry.sub(Stat::QueueDepth, 1);
+        state.telemetry.add(Stat::BusyWorkers, 1);
         // Queue wait ends here; everything after is service time. Total
         // latency (wait + service) stays in the original histogram so
         // existing p99 numbers keep their meaning.
-        state.telemetry.record_queue_wait(job.enqueued.elapsed());
+        state.telemetry.queue_wait.record(job.enqueued.elapsed());
         let service_started = Instant::now();
         // Blocking mode for the response write; the socket timeouts
         // set at accept bound how long a stalled client costs.
@@ -809,9 +810,9 @@ fn worker_loop(
                 false
             }
         };
-        state.telemetry.record_service(service_started.elapsed());
-        state.telemetry.record_latency(job.enqueued.elapsed());
-        state.telemetry.note_busy(false);
+        state.telemetry.service.record(service_started.elapsed());
+        state.telemetry.latency.record(job.enqueued.elapsed());
+        state.telemetry.sub(Stat::BusyWorkers, 1);
         if keep {
             if ret_tx.send(job.conn).is_ok() {
                 // One byte wakes the loop's poll; WouldBlock means it
@@ -1115,7 +1116,7 @@ fn try_inline_hit(request: &Request, state: &ServeState, load: f64) -> Option<Re
     let (_, position, degraded, key) = memo.resolve(state, load);
     let body = state.cache.peek(key)?;
     if degraded.is_some() {
-        state.telemetry.record_degraded();
+        state.telemetry.add(Stat::AdmissionDegraded, 1);
     }
     state.telemetry.record_solve(position);
     Some(Reply {
@@ -1132,7 +1133,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
         Ok(p) => p,
         Err(rejection) => {
             if rejection.unknown_solver {
-                state.telemetry.record_unknown_solver();
+                state.telemetry.add(Stat::UnknownSolverRequests, 1);
             }
             return rejection.reply;
         }
@@ -1148,7 +1149,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
     }
     let (solver, position, degraded, key) = memo.resolve(state, load);
     if degraded.is_some() {
-        state.telemetry.record_degraded();
+        state.telemetry.add(Stat::AdmissionDegraded, 1);
     }
     // Count only fully-validated solve traffic, so `/metrics` per-
     // solver numbers mean "solves this solver was actually asked to
@@ -1187,7 +1188,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
         _ => TraceHandle::disabled(),
     };
     if sampled {
-        state.telemetry.record_sampled();
+        state.telemetry.add(Stat::SampledTraces, 1);
     }
     let solve_started = Instant::now();
     match solve_single_traced(&inst, &opts, ws, trace) {
@@ -1217,7 +1218,8 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
                     // Splice the Chrome trace document into the
                     // response object: `{...}` → `{...,"trace":{...}}`.
                     let log = sink.drain();
-                    state.telemetry.record_traced(log.dropped);
+                    state.telemetry.add(Stat::TracedRequests, 1);
+                    state.telemetry.add(Stat::TraceEventsDropped, log.dropped);
                     body.pop();
                     body.push_str(",\"trace\":");
                     body.push_str(&log.to_chrome_json());
@@ -1254,7 +1256,7 @@ struct BatchItem {
 }
 
 fn handle_batch(request: &Request, state: &ServeState) -> Reply {
-    state.telemetry.record_batch();
+    state.telemetry.add(Stat::BatchRequests, 1);
     let parsed = match parse_solve_request(&request.body, state, "instances") {
         Ok(p) => p,
         Err(rejection) => return rejection.reply,
@@ -1503,19 +1505,31 @@ mod tests {
         let health = client::get(server.addr(), "/healthz").unwrap();
         assert_eq!(health.status, 200);
         assert!(health.body.contains("\"status\":\"ok\""));
+        // One solve, so the per-solver latency family is present too.
+        let inst = serde_json::to_string(&paper_example()).unwrap();
+        let body = format!("{{\"instance\":{inst},\"solver\":\"csr\"}}");
+        let solved = client::post(server.addr(), "/v1/solve", &body).unwrap();
+        assert_eq!(solved.status, 200, "{}", solved.body);
         let metrics = client::get(server.addr(), "/metrics").unwrap();
         assert_eq!(metrics.status, 200);
-        for field in [
-            "uptime_secs",
-            "solve_requests",
-            "p99_ms",
-            "hit_rate",
-            "connections_accepted",
-            "keepalive_reuse",
-            "admission_degraded",
-        ] {
-            assert!(metrics.body.contains(field), "missing {field}");
-        }
+        // The document's top-level keys are the table's, in order,
+        // each once.
+        let doc: Value = serde_json::from_str(&metrics.body).expect("/metrics is JSON");
+        let keys: Vec<&str> = doc
+            .as_object()
+            .expect("/metrics is an object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        let state = server.state();
+        let mut table: Vec<&str> = state
+            .telemetry
+            .families(state.workers, state.queue_capacity, &state.cache.stats())
+            .iter()
+            .map(|family| family.json.split('.').next().expect("split yields a part"))
+            .collect();
+        table.dedup();
+        assert_eq!(keys, table);
         server.shutdown();
     }
 
@@ -1652,7 +1666,7 @@ mod tests {
         let again = client::post(server.addr(), "/v1/solve", &body).unwrap();
         assert_eq!(again.header("x-fragalign-cache"), Some("hit"));
         assert_eq!(again.body, plain.body);
-        assert_eq!(server.state().metrics().traced_requests, 1);
+        assert_eq!(server.state().telemetry.get(Stat::TracedRequests), 1);
         server.shutdown();
     }
 
@@ -1672,12 +1686,12 @@ mod tests {
         assert_eq!(first.status, 200, "{}", first.body);
         assert_eq!(first.header("x-fragalign-cache"), Some("miss"));
         assert!(!first.body.contains("\"trace\":{"), "{}", first.body);
-        assert_eq!(server.state().metrics().sampled_traces, 1);
+        assert_eq!(server.state().telemetry.get(Stat::SampledTraces), 1);
         // A cache hit does not tick the sampler (nothing solved).
         let hit = client::post(server.addr(), "/v1/solve", &body).unwrap();
         assert_eq!(hit.header("x-fragalign-cache"), Some("hit"));
         assert_eq!(hit.body, first.body);
-        assert_eq!(server.state().metrics().sampled_traces, 1);
+        assert_eq!(server.state().telemetry.get(Stat::SampledTraces), 1);
         // The sampled spans drain as a Chrome trace document.
         let trace = client::get(server.addr(), "/debug/trace").unwrap();
         assert_eq!(trace.status, 200);
@@ -1746,7 +1760,7 @@ mod tests {
             "{}",
             resp.body
         );
-        assert_eq!(server.state().metrics().unknown_solver_requests, 1);
+        assert_eq!(server.state().telemetry.get(Stat::UnknownSolverRequests), 1);
         server.shutdown();
     }
 
@@ -1771,11 +1785,15 @@ mod tests {
         let resp = client::post(server.addr(), "/v1/batch", &body).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"instances\":2"), "{}", resp.body);
-        let metrics = server.state().metrics();
-        assert_eq!(metrics.batch_requests, 1);
+        assert_eq!(server.state().telemetry.get(Stat::BatchRequests), 1);
         // Batch traffic must not leak into the per-solver /v1/solve
         // counters.
-        assert!(metrics.solve_requests.iter().all(|s| s.requests == 0));
+        let metrics = server.state().metrics();
+        let solve_requests = metrics
+            .get("solve_requests")
+            .and_then(Value::as_object)
+            .expect("per-solver counts");
+        assert!(solve_requests.iter().all(|(_, n)| *n == Value::Int(0)));
         server.shutdown();
     }
 

@@ -10,13 +10,14 @@
 //! * **Schema stability** — the Chrome trace-event rendering and the
 //!   Prometheus text exposition are golden-pinned (`BLESS=1`
 //!   re-blesses) so exporters downstream can rely on field order.
-//! * **Counter parity** — every counter of the `/metrics` JSON
-//!   document has a Prometheus rendering; adding a telemetry field
-//!   without exporting it both ways fails here.
+//!
+//! JSON/Prometheus parity of `/metrics` is checked where both exports
+//! are rendered from one table, by `fragalign-serve`'s
+//! `metrics::tests::every_family_reaches_both_exports`.
 
 use fragalign::obs::{EventKind, TraceEvent, TraceHandle, TraceLog, TraceSink};
 use fragalign::prelude::*;
-use fragalign::serve::{CacheStats, Telemetry};
+use fragalign::serve::{CacheStats, Stat, Telemetry};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -283,21 +284,22 @@ fn seeded_telemetry() -> Telemetry {
     t.record_response(200);
     t.record_response(200);
     t.record_response(400);
-    t.record_rejected();
-    t.record_unknown_solver();
-    t.record_batch();
-    t.record_traced(3);
+    t.add(Stat::Rejected503, 1);
+    t.add(Stat::UnknownSolverRequests, 1);
+    t.add(Stat::BatchRequests, 1);
+    t.add(Stat::TracedRequests, 1);
+    t.add(Stat::TraceEventsDropped, 3);
     t.record_solve(0);
     t.record_solve_latency(0, Duration::from_micros(1_500));
-    t.record_latency(Duration::from_micros(2_500));
-    t.record_queue_wait(Duration::from_micros(100));
-    t.record_service(Duration::from_micros(2_400));
-    t.note_conn_opened();
-    t.note_conn_opened();
-    t.note_conn_closed();
-    t.record_keepalive_reuse();
-    t.record_degraded();
-    t.record_sampled();
+    t.latency.record(Duration::from_micros(2_500));
+    t.queue_wait.record(Duration::from_micros(100));
+    t.service.record(Duration::from_micros(2_400));
+    t.add(Stat::ConnectionsAccepted, 2);
+    t.add(Stat::ConnectionsOpen, 2);
+    t.sub(Stat::ConnectionsOpen, 1);
+    t.add(Stat::KeepaliveReuse, 1);
+    t.add(Stat::AdmissionDegraded, 1);
+    t.add(Stat::SampledTraces, 1);
     t
 }
 
@@ -320,79 +322,4 @@ fn prometheus_exposition_is_pinned() {
         .join("\n")
         + "\n";
     assert_golden("metrics_prometheus.txt", &normalized);
-}
-
-/// Every counter and gauge of the JSON `/metrics` document must also
-/// appear in the Prometheus exposition (and vice versa via the golden
-/// above). The key list is checked for coverage against the actual
-/// JSON document, so adding a `MetricsSnapshot` field without a
-/// Prometheus rendering — or without extending this mapping — fails.
-#[test]
-fn every_telemetry_counter_appears_in_both_exports() {
-    let t = seeded_telemetry();
-    let snap = t.snapshot(4, 64, cache_stats());
-    let json = serde_json::to_string(&snap).expect("snapshot serialises");
-    let prom = t.prometheus(4, 64, cache_stats());
-
-    // JSON top-level key → Prometheus metric family.
-    let mapping = [
-        ("uptime_secs", "fragalign_uptime_seconds"),
-        ("requests_total", "fragalign_requests_total"),
-        ("rejected_503", "fragalign_rejected_503_total"),
-        ("client_errors_4xx", "fragalign_client_errors_4xx_total"),
-        (
-            "unknown_solver_requests",
-            "fragalign_unknown_solver_requests_total",
-        ),
-        ("batch_requests", "fragalign_batch_requests_total"),
-        ("solve_requests", "fragalign_solve_requests_total"),
-        ("latency", "fragalign_request_duration_seconds"),
-        ("queue_wait", "fragalign_queue_wait_seconds"),
-        ("service", "fragalign_service_seconds"),
-        ("traced_requests", "fragalign_traced_requests_total"),
-        (
-            "trace_events_dropped",
-            "fragalign_trace_events_dropped_total",
-        ),
-        ("sampled_traces", "fragalign_sampled_traces_total"),
-        (
-            "connections_accepted",
-            "fragalign_connections_accepted_total",
-        ),
-        ("connections_open", "fragalign_connections_open"),
-        ("keepalive_reuse", "fragalign_keepalive_reuse_total"),
-        ("admission_degraded", "fragalign_admission_degraded_total"),
-        ("queue", "fragalign_queue_depth"),
-        ("cache", "fragalign_cache_hits_total"),
-    ];
-    for (jkey, pname) in mapping {
-        assert!(
-            json.contains(&format!("\"{jkey}\":")),
-            "JSON document lost key {jkey:?}"
-        );
-        assert!(prom.contains(pname), "Prometheus export lost {pname}");
-    }
-    // Coverage: no JSON top-level field outside the mapping.
-    let doc: serde::Value = serde_json::from_str(&json).expect("snapshot parses");
-    let fields = doc.as_object().expect("snapshot is an object");
-    for (key, _) in fields {
-        assert!(
-            mapping.iter().any(|(jkey, _)| jkey == key),
-            "new MetricsSnapshot field {key:?} has no Prometheus mapping — \
-             render it in Telemetry::prometheus and extend this test"
-        );
-    }
-    // The queue/cache sub-objects' gauges are all rendered too.
-    for pname in [
-        "fragalign_queue_capacity",
-        "fragalign_workers",
-        "fragalign_busy_workers",
-        "fragalign_cache_misses_total",
-        "fragalign_cache_evictions_total",
-        "fragalign_cache_entries",
-        "fragalign_cache_bytes",
-        "fragalign_solve_duration_seconds",
-    ] {
-        assert!(prom.contains(pname), "Prometheus export lost {pname}");
-    }
 }

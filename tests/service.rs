@@ -24,7 +24,7 @@ use fragalign::core::{solve_single_traced, BatchOptions, TraceHandle};
 use fragalign::model::instance::paper_example;
 use fragalign::model::{Instance, InstanceBuilder, Score, Sym};
 use fragalign::serve::{
-    client, AdmissionConfig, ServeConfig, Server, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS,
+    client, AdmissionConfig, ServeConfig, Server, Stat, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS,
 };
 use fragalign::sim::gen_batch;
 use fragalign::sim::SimConfig;
@@ -456,10 +456,10 @@ fn half_written_requests_cost_no_worker() {
         })
         .collect();
     wait_until("the parked connections to register", || {
-        state.metrics().connections_open >= 4
+        state.telemetry.get(Stat::ConnectionsOpen) >= 4
     });
-    assert_eq!(state.telemetry.busy_workers(), 0);
-    assert_eq!(state.telemetry.queue_depth(), 0);
+    assert_eq!(state.telemetry.get(Stat::BusyWorkers), 0);
+    assert_eq!(state.telemetry.get(Stat::QueueDepth), 0);
 
     // The lone worker is free, so a real request answers immediately.
     let t0 = Instant::now();
@@ -511,7 +511,7 @@ fn hard_admission_watermark_503s_and_never_hangs() {
         "503 took {:?} — the hard watermark must not block",
         t0.elapsed()
     );
-    assert_eq!(server.state().metrics().rejected_503, 1);
+    assert_eq!(server.state().telemetry.get(Stat::Rejected503), 1);
     server.shutdown();
 }
 
@@ -578,7 +578,7 @@ fn degrade_watermark_reroutes_big_instances_with_header() {
         Some(&Value::Str(tier.to_string())),
         "degraded response must report the solver actually used"
     );
-    assert_eq!(server.state().metrics().admission_degraded, 1);
+    assert_eq!(server.state().telemetry.get(Stat::AdmissionDegraded), 1);
 
     // The same body again is a cache hit under the same tier: the
     // event loop resolves it from the body memo the worker published.
@@ -587,7 +587,7 @@ fn degrade_watermark_reroutes_big_instances_with_header() {
     assert_eq!(again.header("x-fragalign-cache"), Some("hit"));
     assert_eq!(again.header("x-fragalign-degraded"), Some(tier));
     assert_eq!(again.body, resp.body);
-    assert_eq!(server.state().metrics().admission_degraded, 2);
+    assert_eq!(server.state().telemetry.get(Stat::AdmissionDegraded), 2);
 
     // The result was cached under the tier actually used: asking for
     // that tier directly is a hit with an identical body (and no
@@ -621,12 +621,16 @@ fn keepalive_connections_are_reused_and_counted() {
     assert_eq!(solvers.status, 200);
     assert!(solvers.body.contains("\"name\": \"csr\""));
 
-    let snap = server.state().metrics();
+    let telemetry = &server.state().telemetry;
     assert_eq!(
-        snap.connections_accepted, 1,
+        telemetry.get(Stat::ConnectionsAccepted),
+        1,
         "both requests must share one connection"
     );
-    assert!(snap.keepalive_reuse >= 1, "reuse counter never moved");
+    assert!(
+        telemetry.get(Stat::KeepaliveReuse) >= 1,
+        "reuse counter never moved"
+    );
     server.shutdown();
 }
 
@@ -672,7 +676,7 @@ fn idle_connections_are_dropped_after_the_timeout() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("set timeout");
     wait_until("the idle connection to register", || {
-        state.metrics().connections_open >= 1
+        state.telemetry.get(Stat::ConnectionsOpen) >= 1
     });
     let t0 = Instant::now();
     let mut byte = [0u8; 1];
@@ -684,7 +688,7 @@ fn idle_connections_are_dropped_after_the_timeout() {
         t0.elapsed()
     );
     wait_until("the gauge to drop", || {
-        state.metrics().connections_open == 0
+        state.telemetry.get(Stat::ConnectionsOpen) == 0
     });
     server.shutdown();
 }
