@@ -221,12 +221,12 @@ pub struct Telemetry {
     solve_requests: Vec<AtomicU64>,
     /// Solve wall time per registered solver, registry order.
     solve_latency: Vec<Histogram>,
-    /// End-to-end latency of every response (queue wait + handling).
+    /// End-to-end latency: queue wait plus handling.
     pub latency: Histogram,
     /// Time a connection sat in the bounded queue before a worker
     /// picked it up.
     pub queue_wait: Histogram,
-    /// Time spent handling a request once it left the queue.
+    /// Time spent handling a request, by a worker or inline.
     pub service: Histogram,
 }
 
@@ -312,19 +312,19 @@ impl Telemetry {
             row(
                 "requests_total",
                 "fragalign_requests_total",
-                "Connections handled by workers (any status).",
+                "Responses written by a worker or the event loop (any status).",
                 counter(Stat::Requests),
             ),
             row(
                 "rejected_503",
                 "fragalign_rejected_503_total",
-                "Connections rejected because the queue was full.",
+                "503 responses: queue full, connection limit or hard admission watermark.",
                 counter(Stat::Rejected503),
             ),
             row(
                 "client_errors_4xx",
                 "fragalign_client_errors_4xx_total",
-                "Worker responses with a 4xx status.",
+                "Responses with a 4xx status, framing errors included.",
                 counter(Stat::ClientErrors4xx),
             ),
             row(
@@ -456,7 +456,7 @@ impl Telemetry {
             row(
                 "service",
                 "fragalign_service_seconds",
-                "Time workers spent handling connections.",
+                "Time spent handling requests, by a worker or as an inline cache hit.",
                 Sample::Histogram(&self.service),
             ),
             row(
