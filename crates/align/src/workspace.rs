@@ -91,9 +91,11 @@ impl DpWorkspace {
         self.fills
     }
 
-    /// Number of buffer growth events — the allocations proxy reported
-    /// by `exp_throughput`. A fresh workspace per fill performs one (or
-    /// more) allocation per fill; a warmed workspace performs none.
+    /// Number of buffer growth events — the allocations proxy that the
+    /// oracle sums into [`OracleStats::dp_reallocs`](crate::OracleStats)
+    /// and the benchmark's traced runs report as `oracle.dp_reallocs`.
+    /// A fresh workspace per fill performs one (or more) allocation per
+    /// fill; a warmed workspace performs none.
     pub fn reallocs(&self) -> u64 {
         self.reallocs
     }
