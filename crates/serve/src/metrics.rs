@@ -178,7 +178,8 @@ impl Stat {
 
 /// One row of the metric table: a family named once for both exports.
 pub(crate) struct Family<'a> {
-    /// Key in the JSON document; `group.key` nests under `group`.
+    /// Key in the JSON document; `group.key` nests under `group`,
+    /// whose rows are adjacent in the table.
     pub(crate) json: &'static str,
     /// Prometheus family name.
     prom: &'static str,
@@ -497,23 +498,18 @@ impl Telemetry {
                         .collect(),
                 ),
             };
-            let (fields, key) = match family.json.split_once('.') {
-                None => (&mut doc, family.json),
+            match family.json.split_once('.') {
+                None => doc.push((family.json.to_string(), value)),
                 Some((group, key)) => {
-                    let at = match doc.iter().position(|(k, _)| k == group) {
-                        Some(at) => at,
-                        None => {
-                            doc.push((group.to_string(), Value::Object(Vec::new())));
-                            doc.len() - 1
-                        }
+                    if doc.last().is_none_or(|(k, _)| k != group) {
+                        doc.push((group.to_string(), Value::Object(Vec::new())));
+                    }
+                    let Some((_, Value::Object(fields))) = doc.last_mut() else {
+                        unreachable!("a group is an object")
                     };
-                    let Value::Object(fields) = &mut doc[at].1 else {
-                        unreachable!("{group} is a family key and a group")
-                    };
-                    (fields, key)
+                    fields.push((key.to_string(), value));
                 }
-            };
-            fields.push((key.to_string(), value));
+            }
         }
         Value::Object(doc)
     }
