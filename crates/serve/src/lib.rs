@@ -37,8 +37,10 @@
 //!   per-worker DP workspaces stay shared-nothing beneath it, exactly
 //!   as in the batch pipeline.
 //! * [`http`] — minimal request parsing and response writing;
-//! * [`metrics`] — uptime, per-solver request counts, approximate
-//!   p50/p99 latency, queue depth and cache hit rate for `/metrics`;
+//! * [`metrics`] — one table of counters, gauges and latency
+//!   histograms (uptime, per-solver requests and solve latency,
+//!   queue, cache, connections, admission) that renders both the JSON
+//!   and the Prometheus `/metrics` export;
 //! * [`client`] — a tiny blocking HTTP client for the integration
 //!   tests and the `exp_service` load generator.
 //!
@@ -50,7 +52,8 @@
 //! | `/v1/batch` | POST | `{"instances": […], "solver"?, "options"?}` → per-instance results |
 //! | `/v1/solvers` | GET | the registry: name, paper artifact, ratio |
 //! | `/healthz` | GET | liveness + uptime |
-//! | `/metrics` | GET | counters, latency quantiles, queue, cache |
+//! | `/metrics` | GET | counters, latency quantiles, queue, cache (`?format=prometheus` for the text exposition) |
+//! | `/debug/trace` | GET | drains the 1-in-N sampled span ring as a Chrome trace (`--trace-sample N`) |
 //!
 //! Every `/v1/solve` response carries an `X-Fragalign-Cache: hit|miss`
 //! header; hit and miss bodies for the same request are byte-identical
