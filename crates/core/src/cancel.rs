@@ -3,223 +3,52 @@
 //! A [`CancelToken`] is the engine's stop signal: solvers receive one
 //! through [`SolveCtx`](crate::SolveCtx) and poll it at round
 //! boundaries (the improvement family checks between improvement
-//! rounds; one-shot solvers check on entry). A token can trip for four
-//! reasons:
-//!
-//! * an explicit [`cancel`](CancelToken::cancel) call,
-//! * a wall-clock **deadline** (latency budgets; inherently
-//!   timing-dependent, so results under deadline cancellation are
-//!   best-effort),
-//! * a **work cap** on [`charge`](CancelToken::charge)d work units —
-//!   the deterministic budget: the improvement driver charges one unit
-//!   per evaluated attempt, so a capped run always stops at the same
-//!   round on every machine and thread count,
-//! * a cancelled **parent**: tokens form a tree (the portfolio holds
-//!   the root, each racer a child), and cancelling a parent cancels
-//!   the whole subtree.
+//! rounds; one-shot solvers and the portfolio check on entry). It is
+//! a shared flag that trips only on an explicit
+//! [`cancel`](CancelToken::cancel). The one caller that trips it is
+//! the portfolio's race board, which retires racers that can no longer
+//! win once an earlier racer reaches the instance's score bound.
 //!
 //! The default token is [`CancelToken::never`]: a zero-allocation
 //! no-op, so uncancellable call paths pay nothing.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Why a token tripped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CancelCause {
-    /// Someone called [`CancelToken::cancel`].
-    Requested,
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// More work was [`charge`](CancelToken::charge)d than the cap.
-    WorkCap,
-    /// A competing racer made this run unable to win (the portfolio's
-    /// shared best-score bound).
-    Outraced,
-    /// An ancestor token was cancelled.
-    Parent,
-}
-
-impl CancelCause {
-    /// Stable lowercase name, used in reports and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            CancelCause::Requested => "requested",
-            CancelCause::Deadline => "deadline",
-            CancelCause::WorkCap => "work-cap",
-            CancelCause::Outraced => "outraced",
-            CancelCause::Parent => "parent",
-        }
-    }
-}
-
-const FLAG_LIVE: u8 = 0;
-
-fn encode(cause: CancelCause) -> u8 {
-    match cause {
-        CancelCause::Requested => 1,
-        CancelCause::Deadline => 2,
-        CancelCause::WorkCap => 3,
-        CancelCause::Outraced => 4,
-        CancelCause::Parent => 5,
-    }
-}
-
-fn decode(flag: u8) -> CancelCause {
-    match flag {
-        1 => CancelCause::Requested,
-        2 => CancelCause::Deadline,
-        3 => CancelCause::WorkCap,
-        4 => CancelCause::Outraced,
-        _ => CancelCause::Parent,
-    }
-}
-
-#[derive(Debug)]
-struct Inner {
-    /// `FLAG_LIVE`, or the encoded [`CancelCause`] that tripped first.
-    flag: AtomicU8,
-    deadline: Option<Instant>,
-    work_cap: Option<u64>,
-    work: AtomicU64,
-    parent: Option<CancelToken>,
-}
 
 /// A cloneable, thread-safe stop signal (see module docs). Clones
 /// share state: cancelling one cancels them all.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    inner: Option<Arc<Inner>>,
+    flag: Option<Arc<AtomicBool>>,
 }
 
 impl CancelToken {
     /// The inert token: never cancelled, free to clone and poll.
     /// [`cancel`](CancelToken::cancel) on it is a no-op.
     pub fn never() -> CancelToken {
-        CancelToken { inner: None }
+        CancelToken { flag: None }
     }
 
-    /// A live token with no limits — trips only via
-    /// [`cancel`](CancelToken::cancel) (or a cancelled parent).
+    /// A live token that trips on [`cancel`](CancelToken::cancel).
     pub fn new() -> CancelToken {
-        CancelToken::with_limits(None, None)
-    }
-
-    /// A live token tripping at `deadline` and/or after `work_cap`
-    /// charged units.
-    pub fn with_limits(deadline: Option<Instant>, work_cap: Option<u64>) -> CancelToken {
         CancelToken {
-            inner: Some(Arc::new(Inner {
-                flag: AtomicU8::new(FLAG_LIVE),
-                deadline,
-                work_cap,
-                work: AtomicU64::new(0),
-                parent: None,
-            })),
+            flag: Some(Arc::new(AtomicBool::new(false))),
         }
     }
 
-    /// A live token tripping `budget` from now.
-    pub fn with_budget(budget: Duration) -> CancelToken {
-        CancelToken::with_limits(Some(Instant::now() + budget), None)
-    }
-
-    /// A live child of `self` with its own limits: it trips on its own
-    /// limits *or* when `self` is cancelled. Works on a `never` parent
-    /// too (the child simply has no parent edge).
-    pub fn child_with_limits(
-        &self,
-        deadline: Option<Instant>,
-        work_cap: Option<u64>,
-    ) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                flag: AtomicU8::new(FLAG_LIVE),
-                deadline,
-                work_cap,
-                work: AtomicU64::new(0),
-                parent: self.inner.is_some().then(|| self.clone()),
-            })),
-        }
-    }
-
-    /// A live, unlimited child of `self`.
-    pub fn child(&self) -> CancelToken {
-        self.child_with_limits(None, None)
-    }
-
-    /// Trip the token with [`CancelCause::Requested`]. No-op on a
-    /// `never` token.
+    /// Trip the token and every clone of it. No-op on a `never` token.
     pub fn cancel(&self) {
-        self.cancel_with(CancelCause::Requested);
-    }
-
-    /// Trip the token with an explicit cause; the first cause sticks.
-    pub fn cancel_with(&self, cause: CancelCause) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.flag.compare_exchange(
-                FLAG_LIVE,
-                encode(cause),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+        // Relaxed: the flag publishes no other data.
+        if let Some(flag) = &self.flag {
+            flag.store(true, Ordering::Relaxed);
         }
     }
 
-    /// Record `units` of work against the cap (and every ancestor's).
-    pub fn charge(&self, units: u64) {
-        let mut cur = self;
-        while let Some(inner) = &cur.inner {
-            inner.work.fetch_add(units, Ordering::Relaxed);
-            match &inner.parent {
-                Some(parent) => cur = parent,
-                None => break,
-            }
-        }
-    }
-
-    /// Work units charged so far (0 for a `never` token).
-    pub fn work_done(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|i| i.work.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Whether the token has tripped (any cause, own or inherited).
+    /// Whether the token has tripped.
     pub fn is_cancelled(&self) -> bool {
-        self.cause().is_some()
-    }
-
-    /// The cause the token tripped for, or `None` while it is live.
-    /// The own work cap outranks everything, then the explicit flag,
-    /// then the deadline, then a cancelled ancestor. Work-cap-first is
-    /// deliberate: it is the one cause that trips at the same point on
-    /// every machine, and a racing explicit trip (e.g. the portfolio's
-    /// `Outraced` broadcast landing just after a capped run already
-    /// stopped) must not rewrite the report's deterministic cause into
-    /// a timing-dependent one.
-    pub fn cause(&self) -> Option<CancelCause> {
-        let inner = self.inner.as_ref()?;
-        if let Some(cap) = inner.work_cap {
-            if inner.work.load(Ordering::Relaxed) > cap {
-                return Some(CancelCause::WorkCap);
-            }
-        }
-        let flag = inner.flag.load(Ordering::Relaxed);
-        if flag != FLAG_LIVE {
-            return Some(decode(flag));
-        }
-        if let Some(deadline) = inner.deadline {
-            if Instant::now() >= deadline {
-                return Some(CancelCause::Deadline);
-            }
-        }
-        if inner.parent.as_ref().is_some_and(|p| p.is_cancelled()) {
-            return Some(CancelCause::Parent);
-        }
-        None
+        self.flag
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 }
 
@@ -231,71 +60,14 @@ mod tests {
     fn never_token_never_trips() {
         let t = CancelToken::never();
         t.cancel();
-        t.charge(1_000_000);
         assert!(!t.is_cancelled());
-        assert_eq!(t.cause(), None);
-        assert_eq!(t.work_done(), 0);
-    }
-
-    #[test]
-    fn explicit_cancel_sticks_first_cause() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        t.cancel_with(CancelCause::Outraced);
-        t.cancel(); // later causes do not overwrite
-        assert_eq!(t.cause(), Some(CancelCause::Outraced));
-        assert_eq!(t.cause().unwrap().name(), "outraced");
-    }
-
-    #[test]
-    fn work_cap_trips_deterministically() {
-        let t = CancelToken::with_limits(None, Some(10));
-        t.charge(10);
-        assert!(!t.is_cancelled(), "cap is inclusive");
-        t.charge(1);
-        assert_eq!(t.cause(), Some(CancelCause::WorkCap));
-    }
-
-    #[test]
-    fn deadline_trips() {
-        let t = CancelToken::with_limits(Some(Instant::now() - Duration::from_millis(1)), None);
-        assert_eq!(t.cause(), Some(CancelCause::Deadline));
-        let far = CancelToken::with_budget(Duration::from_secs(3600));
-        assert!(!far.is_cancelled());
-    }
-
-    #[test]
-    fn children_inherit_parent_cancellation() {
-        let parent = CancelToken::new();
-        let child = parent.child_with_limits(None, Some(5));
-        let grandchild = child.child();
-        assert!(!grandchild.is_cancelled());
-        parent.cancel();
-        assert_eq!(child.cause(), Some(CancelCause::Parent));
-        assert_eq!(grandchild.cause(), Some(CancelCause::Parent));
-        // Own causes beat inherited ones.
-        let sibling = parent.child();
-        sibling.cancel_with(CancelCause::Outraced);
-        assert_eq!(sibling.cause(), Some(CancelCause::Outraced));
-    }
-
-    #[test]
-    fn charges_propagate_to_ancestors() {
-        let parent = CancelToken::with_limits(None, Some(100));
-        let a = parent.child();
-        let b = parent.child();
-        a.charge(60);
-        b.charge(60);
-        assert_eq!(parent.work_done(), 120);
-        assert_eq!(parent.cause(), Some(CancelCause::WorkCap));
-        // Children trip through the parent edge.
-        assert_eq!(a.cause(), Some(CancelCause::Parent));
     }
 
     #[test]
     fn clones_share_state() {
         let t = CancelToken::new();
         let c = t.clone();
+        assert!(!t.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled());
     }

@@ -31,9 +31,9 @@ mod registry;
 mod router;
 mod solvers;
 
-pub use crate::cancel::{CancelCause, CancelToken};
+pub use crate::cancel::CancelToken;
 pub use fragalign_obs::{TraceHandle, TraceLog, TraceSink};
-pub use portfolio::{Portfolio, PortfolioConfig, RacerBudget};
+pub use portfolio::Portfolio;
 pub use registry::{SolverRegistry, SolverSpec};
 pub use router::{Auto, InstanceFeatures, Router, RouterRule};
 
@@ -222,17 +222,17 @@ pub struct SolveReport {
 }
 
 /// One portfolio racer's slice of a [`SolveReport`]: what it scored,
-/// whether (and why) it was cancelled, and how long it ran. Budget and
-/// bound cancellations land here, making the race observable.
+/// whether it was retired, and how long it ran. Bound retirements land
+/// here, making the race observable.
 #[derive(Clone, Debug, Serialize)]
 pub struct RacerReport {
     /// Registered solver name of the racer.
     pub name: String,
     /// Score of the racer's (possibly partial) result.
     pub score: Score,
-    /// `None` when the racer ran to completion; otherwise the
-    /// [`CancelCause`] name (`"deadline"`, `"work-cap"`, `"outraced"`,
-    /// …) it stopped for.
+    /// `None` when the racer ran to completion; `"outraced"` when the
+    /// race board retired it because an earlier racer reached the
+    /// instance's score bound.
     pub cancelled: Option<String>,
     /// Committed improvement rounds inside this racer (0 for one-shot
     /// racers).

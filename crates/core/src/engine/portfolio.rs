@@ -8,14 +8,10 @@
 //! configurable set of registered solvers over the rayon pool — and
 //! now that the pool runs real threads, the race is genuine:
 //!
-//! * every racer runs under its own child [`CancelToken`], carrying
-//!   the configured per-member **budgets** — a wall-clock deadline
-//!   (latency SLAs; timing-dependent by nature) and/or a **work cap**
-//!   in improvement attempts (deterministic: a capped racer always
-//!   stops at the same round on every machine and thread count);
-//! * a shared best-score board implements **bound cancellation**:
-//!   when a racer finishes at the instance's provable score upper
-//!   bound ([`Instance::score_upper_bound`] — the greedy assignment
+//! * every racer runs under its own [`CancelToken`], and a shared
+//!   best-score board implements **bound cancellation**: when a racer
+//!   finishes at the instance's provable score upper bound
+//!   ([`Instance::score_upper_bound`] — the greedy assignment
 //!   relaxation over σ, much tighter than the old min-mass × σ_max
 //!   bound on heterogeneous tables, so racers retire earlier and the
 //!   `racers[]` telemetry shows more `outraced` entries), every racer
@@ -23,8 +19,8 @@
 //!   and ties lose to the earlier position, so killing it can never
 //!   change the winner;
 //! * cancelled improvement racers return their best-so-far consistent
-//!   result (the loop is anytime), which still competes: with
-//!   work-cap budgets the whole race stays bit-deterministic.
+//!   result (the loop is anytime), which still competes and loses to
+//!   the earlier racer that reached the bound.
 //!
 //! Dispatch order is no longer blind registry order: the shape
 //! [`Router`] (fitted offline by `exp_router`, see `engine::router`)
@@ -36,63 +32,24 @@
 //! results, ties to the earliest registry entry — never to whichever
 //! thread finished first), so the winner is identical for every
 //! routing table and equal to running every member to completion
-//! sequentially in registry order when no budgets are configured.
+//! sequentially in registry order.
 
+use super::solvers::preempted;
 use super::{
-    CancelCause, CancelToken, EngineError, EngineOptions, RacerReport, Router, SolveCtx,
-    SolveOutcome, Solver, SolverRegistry, SolverSpec,
+    CancelToken, EngineError, EngineOptions, RacerReport, Router, SolveCtx, SolveOutcome, Solver,
+    SolverRegistry, SolverSpec,
 };
 use fragalign_align::OracleStatsSnapshot;
 use fragalign_model::{Instance, MatchSet, Score};
-use fragalign_par::par_map_ordered;
-use std::time::{Duration, Instant};
+use rayon::prelude::*;
+use std::time::Instant;
 
-/// Per-racer resource budgets.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RacerBudget {
-    /// Wall-clock budget, measured from race start. Timing-dependent:
-    /// use for latency SLAs, not for reproducible runs.
-    pub wall: Option<Duration>,
-    /// Work budget in improvement attempts (see
-    /// [`CancelToken::charge`]). Deterministic: the racer stops at the
-    /// same round on every machine and thread count.
-    pub work_cap: Option<u64>,
-}
-
-impl RacerBudget {
-    /// No limits.
-    pub const UNLIMITED: RacerBudget = RacerBudget {
-        wall: None,
-        work_cap: None,
-    };
-}
-
-/// Portfolio-wide racing policy.
-#[derive(Clone, Debug, Default)]
-pub struct PortfolioConfig {
-    /// Budget applied to every member without an override.
-    pub default_budget: RacerBudget,
-    /// Per-member budget overrides, by registered name.
-    pub overrides: Vec<(String, RacerBudget)>,
-}
-
-impl PortfolioConfig {
-    fn budget_for(&self, name: &str) -> RacerBudget {
-        self.overrides
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| *b)
-            .unwrap_or(self.default_budget)
-    }
-}
-
-/// One raced member: its registry spec, the solver built once at
+/// One raced member: its registry spec and the solver built once at
 /// portfolio construction (so [`Portfolio::supports`] probes without
-/// allocating), and its budget.
+/// allocating).
 struct Member {
     spec: &'static SolverSpec,
     solver: Box<dyn Solver>,
-    budget: RacerBudget,
 }
 
 /// Meta-solver racing a set of registered solvers and returning the
@@ -109,31 +66,14 @@ pub struct Portfolio {
 impl Portfolio {
     /// The default racer set: every registry entry flagged
     /// `in_portfolio` (the exhaustive solver and the portfolio itself
-    /// are excluded), with no budgets.
+    /// are excluded).
     pub fn new() -> Self {
-        Portfolio::with_config(PortfolioConfig::default())
-            .expect("the default config has no overrides to mismatch")
-    }
-
-    /// The default racer set under an explicit racing policy. Every
-    /// override must name a member, so a misspelled (or non-portfolio)
-    /// name fails loudly instead of silently racing unbudgeted.
-    pub fn with_config(config: PortfolioConfig) -> Result<Self, EngineError> {
-        let members: Vec<Member> = SolverRegistry::global()
-            .specs()
-            .iter()
-            .filter(|s| s.in_portfolio)
-            .map(|spec| Member {
-                spec,
-                solver: spec.build(),
-                budget: config.budget_for(spec.name),
-            })
-            .collect();
-        Portfolio::check_overrides(&config, &members)?;
-        Ok(Portfolio {
-            members,
-            router: Router::default(),
-        })
+        Portfolio::racing(
+            SolverRegistry::global()
+                .specs()
+                .iter()
+                .filter(|s| s.in_portfolio),
+        )
     }
 
     /// Race a custom member set. Every name must be registered;
@@ -141,14 +81,6 @@ impl Portfolio {
     /// regardless of argument order, so the tie-break stays the
     /// registry's, not the caller's.
     pub fn with_members(names: &[&str]) -> Result<Self, EngineError> {
-        Portfolio::with_members_config(names, PortfolioConfig::default())
-    }
-
-    /// [`Portfolio::with_members`] under an explicit racing policy.
-    pub fn with_members_config(
-        names: &[&str],
-        config: PortfolioConfig,
-    ) -> Result<Self, EngineError> {
         let reg = SolverRegistry::global();
         let mut positions = Vec::with_capacity(names.len());
         for name in names {
@@ -163,37 +95,23 @@ impl Portfolio {
         }
         positions.sort_unstable();
         positions.dedup();
-        let members: Vec<Member> = positions
-            .into_iter()
-            .map(|p| {
-                let spec = &reg.specs()[p];
-                Member {
-                    spec,
-                    solver: spec.build(),
-                    budget: config.budget_for(spec.name),
-                }
-            })
-            .collect();
-        Portfolio::check_overrides(&config, &members)?;
-        Ok(Portfolio {
-            members,
-            router: Router::default(),
-        })
+        Ok(Portfolio::racing(
+            positions.into_iter().map(|p| &reg.specs()[p]),
+        ))
     }
 
-    /// Reject budget overrides that match no member: an SLA that
-    /// silently fails to apply is worse than an error.
-    fn check_overrides(config: &PortfolioConfig, members: &[Member]) -> Result<(), EngineError> {
-        for (name, _) in &config.overrides {
-            if !members.iter().any(|m| m.spec.name == name.as_str()) {
-                return Err(EngineError::UnknownSolver {
-                    name: name.clone(),
-                    known: members.iter().map(|m| m.spec.name).collect(),
-                    suggestion: SolverRegistry::global().suggest(name),
-                });
-            }
+    /// A portfolio racing `specs`, which the caller yields in registry
+    /// order.
+    fn racing(specs: impl Iterator<Item = &'static SolverSpec>) -> Self {
+        Portfolio {
+            members: specs
+                .map(|spec| Member {
+                    spec,
+                    solver: spec.build(),
+                })
+                .collect(),
+            router: Router::default(),
         }
-        Ok(())
     }
 
     /// The member names, in race (registry) order.
@@ -225,7 +143,7 @@ impl Board<'_> {
     fn complete(&self, idx: usize, score: Score) {
         if score >= self.upper_bound {
             for token in &self.tokens[idx + 1..] {
-                token.cancel_with(CancelCause::Outraced);
+                token.cancel();
             }
         }
     }
@@ -245,6 +163,9 @@ impl Solver for Portfolio {
     }
 
     fn solve(&self, inst: &Instance, ctx: &mut SolveCtx<'_>) -> SolveOutcome {
+        if ctx.cancel.is_cancelled() {
+            return preempted();
+        }
         let opts = ctx.opts;
         // Racers that can run here, in registry order; each gets its
         // own shared-nothing context so no cache line crosses racers.
@@ -283,14 +204,7 @@ impl Solver for Portfolio {
             order.remove(p);
             order.insert(0, p);
         }
-        let start = Instant::now();
-        let tokens: Vec<CancelToken> = racers
-            .iter()
-            .map(|m| {
-                ctx.cancel
-                    .child_with_limits(m.budget.wall.map(|w| start + w), m.budget.work_cap)
-            })
-            .collect();
+        let tokens: Vec<CancelToken> = racers.iter().map(|_| CancelToken::new()).collect();
         let board = Board {
             upper_bound: inst.score_upper_bound(),
             tokens: &tokens,
@@ -299,47 +213,41 @@ impl Solver for Portfolio {
         let tokens_ref = &tokens;
         let racers_ref = &racers;
         let trace = ctx.trace.clone();
-        let dispatched = par_map_ordered(order.clone(), move |idx: usize| {
-            let member = racers_ref[idx];
-            // Each racer gets its own timeline lane (track 0 is the
-            // engine): a portfolio Chrome trace renders as parallel
-            // racer rows with spawn → retire/finish visible per lane.
-            let rt = trace.with_track(idx as u16 + 1);
-            rt.instant("spawn", member.spec.name, idx as i64, 0);
-            let mut racer_span = rt.span_labeled("racer", member.spec.name);
-            let t0 = Instant::now();
-            let token = tokens_ref[idx].clone();
-            let mut sub = SolveCtx::new(inst, opts);
-            sub.cancel = token.clone();
-            sub.set_trace(rt.clone());
-            let out = member.solver.solve(inst, &mut sub);
-            let wall = t0.elapsed().as_secs_f64();
-            // Capture the cancel cause at the moment the racer exits:
-            // reading it any later would let a post-exit event (a
-            // deadline elapsing, say) overwrite why this run actually
-            // stopped. A capped run is immune either way — the token
-            // ranks its own work cap above a racing Outraced flag, so
-            // that cause stays machine-independent.
-            let cause = out
-                .cancelled
-                .then(|| token.cause().unwrap_or(CancelCause::Requested).name());
-            let score = out.matches.total_score();
-            if let Some(cause) = cause {
-                rt.instant("cancel", cause, score, 0);
-            }
-            if !out.cancelled {
-                board.complete(idx, score);
-                if score >= board.upper_bound {
-                    // The marker that explains later racers' "outraced"
-                    // cancels: this racer hit the provable bound (a0 =
-                    // score, a1 = bound).
-                    rt.instant("bound_retire", member.spec.name, score, board.upper_bound);
+        let dispatched: Vec<_> = order
+            .par_iter()
+            .map(move |&idx| {
+                let member = racers_ref[idx];
+                // Each racer gets its own timeline lane (track 0 is the
+                // engine): a portfolio Chrome trace renders as parallel
+                // racer rows with spawn → retire/finish visible per lane.
+                let rt = trace.with_track(idx as u16 + 1);
+                rt.instant("spawn", member.spec.name, idx as i64, 0);
+                let mut racer_span = rt.span_labeled("racer", member.spec.name);
+                let t0 = Instant::now();
+                let mut sub = SolveCtx::new(inst, opts);
+                sub.cancel = tokens_ref[idx].clone();
+                sub.set_trace(rt.clone());
+                let out = member.solver.solve(inst, &mut sub);
+                let wall = t0.elapsed().as_secs_f64();
+                let score = out.matches.total_score();
+                // Only the board cancels a racer's token, so a cancelled
+                // racer was outraced.
+                if out.cancelled {
+                    rt.instant("cancel", "outraced", score, 0);
+                } else {
+                    board.complete(idx, score);
+                    if score >= board.upper_bound {
+                        // The marker that explains later racers' "outraced"
+                        // cancels: this racer hit the provable bound (a0 =
+                        // score, a1 = bound).
+                        rt.instant("bound_retire", member.spec.name, score, board.upper_bound);
+                    }
                 }
-            }
-            racer_span.set_args(score, out.attempts as i64);
-            drop(racer_span);
-            (out, cause, sub.oracle.stats.snapshot(), wall)
-        });
+                racer_span.set_args(score, out.attempts as i64);
+                drop(racer_span);
+                (out, sub.oracle.stats.snapshot(), wall)
+            })
+            .collect();
         // Dispatch order was the router's; winner selection runs in
         // registry order, so put the results back.
         let mut slots: Vec<Option<_>> = (0..racers.len()).map(|_| None).collect();
@@ -353,11 +261,11 @@ impl Solver for Portfolio {
 
         let mut best: Option<(usize, SolveOutcome, OracleStatsSnapshot)> = None;
         let mut reports = Vec::with_capacity(runs.len());
-        for (idx, (out, cause, stats, wall)) in runs.into_iter().enumerate() {
+        for (idx, (out, stats, wall)) in runs.into_iter().enumerate() {
             reports.push(RacerReport {
                 name: racers[idx].spec.name.to_owned(),
                 score: out.matches.total_score(),
-                cancelled: cause.map(str::to_owned),
+                cancelled: out.cancelled.then(|| "outraced".to_owned()),
                 rounds: out.rounds,
                 attempts: out.attempts,
                 wall_secs: wall,

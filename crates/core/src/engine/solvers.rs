@@ -8,12 +8,11 @@ use super::{EngineOptions, SolveCtx, SolveOutcome, Solver};
 use crate::{ImproveConfig, MethodSet};
 use fragalign_model::{Instance, MatchSet};
 
-/// A pre-empted one-shot run: the token tripped before the solver
-/// started, so the outcome is the empty (consistent) match set flagged
-/// as cancelled. One-shot solvers have no round structure to interrupt
-/// mid-flight; they are entry-checked only (the improvement family and
-/// the portfolio cancel mid-run).
-fn preempted() -> SolveOutcome {
+/// A pre-empted run: the token tripped before the solver started, so
+/// the outcome is the empty (consistent) match set flagged as
+/// cancelled. One-shot solvers and the portfolio are entry-checked
+/// only; the improvement family also polls between rounds.
+pub(super) fn preempted() -> SolveOutcome {
     SolveOutcome {
         cancelled: true,
         ..SolveOutcome::from_matches(MatchSet::new())

@@ -83,11 +83,9 @@ pub struct ImproveResult {
 /// Run iterative improvement from `initial` (the paper starts from the
 /// empty set; seeding with a 4-approximation is a supported variant).
 /// The oracle is scratch plus memoisation only: it never changes
-/// results. The loop polls `ctl` at every round boundary and charges
-/// one work unit per enumerated attempt, so work-capped tokens stop the
-/// run at a deterministic round. On cancellation the current committed
-/// state — always a consistent match set — is returned with
-/// [`ImproveResult::cancelled`] set.
+/// results. The loop polls `ctl` at every round boundary. On
+/// cancellation the current committed state — always a consistent
+/// match set — is returned with [`ImproveResult::cancelled`] set.
 pub fn improve(
     oracle: &ScoreOracle<'_>,
     config: ImproveConfig,
@@ -145,7 +143,6 @@ pub fn improve(
         let mut round_span = trace.span("improve_round");
         let candidates = enumerate_attempts(oracle, &current, config.methods, budget);
         attempts += candidates.len();
-        ctl.charge(candidates.len() as u64);
         if candidates.is_empty() {
             break;
         }

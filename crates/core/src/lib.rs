@@ -49,11 +49,11 @@ pub use fragalign_obs as obs;
 
 pub use batch::{solve_batch_reports, solve_single_traced, BatchOptions, BatchSolution};
 pub use border_matching::border_matching_2approx;
-pub use cancel::{CancelCause, CancelToken};
+pub use cancel::CancelToken;
 pub use engine::{
-    Auto, EngineError, EngineOptions, InstanceFeatures, Portfolio, PortfolioConfig, RacerBudget,
-    RacerReport, Router, RouterRule, SolveCtx, SolveOutcome, SolveReport, Solver, SolverRegistry,
-    SolverSpec, TraceHandle, TraceLog, TraceSink,
+    Auto, EngineError, EngineOptions, InstanceFeatures, Portfolio, RacerReport, Router, RouterRule,
+    SolveCtx, SolveOutcome, SolveReport, Solver, SolverRegistry, SolverSpec, TraceHandle, TraceLog,
+    TraceSink,
 };
 pub use exact::{exact_matches, solve_exact, ExactLimits};
 pub use four_approx::solve_four_approx;

@@ -73,10 +73,10 @@ pub mod prelude {
     pub use fragalign_core::{
         border_improve, border_matching_2approx, csr_improve, full_improve, solve_batch_reports,
         solve_exact, solve_four_approx, solve_greedy, solve_one_csr, solve_single_traced, Auto,
-        BatchOptions, BatchSolution, CancelCause, CancelToken, EngineError, EngineOptions,
-        ExactLimits, ImproveConfig, ImproveResult, InstanceFeatures, MethodSet, Portfolio,
-        PortfolioConfig, RacerBudget, RacerReport, Router, RouterRule, SolveCtx, SolveOutcome,
-        SolveReport, Solver, SolverRegistry, SolverSpec, TraceHandle, TraceLog, TraceSink,
+        BatchOptions, BatchSolution, CancelToken, EngineError, EngineOptions, ExactLimits,
+        ImproveConfig, ImproveResult, InstanceFeatures, MethodSet, Portfolio, RacerReport, Router,
+        RouterRule, SolveCtx, SolveOutcome, SolveReport, Solver, SolverRegistry, SolverSpec,
+        TraceHandle, TraceLog, TraceSink,
     };
     pub use fragalign_model::{
         check_consistency, FragId, Fragment, Instance, InstanceBuilder, LayoutBuilder, Match,

@@ -1,10 +1,9 @@
-//! The parallel substrate's contract, end to end: cancellation stops
-//! solvers at round boundaries (deterministically under work caps),
-//! the portfolio genuinely races — budget- and bound-cancelled members
-//! are observable in `SolveReport.racers` while the winner stays the
-//! sequential baseline's, and its report carries the winner's counters
-//! — and results and report counters are bit-identical across real
-//! 1/2/8-thread pools.
+//! The parallel substrate's contract, end to end: a cancelled token
+//! pre-empts every solver, the portfolio genuinely races — racers the
+//! score bound retires are observable in `SolveReport.racers` as
+//! `outraced` while the winner stays the sequential baseline's, and
+//! its report carries the winner's counters — and results and report
+//! counters are bit-identical across real 1/2/8-thread pools.
 
 use fragalign::align::DpWorkspace;
 use fragalign::model::Instance;
@@ -78,10 +77,6 @@ fn solve_under(name: &str, inst: &Instance, cancel: CancelToken) -> SolveOutcome
     solver.solve(inst, &mut ctx)
 }
 
-fn solve_capped(name: &str, inst: &Instance, work_cap: u64) -> SolveOutcome {
-    solve_under(name, inst, CancelToken::with_limits(None, Some(work_cap)))
-}
-
 /// Every report field that must repeat at any pool width: all but
 /// `wall_secs`, `dp_reallocs` (which warm workspace served a fill) and
 /// `racers` (how far a retired racer got).
@@ -96,174 +91,29 @@ fn counters(report: &SolveReport) -> Vec<(String, Value)> {
 }
 
 #[test]
-fn work_capped_solves_stop_at_a_deterministic_round() {
+fn cancelled_token_preempts_every_solver() {
     let inst = fragalign::model::instance::paper_example();
-    // Cap 1: the first improvement round already charges more, so the
-    // loop stops at the second round boundary with the round-1 state.
-    let capped = solve_capped("csr", &inst, 1);
-    assert!(capped.cancelled, "cap must interrupt the run");
-    assert!(capped.rounds <= 1);
-    check_consistency(&inst, &capped.matches).expect("partial result stays consistent");
-    // Deterministic: the same cap lands on the same round, bit for bit.
-    let again = solve_capped("csr", &inst, 1);
-    assert_eq!(capped.matches, again.matches);
-    assert_eq!(capped.rounds, again.rounds);
-    // A generous cap never trips.
-    let free = solve_capped("csr", &inst, u64::MAX);
-    assert!(!free.cancelled);
-    assert_eq!(free.matches.total_score(), 11);
-}
-
-#[test]
-fn expired_deadline_preempts_any_solver() {
-    let inst = fragalign::model::instance::paper_example();
-    let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-    for name in ["csr", "four", "greedy", "matching", "exact"] {
-        let out = solve_under(name, &inst, CancelToken::with_limits(Some(past), None));
-        assert!(out.cancelled, "{name} must observe the deadline");
-        assert!(out.matches.is_empty(), "{name} must not have started");
-    }
-}
-
-#[test]
-fn portfolio_budget_cancellation_is_observable_and_winner_stable() {
-    let inst = fragalign::model::instance::paper_example();
-    // Unbudgeted baseline: the winner every budgeted run must keep.
-    let (baseline, baseline_report) = solve_ok("portfolio", &inst);
-    assert_eq!(baseline_report.winner.as_deref(), Some("csr"));
-    assert_eq!(baseline.score, 11);
-    assert!(
-        baseline_report.racers.len() > 1,
-        "racer telemetry must cover the race"
-    );
-
-    // Tight work caps on `full` and `border` (they charge ~18 and ~10
-    // attempts in round 1 on this instance); `csr` races unbudgeted.
-    let config = PortfolioConfig {
-        default_budget: RacerBudget::UNLIMITED,
-        overrides: vec![
-            (
-                "full".to_owned(),
-                RacerBudget {
-                    wall: None,
-                    work_cap: Some(10),
-                },
-            ),
-            (
-                "border".to_owned(),
-                RacerBudget {
-                    wall: None,
-                    work_cap: Some(4),
-                },
-            ),
-        ],
-    };
-    let portfolio =
-        Portfolio::with_members_config(&["csr", "full", "border", "four", "greedy"], config)
-            .unwrap();
-    let mut ctx = SolveCtx::new(&inst, EngineOptions::default());
-    let out = portfolio.solve(&inst, &mut ctx);
-
-    let cancelled: Vec<&str> = out
-        .racers
+    let names: Vec<&str> = SolverRegistry::global()
+        .specs()
         .iter()
-        .filter(|r| r.cancelled.is_some())
-        .map(|r| r.name.as_str())
+        .filter(|spec| {
+            spec.build()
+                .supports(&inst, &EngineOptions::default())
+                .is_ok()
+        })
+        .map(|spec| spec.name)
         .collect();
     assert!(
-        cancelled.contains(&"full") && cancelled.contains(&"border"),
-        "budgeted members must be cancelled early (got {cancelled:?})"
+        names.contains(&"portfolio") && names.contains(&"auto"),
+        "the meta-solvers must be covered: {names:?}"
     );
-    for racer in &out.racers {
-        if racer.cancelled.is_some() {
-            assert_eq!(
-                racer.cancelled.as_deref(),
-                Some("work-cap"),
-                "{}: wrong cancel cause",
-                racer.name
-            );
-        }
+    for name in names {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = solve_under(name, &inst, cancel);
+        assert!(out.cancelled, "{name} must observe the cancelled token");
+        assert!(out.matches.is_empty(), "{name} must not have started");
     }
-    // The winner is unchanged from the sequential baseline: cancelled
-    // members compete with their (lower-scoring) partials and lose.
-    assert_eq!(out.winner, Some("csr"));
-    assert_eq!(out.matches, baseline.matches);
-    assert!(out.racers.iter().any(|r| r.cancelled.is_none()));
-}
-
-#[test]
-fn portfolio_rejects_overrides_that_match_no_member() {
-    // A budget SLA that silently never applies is worse than an
-    // error: misspelled (or non-member) override names must fail at
-    // construction.
-    let config = PortfolioConfig {
-        default_budget: RacerBudget::UNLIMITED,
-        overrides: vec![(
-            "boarder".to_owned(),
-            RacerBudget {
-                wall: None,
-                work_cap: Some(1),
-            },
-        )],
-    };
-    let err = match Portfolio::with_members_config(&["csr", "border"], config.clone()) {
-        Err(e) => e,
-        Ok(_) => panic!("misspelled override must be rejected"),
-    };
-    assert!(matches!(err, EngineError::UnknownSolver { .. }));
-    assert!(err.to_string().contains("did you mean 'border'?"), "{err}");
-    // `exact` is registered but sits outside the default racer set, so
-    // a full-config override for it must fail too.
-    let exact_config = PortfolioConfig {
-        default_budget: RacerBudget::UNLIMITED,
-        overrides: vec![("exact".to_owned(), RacerBudget::UNLIMITED)],
-    };
-    assert!(Portfolio::with_config(exact_config).is_err());
-    // Well-formed overrides still construct.
-    assert!(Portfolio::with_members_config(&["csr", "border"], PortfolioConfig::default()).is_ok());
-}
-
-#[test]
-fn portfolio_budget_race_is_bit_identical_across_pools() {
-    // Work caps are charged at round boundaries, so the cancelled set,
-    // every partial score, and the winner are thread-count-invariant.
-    let inst = fragalign::model::instance::paper_example();
-    let race = move || {
-        let config = PortfolioConfig {
-            default_budget: RacerBudget::UNLIMITED,
-            overrides: vec![
-                (
-                    "full".to_owned(),
-                    RacerBudget {
-                        wall: None,
-                        work_cap: Some(10),
-                    },
-                ),
-                (
-                    "border".to_owned(),
-                    RacerBudget {
-                        wall: None,
-                        work_cap: Some(4),
-                    },
-                ),
-            ],
-        };
-        let portfolio =
-            Portfolio::with_members_config(&["csr", "full", "border", "greedy"], config).unwrap();
-        let mut ctx = SolveCtx::new(&inst, EngineOptions::default());
-        let out = portfolio.solve(&inst, &mut ctx);
-        let racer_view: Vec<(String, i64, Option<String>)> = out
-            .racers
-            .iter()
-            .map(|r| (r.name.clone(), r.score, r.cancelled.clone()))
-            .collect();
-        (out.matches, out.winner, racer_view)
-    };
-    let (one, _) = with_threads(1, &race);
-    let (two, _) = with_threads(2, &race);
-    let (eight, _) = with_threads(8, &race);
-    assert_eq!(one, two, "2-thread race diverged");
-    assert_eq!(one, eight, "8-thread race diverged");
 }
 
 #[test]
@@ -278,7 +128,6 @@ fn portfolio_bound_cancellation_retires_unwinnable_racers() {
     let (run, report) = with_threads(1, || solve_ok("portfolio", &inst)).0;
     assert_eq!(run.score, 10, "the bound is achievable here");
     assert_eq!(report.winner.as_deref(), Some("csr"));
-    assert!(!report.cancelled);
     let outraced: Vec<&str> = report
         .racers
         .iter()
@@ -308,6 +157,22 @@ fn portfolio_bound_cancellation_retires_unwinnable_racers() {
     // The report counts the winner's work only, so the outraced
     // racers' timing-dependent partials cannot leak into it.
     assert_eq!(counters(&wide_report), counters(&report));
+
+    // The board is the only thing that cancels a racer, so `outraced`
+    // is the only cause either run reports. It retires a racer only
+    // after an earlier one reached the bound, so the winner is never
+    // a retired racer and neither run is cancelled.
+    for report in [&report, &wide_report] {
+        assert!(!report.cancelled);
+        for racer in &report.racers {
+            assert!(
+                matches!(racer.cancelled.as_deref(), None | Some("outraced")),
+                "{}: unexpected cancel cause {:?}",
+                racer.name,
+                racer.cancelled
+            );
+        }
+    }
 }
 
 #[test]
