@@ -14,7 +14,7 @@
 //! `std::thread` fed by the genuinely concurrent crossbeam shim, and
 //! since the rayon shim rebuild each worker's solve can additionally
 //! fan out over the real rayon pool (see shims/README.md and
-//! `exp_speedup`), so requests/sec scales with whatever cores the
+//! `tests/speedup.rs`), so requests/sec scales with whatever cores the
 //! host offers. Each request is classified by the server's
 //! `X-Fragalign-Cache` header; the hit/miss latency split is the
 //! cache's measured win (the acceptance bar is hits ≥ 5× faster than

@@ -1,12 +1,11 @@
 //! # fragalign-bench
 //!
 //! Shared workload builders for the experiment binaries (T1–T9:
-//! approximation ratios, ISP, reductions, recovery, speedup and
-//! ablations).
+//! approximation ratios, ISP, reductions, recovery and ablations).
 //!
 //! The experiment binaries live in `src/bin/` (`exp_ratio`, `exp_isp`,
-//! `exp_reductions`, `exp_recovery`, `exp_speedup`, `exp_ablation`);
-//! run them with `cargo run --release -p fragalign-bench --bin <name>`.
+//! `exp_reductions`, `exp_recovery`, `exp_ablation`, …); run them with
+//! `cargo run --release -p fragalign-bench --bin <name>`.
 
 use fragalign::isp::{Interval, IspInstance};
 use fragalign::model::{Instance, ScoreTable, Sym};
