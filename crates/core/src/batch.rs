@@ -9,10 +9,9 @@
 //! The simulator (and any real scaffolding service) produces many
 //! small instances at once; solving them one at a time leaves workers
 //! idle and re-allocates DP buffers per score. [`solve_batch_reports`]
-//! resolves the solver name once, then maps the instances over
-//! [`fragalign_par::par_map_ordered_init`] with one warm
-//! [`DpWorkspace`] per worker and one *shared-nothing* solve context
-//! per instance — no cache line is shared between instances, so
+//! resolves the solver name once, then maps the instances over the
+//! rayon pool with one warm [`DpWorkspace`] per worker (`map_init`)
+//! and one *shared-nothing* solve context per instance — no cache line is shared between instances, so
 //! results are deterministic regardless of thread count and identical
 //! to per-instance sequential solves. Any registered solver batches,
 //! including `one-csr`, `exact`, and `portfolio`.
@@ -22,7 +21,7 @@ use crate::engine::{
 };
 use fragalign_align::DpWorkspace;
 use fragalign_model::{Instance, MatchSet, Score};
-use fragalign_par::par_map_ordered_init;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// Options for a batch run: which registered solver, plus the engine
@@ -155,12 +154,12 @@ pub fn solve_batch_reports(
     // inside the parallel batch) runs inline on its worker either way.
     let threads = std::mem::take(&mut opts.engine.threads);
     let run = move || {
-        let results = par_map_ordered_init(
-            (0..instances.len()).collect(),
-            DpWorkspace::new,
-            move |ws, idx| solve_single_traced(&instances[idx], &opts, ws, TraceHandle::disabled()),
-        );
-        results.into_iter().collect()
+        instances
+            .par_iter()
+            .map_init(DpWorkspace::new, |ws, inst| {
+                solve_single_traced(inst, &opts, ws, TraceHandle::disabled())
+            })
+            .collect()
     };
     if threads > 0 {
         fragalign_par::with_threads(threads, run).0

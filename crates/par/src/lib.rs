@@ -5,12 +5,14 @@
 //! Parallel execution substrate.
 //!
 //! The original venue (IPPS) evaluated parallel machines; our
-//! laptop-scale substitute is data parallelism: a configured rayon
+//! laptop-scale substitute is data parallelism over a configured rayon
 //! pool (real `std::thread` workers since the shim rebuild — see
-//! `shims/README.md`) and deterministic parallel sweeps for experiment
-//! drivers (same results regardless of thread count). The speedup
-//! experiment (`exp_speedup`, `BENCH_speedup.json`) runs the same
-//! workloads under pools of increasing size via [`with_threads`].
+//! `shims/README.md`). Callers map work over the pool with rayon's own
+//! parallel iterators, whose ordered output keeps results identical at
+//! any thread count. This crate adds the pool plumbing around them:
+//! [`with_threads`] runs a job on a dedicated pool of a given width,
+//! and [`current_threads`] reports the width parallel operations
+//! submit to.
 
 use std::time::{Duration, Instant};
 
@@ -37,92 +39,6 @@ pub fn with_threads<T: Send>(threads: usize, job: impl FnOnce() -> T + Send) -> 
     (out, start.elapsed())
 }
 
-/// Deterministic parallel map: results are returned in input order no
-/// matter how work interleaves across workers.
-pub fn par_map_ordered<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync + Send,
-{
-    use rayon::prelude::*;
-    items.into_par_iter().map(f).collect()
-}
-
-/// [`par_map_ordered`] with per-worker scratch state: `init` runs once
-/// per worker and its value is threaded mutably through every item
-/// that worker processes (rayon's `map_init`). The batch solver uses
-/// this to keep one warm DP workspace per worker — shared-nothing, so
-/// results stay deterministic regardless of thread count provided `f`
-/// treats the state as a pure scratch (contents must not influence
-/// results, only speed).
-pub fn par_map_ordered_init<I, O, W, INIT, F>(items: Vec<I>, init: INIT, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    W: Send,
-    INIT: Fn() -> W + Sync + Send,
-    F: Fn(&mut W, I) -> O + Sync + Send,
-{
-    use rayon::prelude::*;
-    items.into_par_iter().map_init(init, f).collect()
-}
-
-/// Measured speedup curve entry, carrying the provenance of its
-/// measurement: the requested thread count *and* the effective pool
-/// width the run executed on. [`with_threads`] clamps a request of
-/// `0` to a 1-thread pool, so the two only differ for that degenerate
-/// request; recording both keeps `BENCH_speedup.json` rows
-/// self-describing about what actually ran.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeedupPoint {
-    /// Requested worker count.
-    pub threads: usize,
-    /// Effective pool width the workload ran on (caller included):
-    /// `threads.max(1)`, mirroring [`with_threads`]'s clamp.
-    pub pool_threads: usize,
-    /// Wall-clock time of the workload.
-    pub elapsed: Duration,
-    /// `elapsed(1 thread) / elapsed(threads)`.
-    pub speedup: f64,
-}
-
-/// Sweep a workload over thread counts `1, 2, 4, …, max_threads`,
-/// verifying that every run returns the same value (determinism) and
-/// reporting the speedup curve. The workload is borrowed (`Fn` by
-/// reference — no `Copy` bound), so closures owning buffers or other
-/// non-`Copy` state sweep unchanged.
-pub fn speedup_sweep<T, F>(max_threads: usize, workload: &F) -> Vec<SpeedupPoint>
-where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: Fn() -> T + Sync,
-{
-    let mut points = Vec::new();
-    let mut base: Option<(T, Duration)> = None;
-    let mut t = 1;
-    while t <= max_threads {
-        let (value, elapsed) = with_threads(t, workload);
-        let point = SpeedupPoint {
-            threads: t,
-            pool_threads: t.max(1),
-            elapsed,
-            speedup: match &base {
-                None => 1.0,
-                Some((_, base_time)) => base_time.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-            },
-        };
-        match &base {
-            None => base = Some((value, elapsed)),
-            Some((expected, _)) => {
-                assert_eq!(&value, expected, "parallel run diverged at {t} threads");
-            }
-        }
-        points.push(point);
-        t *= 2;
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,43 +52,5 @@ mod tests {
             (0..1000i64).into_par_iter().sum::<i64>()
         });
         assert_eq!(sum, 499_500);
-    }
-
-    #[test]
-    fn ordered_map_preserves_order() {
-        let out = par_map_ordered((0..100).collect(), |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ordered_map_init_preserves_order() {
-        let out = par_map_ordered_init(
-            (0..64).collect(),
-            || 0u64,
-            |scratch: &mut u64, x: i32| {
-                *scratch += 1; // per-worker state must not affect results
-                x * 3
-            },
-        );
-        assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn speedup_sweep_is_deterministic() {
-        // The workload is a non-`Copy` closure owning a buffer; the
-        // by-reference signature sweeps it unchanged.
-        let weights: Vec<i64> = (0..20_000).map(|x| x % 7).collect();
-        let workload = move || {
-            use rayon::prelude::*;
-            weights.par_iter().map(|&x| x * 3).sum::<i64>()
-        };
-        let points = speedup_sweep(4, &workload);
-        assert!(!points.is_empty());
-        assert_eq!(points[0].threads, 1);
-        assert_eq!(points[0].pool_threads, 1);
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(p.threads, 1 << i, "sweep doubles the pool");
-            assert_eq!(p.pool_threads, p.threads);
-        }
     }
 }

@@ -1275,9 +1275,8 @@ fn handle_batch(request: &Request, state: &ServeState) -> Reply {
         solver: parsed.solver.to_string(),
         engine: parsed.engine,
     };
-    // `core::batch` does the mapping: per-worker workspaces under the
-    // rayon shim today, real data parallelism once the shim swap
-    // lands — the service inherits it either way.
+    // `core::batch` does the mapping: the instances fan out over the
+    // rayon pool's worker threads, one warm workspace per worker.
     match fragalign_core::solve_batch_reports(&instances, &opts) {
         Ok(results) => {
             let body = BatchResponse {
