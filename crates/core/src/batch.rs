@@ -11,10 +11,11 @@
 //! idle and re-allocates DP buffers per score. [`solve_batch_reports`]
 //! resolves the solver name once, then maps the instances over the
 //! rayon pool with one warm [`DpWorkspace`] per worker (`map_init`)
-//! and one *shared-nothing* solve context per instance — no cache line is shared between instances, so
-//! results are deterministic regardless of thread count and identical
-//! to per-instance sequential solves. Any registered solver batches,
-//! including `one-csr`, `exact`, and `portfolio`.
+//! and one *shared-nothing* solve context per instance — no cache
+//! line is shared between instances, so results are deterministic
+//! regardless of thread count and identical to per-instance
+//! sequential solves. Any registered solver batches, including
+//! `one-csr`, `exact`, and `portfolio`.
 
 use crate::engine::{
     EngineError, EngineOptions, SolveCtx, SolveReport, SolverRegistry, TraceHandle,

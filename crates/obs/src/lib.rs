@@ -58,7 +58,8 @@ pub enum EventKind {
 
 /// One recorded event. `Copy` and allocation-free by construction:
 /// names and labels are `&'static str` (solver names, phase names and
-/// cancel causes all are), numeric payload rides in `a0`/`a1`.
+/// the `outraced` cancel label all are), numeric payload rides in
+/// `a0`/`a1`.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
     /// Nanoseconds since the sink's epoch.
