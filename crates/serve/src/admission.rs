@@ -37,7 +37,9 @@
 use fragalign_core::engine::{InstanceFeatures, Router};
 use fragalign_model::Score;
 
-/// The admission knobs, all settable from `fragalign serve` flags.
+/// The admission knobs. Of these, `fragalign serve` sets only
+/// `enabled` (`--admission on|off`); the rest keep their defaults
+/// there.
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
     /// Master switch (`--admission on|off`). Off restores the old

@@ -1,4 +1,4 @@
-//! Minimal HTTP/1.1 framing: request parsing and response writing.
+//! Minimal HTTP/1.1 framing: request parsing and response rendering.
 //!
 //! Scope is exactly what the service needs — `GET`/`POST` with
 //! `Content-Length` bodies. Since the event-driven rewrite the parser
@@ -126,6 +126,13 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
             needs_continue: false,
         });
     };
+    // The cap holds however the head arrived, so every request this
+    // parser accepts fits in `MAX_HEAD_BYTES` plus its body.
+    if head_end > MAX_HEAD_BYTES {
+        return Err(RequestError::Malformed(format!(
+            "request head exceeds {MAX_HEAD_BYTES} bytes"
+        )));
+    }
 
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))?;
@@ -254,9 +261,9 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
 
 /// Read and parse one request from `stream`, answering `Expect:
 /// 100-continue` inline (the stream must be writable for that). The
-/// blocking convenience over [`try_parse`] — used by tests and the
-/// one-shot client path; the server's event loop parses buffers
-/// directly.
+/// blocking reader over [`try_parse`] that the parser's tests drive
+/// (this module's unit tests and `proptest_http`); the server's event
+/// loop parses buffers directly.
 pub fn read_request<S: Read + Write>(
     stream: &mut S,
     max_body: usize,
@@ -315,8 +322,8 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Render a complete response to bytes: status line, standard headers
 /// (`Content-Type`, `Content-Length`, `Connection` per `keep_alive`),
-/// any `extra` headers, then `body`. The event loop queues these into
-/// per-connection write buffers.
+/// any `extra` headers, then `body`. Every response the server sends
+/// is rendered here and queued on its connection's write buffer.
 pub fn render_response(
     status: u16,
     content_type: &str,
@@ -340,50 +347,6 @@ pub fn render_response(
     let mut out = head.into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// Write a complete JSON response with `Connection: close` — the
-/// one-shot convenience for paths that end the connection anyway.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_typed(stream, status, "application/json", extra, body)
-}
-
-/// [`write_response`] with an explicit `Content-Type` (the Prometheus
-/// exposition is `text/plain`).
-pub fn write_response_typed(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, content_type, extra, body, false))?;
-    stream.flush()
-}
-
-/// Write a complete response honouring `keep_alive` — what workers
-/// use so persistent connections advertise `Connection: keep-alive`.
-pub fn write_response_conn(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(
-        status,
-        content_type,
-        extra,
-        body,
-        keep_alive,
-    ))?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -545,6 +508,15 @@ mod tests {
             read_request(&mut pipe, 1024),
             Err(RequestError::Malformed(_))
         ));
+        // An oversized head is refused even when it arrives whole.
+        let long_head = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        assert!(matches!(
+            try_parse(long_head.as_bytes(), 1024),
+            Err(RequestError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -602,14 +574,13 @@ mod tests {
 
     #[test]
     fn response_has_framing_headers() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = render_response(
             503,
+            "application/json",
             &[("Retry-After", "1")],
             "{\"error\":\"busy\"}",
-        )
-        .unwrap();
+            false,
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"));

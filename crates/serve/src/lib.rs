@@ -12,12 +12,16 @@
 //! (the build container has no crate registry, see `shims/README.md`),
 //! so the whole stack is hand-rolled over `std::net`:
 //!
-//! * [`server`] — an HTTP/1.1 server with a readiness-polled accept
-//!   and read path: a single event-loop thread owns every idle or
-//!   half-read connection through a hand-rolled [`poll`]\(2) binding,
-//!   and a connection only occupies one of the fixed worker threads
-//!   while a fully-parsed request is being solved. Keep-alive and
-//!   pipelined connections return to the event loop between requests.
+//! * [`server`] — an HTTP/1.1 server with readiness-polled accept,
+//!   read and write paths: a single event-loop thread owns every idle,
+//!   half-read or half-written connection through a hand-rolled
+//!   [`poll`]\(2) binding, and a connection only occupies one of the
+//!   fixed worker threads while a fully-parsed request is being
+//!   solved. Every response is queued on its connection and written
+//!   without blocking; a connection rejoins the event loop once its
+//!   response is queued, and the loop writes whatever the socket could
+//!   not take yet, so a client that reads slowly costs a buffer, not a
+//!   worker.
 //!   The loop frames requests but decodes no body: it answers a repeat
 //!   `/v1/solve` body's cache hit from a memo keyed on the raw body,
 //!   which the worker that decoded the body published.
@@ -36,7 +40,7 @@
 //!   canonical instance JSON). Repeat queries skip the DP entirely;
 //!   per-worker DP workspaces stay shared-nothing beneath it, exactly
 //!   as in the batch pipeline.
-//! * [`http`] — minimal request parsing and response writing;
+//! * [`http`] — minimal request parsing and response rendering;
 //! * [`metrics`] — one table of counters, gauges and latency
 //!   histograms (uptime, per-solver requests and solve latency,
 //!   queue, cache, connections, admission) that renders both the JSON

@@ -15,12 +15,18 @@
 //! cost zero threads, and a slowloris client dribbling header bytes
 //! costs one buffer and an idle timer, never a worker.
 //!
-//! After a worker writes its response on a keep-alive connection, the
-//! connection travels back to the loop over an in-process return
-//! queue (plus one wakeup byte on a loopback socket pair, since
-//! `poll` cannot watch an mpsc channel), bringing any pipelined
-//! leftover bytes with it so the next request parses without another
-//! read.
+//! Every response, whoever answers it, leaves the same way:
+//! `Conn::respond` queues it on the connection's write buffer, and
+//! `Conn::flush` writes that buffer until it empties or the
+//! nonblocking socket is full. A worker flushes once, right after
+//! queueing its reply. Unless the reply has left and the connection is
+//! done, the worker then hands the connection back to the loop over an
+//! in-process return queue (plus one wakeup byte on a loopback socket
+//! pair, since `poll` cannot watch an mpsc channel), with any unwritten
+//! output and any pipelined leftover bytes. A connection that owes
+//! output is polled for writability alone and reads nothing until its
+//! output has left, so a client that stops reading costs a buffer, not
+//! a worker or loop turns, and the idle timeout closes it.
 //!
 //! The loop frames requests but never decodes a body. For a plain
 //! `POST /v1/solve` it fingerprints the raw body and looks it up in the
@@ -84,7 +90,9 @@ pub const MAX_FRAGMENT_REGIONS: usize = 1024;
 /// about 43,000 cells.
 pub const MAX_TABLE_CELLS: usize = 1 << 21;
 
-/// Everything `fragalign serve` exposes as a flag.
+/// The service's configuration. `fragalign serve` sets every field by
+/// a flag except `cache_shards` and `max_body_bytes`, and of
+/// `admission` only `enabled` (`--admission on|off`).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
@@ -102,15 +110,13 @@ pub struct ServeConfig {
     pub default_solver: String,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Per-connection socket read/write timeout, seconds — applies to
-    /// the worker's blocking response write, so a stalled client can
-    /// hold a worker at most this long.
-    pub io_timeout_secs: u64,
     /// Most connections the event loop will hold open at once; past
     /// it new connections get an immediate 503.
     pub max_conns: usize,
-    /// Idle keep-alive connections are closed after this long with no
-    /// bytes in either direction (the slowloris defense).
+    /// A connection that moves no bytes in either direction for this
+    /// long is closed: an idle keep-alive connection, a client that
+    /// stops mid-request (the slowloris defense), or one that stops
+    /// reading the responses queued for it.
     pub idle_timeout_ms: u64,
     /// The admission-control watermarks.
     pub admission: AdmissionConfig,
@@ -132,7 +138,6 @@ impl Default for ServeConfig {
             cache_shards: 16,
             default_solver: "auto".to_string(),
             max_body_bytes: 16 * 1024 * 1024,
-            io_timeout_secs: 10,
             max_conns: 1024,
             idle_timeout_ms: 30_000,
             admission: AdmissionConfig::default(),
@@ -205,14 +210,17 @@ impl Drop for OpenConn {
 }
 
 /// One live connection: the socket plus its read buffer (bytes not
-/// yet parsed, including pipelined leftover), write buffer (responses
-/// the loop queued itself), and liveness bookkeeping.
+/// yet parsed, including pipelined leftover), write buffer (every
+/// response queued on it and not yet written), and liveness
+/// bookkeeping.
 struct Conn {
     stream: TcpStream,
-    /// Unparsed inbound bytes; the front is always a request boundary.
+    /// Inbound bytes; `buf[buf_pos..]` is not parsed yet and starts at
+    /// a request boundary.
     buf: Vec<u8>,
-    /// Outbound bytes the loop owes the socket (error responses,
-    /// interim 100s); flushed nonblockingly as the socket drains.
+    buf_pos: usize,
+    /// Outbound bytes the socket has not taken yet (responses and
+    /// interim 100s), written by [`Conn::flush`] as the socket drains.
     out: Vec<u8>,
     out_pos: usize,
     /// Close once `out` is fully flushed (framing is broken or the
@@ -236,6 +244,7 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            buf_pos: 0,
             out: Vec::new(),
             out_pos: 0,
             close_after_write: false,
@@ -252,25 +261,70 @@ impl Conn {
         self.out_pos < self.out.len()
     }
 
-    /// Queue a complete response for the loop to flush; `keep_alive`
-    /// false also marks the connection to close after the flush.
-    fn queue_response(
-        &mut self,
-        status: u16,
-        extra: &[(&str, &str)],
-        body: &str,
-        keep_alive: bool,
-    ) {
+    /// Mark `n` more bytes of `buf` parsed. The buffer is compacted
+    /// only when it empties or the parsed prefix is at least half of
+    /// it, so a deep pipeline costs time linear in its bytes.
+    fn consume(&mut self, n: usize) {
+        self.buf_pos += n;
+        if self.buf_pos == self.buf.len() {
+            self.buf.clear();
+            self.buf_pos = 0;
+        } else if self.buf_pos * 2 >= self.buf.len() {
+            self.buf.drain(..self.buf_pos);
+            self.buf_pos = 0;
+        }
+    }
+
+    /// Queue `reply` as this connection's next response: the one way a
+    /// final response is queued, whoever answers. Records its status,
+    /// adds the cache, degraded and (on a 503) `Retry-After` headers,
+    /// and with `keep_alive` false marks the connection to close once
+    /// `out` is flushed.
+    fn respond(&mut self, state: &ServeState, reply: &Reply, keep_alive: bool) {
+        state.telemetry.record_response(reply.status);
+        let mut extra: Vec<(&str, &str)> = Vec::new();
+        if let Some(marker) = reply.cache_marker {
+            extra.push(("X-Fragalign-Cache", marker));
+        }
+        if let Some(tier) = reply.degraded {
+            extra.push(("X-Fragalign-Degraded", tier));
+        }
+        if reply.status == 503 {
+            state.telemetry.add(Stat::Rejected503, 1);
+            extra.push(("Retry-After", "1"));
+        }
         self.out.extend_from_slice(&http::render_response(
-            status,
-            "application/json",
-            extra,
-            body,
+            reply.status,
+            reply.content_type,
+            &extra,
+            &reply.body,
             keep_alive,
         ));
         if !keep_alive {
             self.close_after_write = true;
         }
+    }
+
+    /// Write `out` until it is empty or the socket would block: the one
+    /// way response bytes reach a socket. `Ok(true)` when everything
+    /// queued has left, `Ok(false)` when the socket is full, `Err` when
+    /// the peer is gone.
+    fn flush(&mut self, now: Instant) -> io::Result<bool> {
+        while self.has_pending_out() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.out_pos += n;
+                    self.last_activity = now;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(true)
     }
 }
 
@@ -326,7 +380,6 @@ impl Server {
         let (tx, rx) = channel::bounded::<Job>(state.queue_capacity);
         let (ret_tx, ret_rx) = mpsc::channel::<Conn>();
         let (wake_writer, wake_reader) = wake_pair()?;
-        let io_timeout = Duration::from_secs(cfg.io_timeout_secs.max(1));
 
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
@@ -347,7 +400,6 @@ impl Server {
             let knobs = LoopKnobs {
                 max_conns: cfg.max_conns.max(1),
                 idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
-                io_timeout,
             };
             std::thread::Builder::new()
                 .name("serve-events".to_string())
@@ -432,7 +484,6 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 struct LoopKnobs {
     max_conns: usize,
     idle_timeout: Duration,
-    io_timeout: Duration,
 }
 
 /// What one pump of a connection decided.
@@ -460,9 +511,10 @@ fn event_loop(
     let mut poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut accepted: u64 = 0;
-    // Reads stop at this buffer size; the kernel's TCP window takes
-    // over as backpressure for clients that pipeline faster than the
-    // service drains.
+    // Reads stop once this many bytes wait unparsed (the buffer then
+    // holds under twice that, see `Conn::consume`); the kernel's TCP
+    // window takes over as backpressure for clients that pipeline
+    // faster than the service drains.
     let read_cap = state.max_body_bytes + http::MAX_HEAD_BYTES + 4096;
 
     while !shutdown.load(Ordering::SeqCst) {
@@ -471,8 +523,12 @@ fn event_loop(
         let wake_slot = poller.register(poll::stream_fd(&wake_reader), true, false);
         let base = 2;
         let polled = conns.len();
+        // A connection that owes output waits for writability alone:
+        // it reads nothing until its responses have left, so a client
+        // that stops reading stops costing turns and idles out.
         for conn in &conns {
-            poller.register(poll::stream_fd(&conn.stream), true, conn.has_pending_out());
+            let owes = conn.has_pending_out();
+            poller.register(poll::stream_fd(&conn.stream), !owes, owes);
         }
         // Wake by the nearest idle deadline, capped so shutdown and
         // returned-connection checks never starve.
@@ -495,14 +551,11 @@ fn event_loop(
             while matches!((&wake_reader).read(&mut bin), Ok(n) if n > 0) {}
         }
 
-        // Returned keep-alive connections re-enter the poll set; they
+        // Connections back from a worker re-enter the poll set; they
         // are past `polled`, so they get pumped unconditionally this
-        // turn — any pipelined leftover parses immediately.
+        // turn: the rest of a reply the worker could not write goes
+        // out, and any pipelined leftover parses.
         while let Ok(mut conn) = ret_rx.try_recv() {
-            if conn.stream.set_nonblocking(true).is_err() {
-                close_conn(conn, &state);
-                continue;
-            }
             conn.last_activity = now;
             conns.push(conn);
         }
@@ -513,10 +566,6 @@ fn event_loop(
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(true);
                         let _ = stream.set_nodelay(true);
-                        // Timeouts only bind in blocking mode, i.e.
-                        // the worker's response write.
-                        let _ = stream.set_read_timeout(Some(knobs.io_timeout));
-                        let _ = stream.set_write_timeout(Some(knobs.io_timeout));
                         state.telemetry.add(Stat::ConnectionsAccepted, 1);
                         state.telemetry.add(Stat::ConnectionsOpen, 1);
                         let sampled = state
@@ -526,13 +575,11 @@ fn event_loop(
                         accepted += 1;
                         let mut conn = Conn::new(stream, &state, sampled);
                         if conns.len() >= knobs.max_conns {
-                            state.telemetry.add(Stat::Rejected503, 1);
-                            state.telemetry.record_response(503);
-                            let body = error_object(
-                                "server busy: connection limit reached, retry shortly",
-                                &[("max_conns", Value::Int(knobs.max_conns as i64))],
+                            let busy = Reply::busy(
+                                "connection limit reached",
+                                ("max_conns", knobs.max_conns),
                             );
-                            conn.queue_response(503, &[("Retry-After", "1")], &body, false);
+                            conn.respond(&state, &busy, false);
                         }
                         conns.push(conn);
                     }
@@ -546,17 +593,15 @@ fn event_loop(
         // have already visited; slots base+i stay aligned for i <
         // polled. Each connection may serve several requests per turn
         // (pipelined cache hits and loop-answered 503s never leave
-        // the loop), bounded for fairness; a connection with a
-        // complete request still buffered stays `ready` via its
-        // non-empty buffer, so the cap never strands parsed bytes.
+        // the loop), bounded for fairness. Every one of those queues a
+        // response, so a connection the cap stops owes output and is
+        // pumped again once its socket takes more: the cap never
+        // strands buffered requests.
         const MAX_REQUESTS_PER_TURN: usize = 64;
         let mut i = conns.len();
         while i > 0 {
             i -= 1;
-            let ready = i >= polled
-                || !conns[i].buf.is_empty()
-                || poller.readable(base + i)
-                || (conns[i].has_pending_out() && poller.writable(base + i));
+            let ready = i >= polled || poller.readable(base + i) || poller.writable(base + i);
             if !ready {
                 if now.saturating_duration_since(conns[i].last_activity) >= knobs.idle_timeout {
                     let conn = conns.swap_remove(i);
@@ -576,14 +621,11 @@ fn event_loop(
                         let load = state.telemetry.get(Stat::QueueDepth) as f64
                             / state.queue_capacity as f64;
                         if state.admission.should_reject(load) {
-                            state.telemetry.add(Stat::Rejected503, 1);
-                            state.telemetry.record_response(503);
-                            let keep = request.keep_alive;
-                            let body = error_object(
-                                "server busy: past the hard admission watermark, retry shortly",
-                                &[("queue_capacity", Value::Int(state.queue_capacity as i64))],
+                            let busy = Reply::busy(
+                                "past the hard admission watermark",
+                                ("queue_capacity", state.queue_capacity),
                             );
-                            conns[i].queue_response(503, &[("Retry-After", "1")], &body, keep);
+                            conns[i].respond(&state, &busy, request.keep_alive);
                             continue;
                         }
                         // Cache hits (the hot path by construction —
@@ -593,22 +635,9 @@ fn event_loop(
                         // worker wakeup.
                         let t0 = Instant::now();
                         if let Some(reply) = try_inline_hit(&request, &state, load) {
-                            state.telemetry.record_response(reply.status);
                             state.telemetry.service.record(t0.elapsed());
                             state.telemetry.latency.record(t0.elapsed());
-                            let mut extra: Vec<(&str, &str)> = Vec::new();
-                            if let Some(marker) = reply.cache_marker {
-                                extra.push(("X-Fragalign-Cache", marker));
-                            }
-                            if let Some(tier) = reply.degraded {
-                                extra.push(("X-Fragalign-Degraded", tier));
-                            }
-                            conns[i].queue_response(
-                                reply.status,
-                                &extra,
-                                &reply.body,
-                                request.keep_alive,
-                            );
+                            conns[i].respond(&state, &reply, request.keep_alive);
                             continue;
                         }
                         state.telemetry.add(Stat::QueueDepth, 1);
@@ -622,15 +651,12 @@ fn event_loop(
                             Ok(()) => {}
                             Err(TrySendError::Full(job)) => {
                                 state.telemetry.sub(Stat::QueueDepth, 1);
-                                state.telemetry.add(Stat::Rejected503, 1);
-                                state.telemetry.record_response(503);
                                 let mut conn = job.conn;
-                                let keep = job.request.keep_alive;
-                                let body = error_object(
-                                    "server busy: worker queue is full, retry shortly",
-                                    &[("queue_capacity", Value::Int(state.queue_capacity as i64))],
+                                let busy = Reply::busy(
+                                    "worker queue is full",
+                                    ("queue_capacity", state.queue_capacity),
                                 );
-                                conn.queue_response(503, &[("Retry-After", "1")], &body, keep);
+                                conn.respond(&state, &busy, job.request.keep_alive);
                                 conns.push(conn);
                             }
                             Err(TrySendError::Disconnected(job)) => {
@@ -654,33 +680,21 @@ fn event_loop(
 /// Flush, read, and parse one connection as far as nonblocking I/O
 /// allows. At most one request is dispatched per pump — in-order
 /// pipelining falls out of the connection travelling with its request
-/// and only rejoining the loop after the response is written.
+/// and only rejoining the loop once its response is queued, and of
+/// nothing being read while a response is still owed.
 fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize) -> Pump {
-    // Phase 1: drain the loop's own pending output.
-    while conn.has_pending_out() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Pump::Close,
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_activity = now;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Pump::Keep,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Pump::Close,
-        }
-    }
-    if !conn.out.is_empty() {
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.close_after_write {
-            return Pump::Close;
-        }
+    // Phase 1: write what the connection owes.
+    match conn.flush(now) {
+        Ok(true) if conn.close_after_write => return Pump::Close,
+        Ok(true) => {}
+        Ok(false) => return Pump::Keep,
+        Err(_) => return Pump::Close,
     }
 
     // Phase 2: read whatever has arrived.
     let mut peer_eof = false;
     loop {
-        if conn.buf.len() >= read_cap {
+        if conn.buf.len() - conn.buf_pos >= read_cap {
             break;
         }
         let mut chunk = [0u8; 16 * 1024];
@@ -700,12 +714,12 @@ fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize)
     }
 
     // Phase 3: try to produce one request.
-    match http::try_parse(&conn.buf, state.max_body_bytes) {
+    match http::try_parse(&conn.buf[conn.buf_pos..], state.max_body_bytes) {
         Ok(Parse::Ready {
             mut request,
             consumed,
         }) => {
-            conn.buf.drain(..consumed);
+            conn.consume(consumed);
             conn.served += 1;
             if conn.served >= 2 {
                 state.telemetry.add(Stat::KeepaliveReuse, 1);
@@ -716,8 +730,8 @@ fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize)
                 request.keep_alive = false;
             }
             if request.expect_continue && !conn.sent_continue {
-                // The interim 100 precedes the final response; the
-                // worker flushes `out` before writing its reply.
+                // The interim 100 is queued ahead of the final
+                // response, so one flush sends both in order.
                 conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
             }
             conn.sent_continue = false;
@@ -735,19 +749,17 @@ fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize)
             Pump::Keep
         }
         Err(err) => {
-            let (status, body) = match err {
+            let reply = match err {
                 RequestError::Io(_) => return Pump::Close,
-                RequestError::Malformed(msg) => (400, error_object(&msg, &[])),
-                RequestError::Unimplemented(msg) => (501, error_object(&msg, &[])),
-                RequestError::BodyTooLarge { limit } => (
-                    413,
-                    error_object(&format!("request body exceeds the {limit}-byte limit"), &[]),
-                ),
+                RequestError::Malformed(msg) => Reply::error(400, &msg),
+                RequestError::Unimplemented(msg) => Reply::error(501, &msg),
+                RequestError::BodyTooLarge { limit } => {
+                    Reply::error(413, &format!("request body exceeds the {limit}-byte limit"))
+                }
             };
-            state.telemetry.record_response(status);
             // After a framing error the byte stream can no longer be
             // trusted to delimit requests: answer and close.
-            conn.queue_response(status, &[], &body, false);
+            conn.respond(state, &reply, false);
             Pump::Keep
         }
     }
@@ -776,89 +788,60 @@ fn worker_loop(
     state: Arc<ServeState>,
 ) {
     let mut ws = DpWorkspace::new();
-    while let Ok(mut job) = rx.recv() {
+    while let Ok(Job {
+        mut conn,
+        request,
+        load,
+        enqueued,
+    }) = rx.recv()
+    {
         state.telemetry.sub(Stat::QueueDepth, 1);
         state.telemetry.add(Stat::BusyWorkers, 1);
         // Queue wait ends here; everything after is service time. Total
         // latency (wait + service) stays in the original histogram so
         // existing p99 numbers keep their meaning.
-        state.telemetry.queue_wait.record(job.enqueued.elapsed());
+        state.telemetry.queue_wait.record(enqueued.elapsed());
         let service_started = Instant::now();
-        // Blocking mode for the response write; the socket timeouts
-        // set at accept bound how long a stalled client costs.
-        let _ = job.conn.stream.set_nonblocking(false);
         // Contain panics: a request that trips a solver bug must cost
         // that request a 500, not the pool a worker (N such requests
         // would otherwise silently wedge the whole service).
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_request(&mut job, &state, &mut ws)
+        let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            route(&request, &state, &mut ws, load)
         }));
-        let keep = match outcome {
-            Ok(keep) => keep,
+        let (reply, keep_alive) = match routed {
+            Ok(reply) => (reply, request.keep_alive),
             Err(_) => {
-                state.telemetry.record_response(500);
-                let _ = http::write_response(
-                    &mut job.conn.stream,
-                    500,
-                    &[],
-                    &error_object("internal error: request handler panicked", &[]),
-                );
                 // The unwound handler may have left the scratch
                 // workspace mid-surgery; replace it rather than trust
                 // it.
                 ws = DpWorkspace::new();
-                false
+                (
+                    Reply::error(500, "internal error: request handler panicked"),
+                    false,
+                )
             }
         };
+        conn.respond(&state, &reply, keep_alive);
+        // Write what the socket takes now; whatever it does not take
+        // goes back to the loop with the connection, so a client that
+        // reads slowly costs a buffer, never a worker.
+        let flushed = conn.flush(Instant::now());
         state.telemetry.service.record(service_started.elapsed());
-        state.telemetry.latency.record(job.enqueued.elapsed());
+        state.telemetry.latency.record(enqueued.elapsed());
         state.telemetry.sub(Stat::BusyWorkers, 1);
-        if keep {
-            if ret_tx.send(job.conn).is_ok() {
-                // One byte wakes the loop's poll; WouldBlock means it
-                // is drowning in wakeups already.
-                let _ = (&wake).write(&[1]);
+        match flushed {
+            Ok(true) if conn.close_after_write => close_conn(conn, &state),
+            Err(_) => close_conn(conn, &state),
+            // Kept alive, or still owing output: back to the loop.
+            Ok(_) => {
+                if ret_tx.send(conn).is_ok() {
+                    // One byte wakes the loop's poll; WouldBlock means
+                    // it is drowning in wakeups already.
+                    let _ = (&wake).write(&[1]);
+                }
             }
-        } else {
-            close_conn(job.conn, &state);
         }
     }
-}
-
-/// Route one parsed request and write the response. Returns whether
-/// the connection survives (keep-alive and the write succeeded).
-/// Socket errors are swallowed — the client is gone and there is
-/// nobody to tell.
-fn handle_request(job: &mut Job, state: &ServeState, ws: &mut DpWorkspace) -> bool {
-    // Any interim 100 the loop queued goes out first.
-    if job.conn.has_pending_out() {
-        let pending = job.conn.out[job.conn.out_pos..].to_vec();
-        if job.conn.stream.write_all(&pending).is_err() {
-            return false;
-        }
-        job.conn.out.clear();
-        job.conn.out_pos = 0;
-    }
-    let reply = route(&job.request, state, ws, job.load);
-    state.telemetry.record_response(reply.status);
-    let mut extra: Vec<(&str, &str)> = Vec::new();
-    if let Some(marker) = reply.cache_marker {
-        extra.push(("X-Fragalign-Cache", marker));
-    }
-    if let Some(tier) = reply.degraded {
-        extra.push(("X-Fragalign-Degraded", tier));
-    }
-    let keep_alive = job.request.keep_alive;
-    let wrote = http::write_response_conn(
-        &mut job.conn.stream,
-        reply.status,
-        reply.content_type,
-        &extra,
-        &reply.body,
-        keep_alive,
-    )
-    .is_ok();
-    wrote && keep_alive
 }
 
 /// A routed response: status, body, content type, and for `/v1/solve`
@@ -884,6 +867,18 @@ impl Reply {
 
     fn error(status: u16, message: &str) -> Reply {
         Reply::json(status, error_object(message, &[]))
+    }
+
+    /// A `503` saying why the server is busy and naming the limit it
+    /// hit; [`Conn::respond`] adds `Retry-After`.
+    fn busy(why: &str, (limit, value): (&str, usize)) -> Reply {
+        Reply::json(
+            503,
+            error_object(
+                &format!("server busy: {why}, retry shortly"),
+                &[(limit, Value::Int(value as i64))],
+            ),
+        )
     }
 }
 
