@@ -6,15 +6,16 @@
 //!   may change a solution;
 //! * hit and miss paths return byte-identical bodies, and instance
 //!   formatting (pretty vs compact) cannot split cache entries;
-//! * half-written requests cost no worker thread — the event loop
-//!   holds them — and the admission watermarks behave: past
-//!   `reject_at` every request 503s immediately, past `degrade_at`
-//!   big instances are rerouted to a cheap tier with
-//!   `X-Fragalign-Degraded` and a body identical to asking for that
-//!   tier directly;
+//! * half-written requests and clients that stop reading cost no
+//!   worker thread — the event loop holds them — and the admission
+//!   watermarks behave: past `reject_at` every request 503s
+//!   immediately, past `degrade_at` big instances are rerouted to a
+//!   cheap tier with `X-Fragalign-Degraded` and a body identical to
+//!   asking for that tier directly;
 //! * keep-alive connections serve many requests on one socket (and
 //!   the reuse counters say so), pipelined requests answer in send
-//!   order, and idle sockets are evicted after `idle_timeout_ms`;
+//!   order (20,000 of them within seconds), and idle sockets and
+//!   stalled readers are closed after `idle_timeout_ms`;
 //! * the `/v1/solve` wire format is pinned by a golden snapshot
 //!   (wall-clock normalised), so accidental format drift is caught
 //!   before clients are.
@@ -24,7 +25,7 @@ use fragalign::core::{solve_single_traced, BatchOptions, TraceHandle};
 use fragalign::model::instance::paper_example;
 use fragalign::model::{Instance, InstanceBuilder, Score, Sym};
 use fragalign::serve::{
-    client, AdmissionConfig, ServeConfig, Server, Stat, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS,
+    client, http, AdmissionConfig, ServeConfig, Server, Stat, MAX_FRAGMENT_REGIONS, MAX_TABLE_CELLS,
 };
 use fragalign::sim::gen_batch;
 use fragalign::sim::SimConfig;
@@ -433,10 +434,9 @@ fn omitting_the_solver_field_routes_through_auto() {
 
 #[test]
 fn half_written_requests_cost_no_worker() {
-    // Under the old thread-per-request design, a request whose body
-    // never arrives pinned a worker for the whole io timeout — four
-    // of them against one worker would wedge the service. With the
-    // readiness-polled read path they only hold event-loop buffers.
+    // A request whose body never arrives holds an event-loop buffer,
+    // never a worker: four of them parked against the only worker
+    // leave it free, and a fifth client is answered at once.
     let server = Server::start(ServeConfig {
         workers: 1,
         queue_depth: 1,
@@ -450,7 +450,7 @@ fn half_written_requests_cost_no_worker() {
         .map(|_| {
             client::connect_and_send(
                 addr,
-                b"POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n",
+                b"POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\nConnection: close\r\n\r\n",
             )
             .expect("park a half-written request")
         })
@@ -660,6 +660,181 @@ fn pipelined_requests_answer_in_order() {
     server.shutdown();
 }
 
+/// Check that `stream` delivers the `expected` responses next, in
+/// order and byte for byte.
+fn expect_responses<'a>(stream: std::net::TcpStream, expected: impl Iterator<Item = &'a [u8]>) {
+    use std::io::Read;
+    let mut reader = std::io::BufReader::with_capacity(1 << 16, stream);
+    let mut got = Vec::new();
+    for (i, want) in expected.enumerate() {
+        got.resize(want.len(), 0);
+        reader
+            .read_exact(&mut got)
+            .unwrap_or_else(|e| panic!("response {i}: {e}"));
+        assert!(
+            got == want,
+            "response {i} differs: {}",
+            head(&String::from_utf8_lossy(&got), 300)
+        );
+    }
+}
+
+/// Write `bytes` on a clone of `stream` from a thread of its own, so
+/// the caller can read (or not) while the server takes them. Write
+/// errors end the thread quietly: a server that closes the connection
+/// is what some tests wait for.
+fn write_in_background(
+    stream: &std::net::TcpStream,
+    bytes: Vec<u8>,
+) -> std::thread::JoinHandle<()> {
+    use std::io::Write;
+    let mut writer = stream.try_clone().expect("clone the client socket");
+    std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+    })
+}
+
+/// `count` pipelined `POST /v1/solve` requests cycling over `bodies`.
+fn pipelined_solves(bodies: &[String], count: usize) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for i in 0..count {
+        let body = &bodies[i % bodies.len()];
+        bytes.extend_from_slice(
+            format!(
+                "POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    bytes
+}
+
+#[test]
+fn a_deep_pipeline_of_cache_hits_answers_in_order() {
+    // 20,000 cache hits sent in one write (about 21 MB) are all
+    // answered, in request order, within a few seconds: parsing a
+    // request off the connection's buffer costs time in its own
+    // bytes, not in the bytes still queued behind it.
+    const REQUESTS: usize = 20_000;
+    let server = Server::start(ServeConfig::default()).expect("server starts");
+    let addr = server.addr();
+    let bodies: Vec<String> = sim_instances(4, 808)
+        .iter()
+        .map(|inst| solve_body(inst, "greedy"))
+        .collect();
+    let hits: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| {
+            let primed = client::post(addr, "/v1/solve", body).expect("prime the cache");
+            assert_eq!(primed.status, 200, "{}", primed.body);
+            http::render_response(
+                200,
+                "application/json",
+                &[("X-Fragalign-Cache", "hit")],
+                &primed.body,
+                true,
+            )
+        })
+        .collect();
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set timeout");
+    let t0 = Instant::now();
+    let writer = write_in_background(&stream, pipelined_solves(&bodies, REQUESTS));
+    expect_responses(
+        stream,
+        (0..REQUESTS).map(|i| hits[i % hits.len()].as_slice()),
+    );
+    let took = t0.elapsed();
+    writer.join().expect("writer thread");
+    assert!(
+        took < Duration::from_secs(4),
+        "{REQUESTS} pipelined hits took {took:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_holds_no_worker() {
+    // One worker and a client that pipelines 20,000 `GET /v1/solvers`
+    // (about 35 MB of responses, more than the loopback socket buffers
+    // hold) and then reads nothing for a second. The worker writes
+    // what the socket takes and hands the rest to the event loop, so
+    // `/healthz` on another connection is answered at once, and the
+    // stalled client still gets every response once it reads.
+    const REQUESTS: usize = 20_000;
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let solvers = client::get(addr, "/v1/solvers").expect("solvers").body;
+    let solvers = http::render_response(200, "application/json", &[], &solvers, true);
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set timeout");
+    let writer = write_in_background(
+        &stream,
+        b"GET /v1/solvers HTTP/1.1\r\nHost: t\r\n\r\n".repeat(REQUESTS),
+    );
+    std::thread::sleep(Duration::from_secs(1));
+
+    let t0 = Instant::now();
+    let health = client::request(addr, "GET", "/healthz", None, Duration::from_secs(10))
+        .expect("healthz answers beside a stalled reader");
+    assert_eq!(health.status, 200, "{}", health.body);
+    assert!(
+        t0.elapsed() < Duration::from_secs(3),
+        "healthz took {:?} beside a stalled reader",
+        t0.elapsed()
+    );
+
+    expect_responses(stream, std::iter::repeat_n(solvers.as_slice(), REQUESTS));
+    writer.join().expect("writer thread");
+    server.shutdown();
+}
+
+#[test]
+fn a_stalled_reader_is_closed_at_the_idle_timeout() {
+    // A client that pipelines cache hits and never reads stops the
+    // server's writes once the socket buffers fill. The connection
+    // then moves no bytes and is closed at the idle timeout.
+    let server = Server::start(ServeConfig {
+        idle_timeout_ms: 300,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let state = server.state();
+    let body = solve_body(&sim_instances(1, 909)[0], "greedy");
+    let primed = client::post(addr, "/v1/solve", &body).expect("prime the cache");
+    assert_eq!(primed.status, 200, "{}", primed.body);
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let writer = write_in_background(&stream, pipelined_solves(&[body], 20_000));
+    wait_until("the stalled reader to be accepted", || {
+        state.telemetry.get(Stat::ConnectionsAccepted) >= 2
+    });
+    let t0 = Instant::now();
+    while state.telemetry.get(Stat::ConnectionsOpen) > 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(20),
+            "a client that never reads was not closed within {:?}",
+            t0.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(stream);
+    writer.join().expect("writer thread");
+    server.shutdown();
+}
+
 #[test]
 fn idle_connections_are_dropped_after_the_timeout() {
     let server = Server::start(ServeConfig {
@@ -687,6 +862,33 @@ fn idle_connections_are_dropped_after_the_timeout() {
         "closed suspiciously fast ({:?}) — not an idle eviction",
         t0.elapsed()
     );
+    wait_until("the gauge to drop", || {
+        state.telemetry.get(Stat::ConnectionsOpen) == 0
+    });
+    server.shutdown();
+}
+
+#[test]
+fn a_half_written_request_is_closed_at_the_idle_timeout() {
+    // A client that stops mid-head moves no bytes, so it is closed at
+    // the idle timeout like a connection that never sent anything.
+    let server = Server::start(ServeConfig {
+        idle_timeout_ms: 150,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let state = server.state();
+
+    use std::io::Read;
+    let mut stream =
+        client::connect_and_send(server.addr(), b"POST /v1/solve HTTP/1.1\r\nContent-Le")
+            .expect("send half a head");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set timeout");
+    let mut byte = [0u8; 1];
+    let n = stream.read(&mut byte).expect("read until server closes");
+    assert_eq!(n, 0, "server must close the stalled request, not answer it");
     wait_until("the gauge to drop", || {
         state.telemetry.get(Stat::ConnectionsOpen) == 0
     });
