@@ -29,8 +29,6 @@ pub struct ImproveConfig {
     /// bounding the number of rounds by `4k²`. `None` runs unscaled
     /// (exact gains, potentially more rounds).
     pub scaling: bool,
-    /// Hard cap on improvement rounds (0 = automatic).
-    pub max_rounds: usize,
     /// Maximum I1 target-site length.
     pub site_cap: usize,
     /// Maximum border-site length.
@@ -48,7 +46,6 @@ impl Default for ImproveConfig {
         ImproveConfig {
             methods: MethodSet::All,
             scaling: false,
-            max_rounds: 0,
             site_cap: 64,
             border_cap: 64,
             plugs_per_target: 2,
@@ -106,15 +103,12 @@ pub fn improve(
     } else {
         1
     };
-    let auto_rounds = if config.scaling {
+    // Scaled runs end within 4k² rounds (plus k of slack); unscaled
+    // ones stop at a fixed safety cap.
+    let max_rounds = if config.scaling {
         (4 * k * k + k) as usize
     } else {
         10_000
-    };
-    let max_rounds = if config.max_rounds == 0 {
-        auto_rounds
-    } else {
-        config.max_rounds
     };
     let budget = Budget {
         site_cap: config.site_cap,
