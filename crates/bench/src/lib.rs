@@ -8,7 +8,7 @@
 //! `cargo run --release -p fragalign-bench --bin <name>`.
 
 use fragalign::isp::{Interval, IspInstance};
-use fragalign::model::{Instance, ScoreTable, Sym};
+use fragalign::model::Instance;
 use fragalign::prelude::SimConfig;
 use fragalign::sim::generate;
 
@@ -29,30 +29,6 @@ impl Stream {
     pub fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
     }
-}
-
-/// A random region word of length `len` over `syms` symbols offset by
-/// `base`.
-pub fn word(seed: u64, len: usize, syms: u32, base: u32) -> Vec<Sym> {
-    let mut s = Stream(seed | 1);
-    (0..len)
-        .map(|_| Sym::fwd(base + s.below(syms as u64) as u32))
-        .collect()
-}
-
-/// A dense-ish random score table between symbol ranges.
-pub fn table(seed: u64, syms: u32) -> ScoreTable {
-    let mut t = ScoreTable::new();
-    let mut s = Stream(seed | 1);
-    for a in 0..syms {
-        for b in 0..syms {
-            let r = s.below(9);
-            if r > 4 {
-                t.set(Sym::fwd(a), Sym::fwd(1000 + b), (r - 4) as i64);
-            }
-        }
-    }
-    t
 }
 
 /// Simulator instance at a benchmark scale.
@@ -91,7 +67,6 @@ mod tests {
 
     #[test]
     fn builders_are_deterministic() {
-        assert_eq!(word(3, 10, 4, 0), word(3, 10, 4, 0));
         let a = sim_instance(20, 3, 1);
         let b = sim_instance(20, 3, 1);
         assert_eq!(a.h, b.h);

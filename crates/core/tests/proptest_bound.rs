@@ -5,7 +5,8 @@
 //! An unsound bound therefore silently discards correct work, so the
 //! bound is pinned from both sides — never below the certified
 //! optimum of the exhaustive solver, never above the naive
-//! min-mass × σ_max bound it replaced.
+//! min-mass × σ_max bound it replaced, and strictly below that naive
+//! bound on the simulator's benchmark-scale grid.
 
 use fragalign_core::{solve_exact, ExactLimits};
 use fragalign_sim::{generate, SimConfig};
@@ -49,5 +50,36 @@ proptest! {
             optimum <= bound,
             "bound {bound} below certified optimum {optimum} on seed {seed} — unsound"
         );
+    }
+}
+
+/// Strictly tighter than the naive bound on every instance of the
+/// grid regions 60/120/240 × 4/8 fragments per species × seeds 1–3,
+/// built with `fragalign_bench::sim_instance`'s configuration.
+#[test]
+fn assignment_bound_strictly_tighter_than_naive_on_the_sim_grid() {
+    for regions in [60usize, 120, 240] {
+        for frags in [4usize, 8] {
+            for seed in 1..=3u64 {
+                let inst = generate(&SimConfig {
+                    regions,
+                    h_frags: frags,
+                    m_frags: frags,
+                    loss_rate: 0.1,
+                    shuffles: 2,
+                    spurious: regions / 8,
+                    seed,
+                    ..SimConfig::default()
+                })
+                .instance;
+                let bound = inst.score_upper_bound();
+                let naive = inst.score_upper_bound_naive();
+                assert!(
+                    bound < naive,
+                    "assignment bound {bound} not below naive {naive} \
+                     (regions={regions} frags={frags} seed={seed})"
+                );
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@
 //!   sink, RAII span guards, and Chrome trace-event export, threaded
 //!   through every solver, the portfolio racers, and the service;
 //! * [`sim`] — a fragmented-genome simulator with ground truth;
-//! * [`par`] — parallel sweep utilities and speedup measurement;
+//! * [`par`] — rayon pool plumbing: scoped pools of a given width;
 //! * [`serve`] — the concurrent HTTP alignment service: worker pool
 //!   with bounded-queue backpressure, sharded LRU result cache,
 //!   JSON wire format over the engine registry.

@@ -133,8 +133,8 @@ impl Instance {
     }
 
     /// The pre-relaxation bound: min region mass × the best per-pair
-    /// score. Kept as the comparison baseline for the bound-tightness
-    /// assertions in `exp_kernel` and the bound proptests;
+    /// score. Kept as the comparison baseline for the bound tests in
+    /// `fragalign-core`'s `proptest_bound`;
     /// [`Instance::score_upper_bound`] is always at least as tight.
     pub fn score_upper_bound_naive(&self) -> Score {
         let per_pair = self

@@ -1,6 +1,6 @@
 //! A tiny blocking HTTP/1.1 client — just enough to drive the
-//! service from the integration tests and the `exp_service` load
-//! generator without external dependencies. The free functions
+//! service from the integration tests without external
+//! dependencies. The free functions
 //! ([`get`], [`post`], [`request`]) do one request per connection
 //! with `Connection: close`; [`Connection`] keeps a socket open for
 //! keep-alive reuse and in-order pipelining.

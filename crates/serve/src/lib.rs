@@ -46,7 +46,7 @@
 //!   queue, cache, connections, admission) that renders both the JSON
 //!   and the Prometheus `/metrics` export;
 //! * [`client`] — a tiny blocking HTTP client for the integration
-//!   tests and the `exp_service` load generator.
+//!   tests.
 //!
 //! ## Endpoints
 //!

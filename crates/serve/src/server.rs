@@ -180,8 +180,7 @@ impl Sampler {
 }
 
 /// State shared by the event loop and every worker. Tests and the
-/// `exp_service` load generator read the gauges through
-/// [`Server::state`].
+/// benchmark read the gauges through [`Server::state`].
 pub struct ServeState {
     /// All counters and gauges.
     pub telemetry: Telemetry,

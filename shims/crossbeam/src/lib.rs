@@ -1,9 +1,9 @@
 //! Offline shim of the `crossbeam` API surface used by this workspace
 //! (see `shims/README.md`): bounded MPMC-ish channels over
 //! `std::sync::mpsc::sync_channel` and scoped threads over
-//! `std::thread::scope`. Unlike the sequential rayon shim, this one is
-//! genuinely concurrent — `fragalign-par`'s pipeline really overlaps
-//! its producer and consumer.
+//! `std::thread::scope`. It is genuinely concurrent: the service's
+//! worker pool and the rayon shim's thread pool both run on its
+//! channels.
 
 use std::any::Any;
 
