@@ -271,11 +271,7 @@ fn solve_cmd(
 ) -> ExitCode {
     let opts = BatchOptions {
         solver: algo.to_owned(),
-        engine: EngineOptions {
-            scaling,
-            threads,
-            ..EngineOptions::default()
-        },
+        engine: EngineOptions { scaling, threads },
     };
     let sink = trace_path.map(|_| core::obs::TraceSink::new());
     let trace = sink

@@ -22,7 +22,7 @@
 //! * [`SolveReport`] is the uniform telemetry record every run emits:
 //!   score, rounds, attempts, DP fill/realloc counts pulled from the
 //!   oracle stats, and wall time;
-//! * [`Portfolio`] is a meta-solver racing a configurable solver set
+//! * [`Portfolio`] is a meta-solver racing the portfolio-flagged solvers
 //!   in parallel and keeping the best-scoring result, with ties broken
 //!   by registry order so the outcome never depends on thread timing.
 
@@ -37,13 +37,13 @@ pub use portfolio::Portfolio;
 pub use registry::{SolverRegistry, SolverSpec};
 pub use router::{Auto, InstanceFeatures, Router, RouterRule};
 
-use crate::ExactLimits;
 use fragalign_align::ScoreOracle;
 use fragalign_model::{Instance, MatchSet, Score};
 use serde::Serialize;
 
-/// Knobs shared by every engine run.
-#[derive(Clone, Copy, Debug)]
+/// Knobs shared by every engine run. The default is unscaled on the
+/// ambient pool.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineOptions {
     /// Enable the §4.1 scaling step (improvement solvers only).
     pub scaling: bool,
@@ -53,19 +53,6 @@ pub struct EngineOptions {
     /// Results are bit-identical either way — this knob trades wall
     /// clock only.
     pub threads: usize,
-    /// Instance-size guard for the exhaustive solver.
-    pub exact_limits: ExactLimits,
-}
-
-impl Default for EngineOptions {
-    /// Unscaled, ambient pool, default exact limits.
-    fn default() -> Self {
-        EngineOptions {
-            scaling: false,
-            threads: 0,
-            exact_limits: ExactLimits::default(),
-        }
-    }
 }
 
 /// Per-run context injected into [`Solver::solve`]: the memoising

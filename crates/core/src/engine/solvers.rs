@@ -5,7 +5,7 @@
 //! a fresh oracle (`tests/engine_registry.rs` proves it).
 
 use super::{EngineOptions, SolveCtx, SolveOutcome, Solver};
-use crate::{ImproveConfig, MethodSet};
+use crate::{ExactLimits, ImproveConfig, MethodSet};
 use fragalign_model::{Instance, MatchSet};
 
 /// A pre-empted run: the token tripped before the solver started, so
@@ -131,13 +131,13 @@ impl Solver for Chain {
 }
 
 /// The exhaustive optimum, materialised as a match set (Definition 2
-/// over the winning arrangements). Guarded by
-/// [`EngineOptions::exact_limits`].
+/// over the winning arrangements). Guarded by the default
+/// [`ExactLimits`].
 pub struct Exact;
 
 impl Solver for Exact {
-    fn supports(&self, inst: &Instance, opts: &EngineOptions) -> Result<(), String> {
-        opts.exact_limits.check(inst)
+    fn supports(&self, inst: &Instance, _opts: &EngineOptions) -> Result<(), String> {
+        ExactLimits::default().check(inst)
     }
 
     fn solve(&self, inst: &Instance, ctx: &mut SolveCtx<'_>) -> SolveOutcome {
@@ -145,7 +145,7 @@ impl Solver for Exact {
             return preempted();
         }
         let _sp = ctx.trace.span_labeled("phase", "exact-search");
-        let sol = crate::solve_exact(inst, ctx.opts.exact_limits);
+        let sol = crate::solve_exact(inst, ExactLimits::default());
         SolveOutcome::from_matches(crate::exact::exact_matches(inst, &sol))
     }
 }
