@@ -13,7 +13,7 @@
 //! * **D4** scaling: rounds and score with/without §4.1 truncation.
 
 use fragalign::align::ScoreOracle;
-use fragalign::core::improve::Commit;
+use fragalign::core::improve::{Budget, Commit};
 use fragalign::prelude::*;
 use fragalign_bench::sim_instance;
 use std::sync::atomic::Ordering;
@@ -87,8 +87,11 @@ fn main() {
             let res = improve(
                 &ScoreOracle::new(inst),
                 ImproveConfig {
-                    site_cap,
-                    border_cap,
+                    budget: Budget {
+                        site_cap,
+                        border_cap,
+                        ..Budget::default()
+                    },
                     ..Default::default()
                 },
                 MatchSet::new(),

@@ -29,14 +29,8 @@ pub struct ImproveConfig {
     /// bounding the number of rounds by `4k²`. `None` runs unscaled
     /// (exact gains, potentially more rounds).
     pub scaling: bool,
-    /// Maximum I1 target-site length.
-    pub site_cap: usize,
-    /// Maximum border-site length.
-    pub border_cap: usize,
-    /// Plug candidates per I1 target.
-    pub plugs_per_target: usize,
-    /// Border bundles per fragment pair.
-    pub borders_per_pair: usize,
+    /// Caps on the attempts one round enumerates.
+    pub budget: Budget,
     /// Which improving attempt a round commits.
     pub commit: Commit,
 }
@@ -46,10 +40,7 @@ impl Default for ImproveConfig {
         ImproveConfig {
             methods: MethodSet::All,
             scaling: false,
-            site_cap: 64,
-            border_cap: 64,
-            plugs_per_target: 2,
-            borders_per_pair: 4,
+            budget: Budget::default(),
             commit: Commit::Best,
         }
     }
@@ -110,12 +101,6 @@ pub fn improve(
     } else {
         10_000
     };
-    let budget = Budget {
-        site_cap: config.site_cap,
-        border_cap: config.border_cap,
-        plugs_per_target: config.plugs_per_target,
-        borders_per_pair: config.borders_per_pair,
-    };
 
     let mut current = initial;
     let mut cur_trunc = trunc_total(&current, quantum);
@@ -135,7 +120,7 @@ pub fn improve(
             break;
         }
         let mut round_span = trace.span("improve_round");
-        let candidates = enumerate_attempts(oracle, &current, config.methods, budget);
+        let candidates = enumerate_attempts(oracle, &current, config.methods, config.budget);
         attempts += candidates.len();
         if candidates.is_empty() {
             break;

@@ -69,7 +69,7 @@ pub enum Attempt {
     },
 }
 
-/// Enumeration budget knobs (defaults in `ImproveConfig`).
+/// Caps on the attempts one round enumerates.
 #[derive(Clone, Copy, Debug)]
 pub struct Budget {
     /// Maximum length of an I1 target site.
@@ -80,6 +80,19 @@ pub struct Budget {
     pub plugs_per_target: usize,
     /// I2 bundles kept per (H fragment, M fragment) pair.
     pub borders_per_pair: usize,
+}
+
+impl Default for Budget {
+    /// The driver's caps: sites up to 64 long, two plugs per target,
+    /// four border bundles per fragment pair.
+    fn default() -> Self {
+        Budget {
+            site_cap: 64,
+            border_cap: 64,
+            plugs_per_target: 2,
+            borders_per_pair: 4,
+        }
+    }
 }
 
 /// Positions of `frag` covered by matched sites, as a sorted list of
@@ -291,21 +304,12 @@ mod tests {
     use fragalign_model::instance::paper_example;
     use fragalign_model::{Match, Orient};
 
-    fn budget() -> Budget {
-        Budget {
-            site_cap: 64,
-            border_cap: 64,
-            plugs_per_target: 2,
-            borders_per_pair: 4,
-        }
-    }
-
     #[test]
     fn empty_solution_has_candidates() {
         let inst = paper_example();
         let oracle = ScoreOracle::new(&inst);
         let set = MatchSet::new();
-        let all = enumerate_attempts(&oracle, &set, MethodSet::All, budget());
+        let all = enumerate_attempts(&oracle, &set, MethodSet::All, Budget::default());
         assert!(!all.is_empty());
         assert!(all.iter().any(|a| matches!(a, Attempt::I1 { .. })));
         assert!(all.iter().any(|a| matches!(a, Attempt::I2 { .. })));
@@ -318,9 +322,9 @@ mod tests {
         let inst = paper_example();
         let oracle = ScoreOracle::new(&inst);
         let set = MatchSet::new();
-        let full = enumerate_attempts(&oracle, &set, MethodSet::FullOnly, budget());
+        let full = enumerate_attempts(&oracle, &set, MethodSet::FullOnly, Budget::default());
         assert!(full.iter().all(|a| matches!(a, Attempt::I1 { .. })));
-        let border = enumerate_attempts(&oracle, &set, MethodSet::BorderOnly, budget());
+        let border = enumerate_attempts(&oracle, &set, MethodSet::BorderOnly, Budget::default());
         assert!(border.iter().all(|a| !matches!(a, Attempt::I1 { .. })));
     }
 
@@ -335,7 +339,7 @@ mod tests {
             Orient::Same,
             5,
         )]);
-        let all = enumerate_attempts(&oracle, &set, MethodSet::All, budget());
+        let all = enumerate_attempts(&oracle, &set, MethodSet::All, Budget::default());
         // I3 requires replacement partners on both sides; with only two
         // M fragments and σ(b, t^R) > 0 there is at least a candidate
         // for f1 = h1 with m1. g1 = m2 needs a different H fragment —

@@ -8,7 +8,7 @@
 
 use fragalign_align::ScoreOracle;
 use fragalign_core::improve::{
-    apply_attempt, enumerate_attempts, improve, trunc_total, Budget, ImproveConfig,
+    apply_attempt, enumerate_attempts, improve, trunc_total, ImproveConfig,
 };
 use fragalign_core::{CancelToken, MethodSet};
 use fragalign_model::{Instance, MatchSet, Score};
@@ -21,13 +21,7 @@ fn reference(
     methods: MethodSet,
     quantum: Score,
 ) -> (MatchSet, usize, usize) {
-    let c = ImproveConfig::default();
-    let budget = Budget {
-        site_cap: c.site_cap,
-        border_cap: c.border_cap,
-        plugs_per_target: c.plugs_per_target,
-        borders_per_pair: c.borders_per_pair,
-    };
+    let budget = ImproveConfig::default().budget;
     let (mut current, mut rounds, mut attempts) = (MatchSet::new(), 0, 0);
     loop {
         let candidates = enumerate_attempts(oracle, &current, methods, budget);

@@ -7,23 +7,11 @@
 use fragalign_align::ScoreOracle;
 use fragalign_core::improve::{
     apply_attempt, attempt_bound, enumerate_attempts, prepare_site, trunc_total, Attempt, Budget,
-    ImproveConfig,
 };
 use fragalign_core::MethodSet;
 use fragalign_model::{check_consistency, FragId, Instance, Match, MatchSet, Orient, Score, Site};
 use fragalign_sim::{generate, generate_soup, generate_torn, SimConfig, SoupConfig, TornConfig};
 use proptest::prelude::*;
-
-/// The driver's default enumeration budget.
-fn default_budget() -> Budget {
-    let c = ImproveConfig::default();
-    Budget {
-        site_cap: c.site_cap,
-        border_cap: c.border_cap,
-        plugs_per_target: c.plugs_per_target,
-        borders_per_pair: c.borders_per_pair,
-    }
-}
 
 /// A clean sim of 20–24 regions (`shape` 0), a torn one (1) or a read
 /// soup (2).
@@ -87,7 +75,7 @@ proptest! {
         let oracle = ScoreOracle::new(inst);
         let mut set = MatchSet::new();
         for pick in picks {
-            let attempts = enumerate_attempts(&oracle, &set, MethodSet::All, default_budget());
+            let attempts = enumerate_attempts(&oracle, &set, MethodSet::All, Budget::default());
             if attempts.is_empty() {
                 break;
             }
