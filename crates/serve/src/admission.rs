@@ -37,9 +37,18 @@
 use fragalign_core::engine::{InstanceFeatures, Router};
 use fragalign_model::Score;
 
+/// Instances below this many total regions are never degraded: they
+/// are cheap for every solver.
+const MIN_REGIONS: usize = 48;
+
+/// Instances whose assignment-relaxation score bound stays below this
+/// are never degraded, whatever their region count (low bound ⇒
+/// little σ mass ⇒ little DP work worth saving).
+const MIN_BOUND: Score = 500;
+
 /// The admission knobs. Of these, `fragalign serve` sets only
-/// `enabled` (`--admission on|off`); the rest keep their defaults
-/// there.
+/// `enabled` (`--admission on|off`); the watermarks keep their
+/// defaults there.
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
     /// Master switch (`--admission on|off`). Off restores the old
@@ -51,13 +60,6 @@ pub struct AdmissionConfig {
     /// Queue-load fraction at or above which requests are hard-503ed
     /// before touching a worker.
     pub reject_at: f64,
-    /// Instances below this many total regions are never degraded —
-    /// they are cheap for every solver.
-    pub min_regions: usize,
-    /// Instances whose assignment-relaxation score bound stays below
-    /// this are never degraded, whatever their region count (low
-    /// bound ⇒ little σ mass ⇒ little DP work worth saving).
-    pub min_bound: Score,
 }
 
 impl Default for AdmissionConfig {
@@ -68,8 +70,6 @@ impl Default for AdmissionConfig {
             enabled: true,
             degrade_at: 0.5,
             reject_at: 1.0,
-            min_regions: 48,
-            min_bound: 500,
         }
     }
 }
@@ -92,11 +92,6 @@ impl AdmissionPolicy {
             cfg,
             router: Router::default(),
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Whether a request arriving at queue-load `load` (depth over
@@ -128,7 +123,7 @@ impl AdmissionPolicy {
         if !self.cfg.enabled || CHEAP_TIERS.contains(&requested) {
             return None;
         }
-        let big = features.total_regions() >= self.cfg.min_regions && bound >= self.cfg.min_bound;
+        let big = features.total_regions() >= MIN_REGIONS && bound >= MIN_BOUND;
         big.then(|| self.router.degraded_pick(features))
     }
 }
