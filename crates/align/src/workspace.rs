@@ -29,7 +29,7 @@ use fragalign_model::{Orient, Score, ScoreTable, Sym};
 
 /// Which `P_score` kernel a fill runs through. [`DpWorkspace::p_score`]
 /// picks by size; [`DpWorkspace::p_score_kernel`] takes this enum so
-/// the `exp_kernel` bench and the differential tests can force each
+/// the kernel speedup floor and the differential tests can force each
 /// kernel over identical inputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMode {
@@ -100,12 +100,6 @@ impl DpWorkspace {
         self.reallocs
     }
 
-    /// Reset the fill/realloc counters (buffers stay warm).
-    pub fn reset_stats(&mut self) {
-        self.fills = 0;
-        self.reallocs = 0;
-    }
-
     /// Record a fill about to run with `cols` DP columns, growing the
     /// two rolling rows if needed.
     fn note_fill(&mut self, cols: usize) {
@@ -128,7 +122,7 @@ impl DpWorkspace {
         self.p_score_kernel(sigma, u, v, mode)
     }
 
-    /// `P_score(u, v)` through one forced kernel — the bench and
+    /// `P_score(u, v)` through one forced kernel — the speedup-test and
     /// differential-test hook. Both modes put the shorter word on the
     /// column axis, so they time identical problems; `Profiled` falls
     /// back to scalar only when the profile would exceed
@@ -605,8 +599,6 @@ mod tests {
         }
         assert_eq!(ws.reallocs(), after_first, "warm fills must not grow");
         assert_eq!(ws.fills(), 11);
-        ws.reset_stats();
-        assert_eq!(ws.fills(), 0);
     }
 
     #[test]

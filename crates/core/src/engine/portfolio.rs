@@ -4,8 +4,8 @@
 //! fragments in sequences: to sweep or not"): on dense instances the
 //! improvement family wins, on disjoint full-fragment instances the
 //! matching 2-approximation already ties it at a fraction of the
-//! cost, and greedy occasionally lucks out. The portfolio races a
-//! configurable set of registered solvers over the rayon pool — and
+//! cost, and greedy occasionally lucks out. The portfolio races the
+//! registered solvers flagged `in_portfolio` over the rayon pool — and
 //! now that the pool runs real threads, the race is genuine:
 //!
 //! * every racer runs under its own [`CancelToken`], and a shared
@@ -36,7 +36,7 @@
 
 use super::solvers::preempted;
 use super::{
-    CancelToken, EngineError, EngineOptions, RacerReport, Router, SolveCtx, SolveOutcome, Solver,
+    CancelToken, EngineOptions, RacerReport, Router, SolveCtx, SolveOutcome, Solver,
     SolverRegistry, SolverSpec,
 };
 use fragalign_align::OracleStatsSnapshot;
@@ -68,43 +68,11 @@ impl Portfolio {
     /// `in_portfolio` (the exhaustive solver and the portfolio itself
     /// are excluded).
     pub fn new() -> Self {
-        Portfolio::racing(
-            SolverRegistry::global()
+        Portfolio {
+            members: SolverRegistry::global()
                 .specs()
                 .iter()
-                .filter(|s| s.in_portfolio),
-        )
-    }
-
-    /// Race a custom member set. Every name must be registered;
-    /// duplicates collapse and members race in registry order
-    /// regardless of argument order, so the tie-break stays the
-    /// registry's, not the caller's.
-    pub fn with_members(names: &[&str]) -> Result<Self, EngineError> {
-        let reg = SolverRegistry::global();
-        let mut positions = Vec::with_capacity(names.len());
-        for name in names {
-            let pos = reg
-                .position(name)
-                .ok_or_else(|| EngineError::UnknownSolver {
-                    name: (*name).to_owned(),
-                    known: reg.names(),
-                    suggestion: reg.suggest(name),
-                })?;
-            positions.push(pos);
-        }
-        positions.sort_unstable();
-        positions.dedup();
-        Ok(Portfolio::racing(
-            positions.into_iter().map(|p| &reg.specs()[p]),
-        ))
-    }
-
-    /// A portfolio racing `specs`, which the caller yields in registry
-    /// order.
-    fn racing(specs: impl Iterator<Item = &'static SolverSpec>) -> Self {
-        Portfolio {
-            members: specs
+                .filter(|spec| spec.in_portfolio)
                 .map(|spec| Member {
                     spec,
                     solver: spec.build(),
@@ -112,11 +80,6 @@ impl Portfolio {
                 .collect(),
             router: Router::default(),
         }
-    }
-
-    /// The member names, in race (registry) order.
-    pub fn members(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.spec.name).collect()
     }
 }
 

@@ -138,11 +138,6 @@ impl UcsrReduction {
         let (x, y) = self.key(i, j);
         Sym::fwd(self.b_ids[&(x, y, l)])
     }
-
-    /// Index of an original region in the letter table.
-    pub fn letter_of(&self, region: RegionId) -> Option<usize> {
-        self.letter_index.get(&region).copied()
-    }
 }
 
 /// σ evaluated on an (H letter, M letter) occurrence pair regardless of

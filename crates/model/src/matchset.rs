@@ -228,24 +228,6 @@ impl MatchSet {
         }
         map
     }
-
-    /// Fragments participating in more than one match (`Mult(S)` of
-    /// Definition 5) — for islands of ≥ 3 fragments. For the precise
-    /// island-aware notion use [`crate::consistency::check_consistency`].
-    pub fn multi_fragments(&self) -> Vec<FragId> {
-        let mut counts: HashMap<FragId, usize> = HashMap::new();
-        for m in &self.matches {
-            *counts.entry(m.h.frag).or_default() += 1;
-            *counts.entry(m.m.frag).or_default() += 1;
-        }
-        let mut v: Vec<FragId> = counts
-            .into_iter()
-            .filter(|&(_, c)| c > 1)
-            .map(|(f, _)| f)
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -316,24 +298,6 @@ mod tests {
         assert_eq!(s.contribution(FragId::m(1)), 7);
         assert_eq!(s.contribution(FragId::m(7)), 0);
         assert_eq!(s.total_score(), 11);
-    }
-
-    #[test]
-    fn multi_fragments_detects_multiplicity() {
-        let mut s = MatchSet::new();
-        s.push(Match::new(
-            site_h(0, 0, 1),
-            site_m(0, 0, 1),
-            Orient::Same,
-            1,
-        ));
-        s.push(Match::new(
-            site_h(0, 1, 2),
-            site_m(1, 0, 1),
-            Orient::Same,
-            1,
-        ));
-        assert_eq!(s.multi_fragments(), vec![FragId::h(0)]);
     }
 
     #[test]

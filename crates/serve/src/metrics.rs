@@ -747,9 +747,6 @@ mod tests {
             evictions: 2,
             entries: 3,
             bytes: 4096,
-            byte_budget: 1 << 20,
-            shards: 16,
-            hit_rate: 5.0 / 12.0,
         };
         let json = t.json(4, 64, cache);
         let prom = t.prometheus(4, 64, cache);

@@ -229,29 +229,6 @@ fn portfolio_dominates_every_registered_solver_on_the_demo() {
 }
 
 #[test]
-fn portfolio_members_race_in_registry_order() {
-    // Argument order and duplicates must not matter.
-    let p = Portfolio::with_members(&["greedy", "four", "greedy"]).unwrap();
-    assert_eq!(p.members(), ["four", "greedy"]);
-    assert!(matches!(
-        Portfolio::with_members(&["no-such-solver"]),
-        Err(EngineError::UnknownSolver { .. })
-    ));
-    // A custom race returns the better member's exact result.
-    let inst = fragalign::model::instance::paper_example();
-    let mut ctx = SolveCtx::new(&inst, EngineOptions::default());
-    let out = p.solve(&inst, &mut ctx);
-    let four = solve_four_approx(&ScoreOracle::new(&inst));
-    let greedy = solve_greedy(&ScoreOracle::new(&inst));
-    let best = if greedy.total_score() > four.total_score() {
-        greedy
-    } else {
-        four
-    };
-    assert_eq!(out.matches, best);
-}
-
-#[test]
 fn workspace_reuse_is_live_for_every_one_shot_solver() {
     // `four`, `greedy`, `matching` and `one-csr` take the run's
     // oracle, so a worker's warm workspace serves them across

@@ -271,9 +271,6 @@ fn cache_stats() -> CacheStats {
         evictions: 2,
         entries: 3,
         bytes: 4096,
-        byte_budget: 1 << 20,
-        shards: 16,
-        hit_rate: 5.0 / 12.0,
     }
 }
 
