@@ -13,21 +13,15 @@ use fragalign::prelude::SimConfig;
 use fragalign::sim::generate;
 
 /// Deterministic xorshift stream for workload construction.
-pub struct Stream(pub u64);
+struct Stream(u64);
 
 impl Stream {
-    /// Next raw value.
-    #[allow(clippy::should_implement_trait)] // not an Iterator: infinite, never None
-    pub fn next(&mut self) -> u64 {
+    /// Uniform value below `n`.
+    fn below(&mut self, n: u64) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform value below `n`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
+        self.0 % n.max(1)
     }
 }
 
