@@ -179,8 +179,8 @@ impl Sampler {
     }
 }
 
-/// State shared by the event loop and every worker. Tests and the
-/// benchmark read the gauges through [`Server::state`].
+/// State shared by the event loop and every worker. Tests read the
+/// gauges through [`Server::state`].
 pub struct ServeState {
     /// All counters and gauges.
     pub telemetry: Telemetry,
