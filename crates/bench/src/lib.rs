@@ -1,11 +1,15 @@
 //! # fragalign-bench
 //!
-//! Shared workload builders for the experiment binaries (T1–T9:
-//! approximation ratios, ISP, reductions, recovery and ablations).
+//! Shared workload builders for the experiment binaries.
 //!
-//! The experiment binaries live in `src/bin/` (`exp_ratio`, `exp_isp`,
-//! `exp_reductions`, `exp_recovery`, `exp_ablation`, …); run them with
-//! `cargo run --release -p fragalign-bench --bin <name>`.
+//! The experiment binaries live in `src/bin/`: `exp_ratio`,
+//! `exp_isp`, `exp_reductions`, `exp_recovery` and `exp_ablation`
+//! reproduce the paper's results (T1–T9: approximation ratios, ISP,
+//! reductions, recovery and ablations), and `exp_router` fits the
+//! engine's shape → solver table. Run them with
+//! `cargo run --release -p fragalign-bench --bin <name>`. They report
+//! scores and ratios; none of them checks a wall time, which is the
+//! repository benchmark's job (`perfbench/`).
 
 use fragalign::isp::{Interval, IspInstance};
 use fragalign::model::Instance;

@@ -8,7 +8,11 @@
 //!   a multi-core runner;
 //! - the profiled `P_score` kernel must average ≥ 2× the scalar
 //!   reference over long words, or the query profile has stopped
-//!   paying for itself. One core suffices.
+//!   paying for itself. One core suffices;
+//! - `chain` must solve a 300-region instance ≥ 5× faster than the
+//!   faster of its one-shot DP rivals (`four`, `greedy`), or the
+//!   chaining tier no longer buys the speed it gives up score for.
+//!   One core suffices.
 
 use fragalign::align::{DpWorkspace, KernelMode};
 use fragalign::model::Instance;
@@ -171,5 +175,59 @@ fn profiled_kernel_beats_scalar_by_2x_on_long_words() {
         mean >= 2.0,
         "profiled kernel must average >= 2x scalar over {LEN}-long words \
          (got {mean:.2}x: {speedups:.2?})"
+    );
+}
+
+/// Best-of-3 wall time of solving `inst` with the registered solver
+/// `name` through one warm workspace, after one warm-up solve.
+fn best_of_3_solves(name: &str, inst: &Instance) -> Duration {
+    let opts = BatchOptions::new(name);
+    let mut ws = DpWorkspace::new();
+    let mut solve = || {
+        let t0 = Instant::now();
+        std::hint::black_box(
+            solve_single_traced(inst, &opts, &mut ws, TraceHandle::disabled())
+                .expect("every solver here supports every instance"),
+        );
+        t0.elapsed()
+    };
+    solve();
+    (0..3).map(|_| solve()).min().expect("three solves ran")
+}
+
+#[test]
+fn chain_beats_the_faster_dp_rival_by_5x_on_300_regions() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipped: speedup floors only hold for release builds");
+        return;
+    }
+    // 300 regions is past the exact tier's region limit. `four` and
+    // `greedy` take a few hundred milliseconds here, so one instance
+    // keeps the test short.
+    let inst = gen_batch(
+        &SimConfig {
+            regions: 300,
+            h_frags: 6,
+            m_frags: 6,
+            seed: 6002,
+            ..SimConfig::default()
+        },
+        1,
+    )
+    .remove(0)
+    .instance;
+    let chain = best_of_3_solves("chain", &inst);
+    let four = best_of_3_solves("four", &inst);
+    let greedy = best_of_3_solves("greedy", &inst);
+    let rival = four.min(greedy);
+    let speedup = rival.as_secs_f64() / chain.as_secs_f64().max(1e-9);
+    eprintln!(
+        "chain over the faster DP rival on 300 regions: {speedup:.1}x \
+         (chain {chain:?}, four {four:?}, greedy {greedy:?})"
+    );
+    assert!(
+        speedup >= 5.0,
+        "chain must solve >= 5x faster than the faster DP rival \
+         (got {speedup:.1}x: chain {chain:?}, four {four:?}, greedy {greedy:?})"
     );
 }
