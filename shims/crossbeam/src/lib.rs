@@ -1,11 +1,8 @@
 //! Offline shim of the `crossbeam` API surface used by this workspace
 //! (see `shims/README.md`): bounded MPMC-ish channels over
-//! `std::sync::mpsc::sync_channel` and scoped threads over
-//! `std::thread::scope`. It is genuinely concurrent: the service's
-//! worker pool and the rayon shim's thread pool both run on its
-//! channels.
-
-use std::any::Any;
+//! `std::sync::mpsc::sync_channel`. It is genuinely concurrent: the
+//! service's worker pool and the rayon shim's thread pool both run on
+//! its channels.
 
 pub mod channel {
     //! Bounded channels with crossbeam's `bounded` constructor.
@@ -116,35 +113,6 @@ pub mod channel {
     }
 }
 
-/// Handle for spawning threads inside a [`scope`] call. Mirrors
-/// crossbeam's scope type, whose spawn closures receive the scope
-/// again for nested spawning.
-pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread; it is joined when the scope ends.
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.0;
-        self.0.spawn(move || f(&Scope(inner)))
-    }
-}
-
-/// Create a scope in which borrowing, auto-joined threads can be
-/// spawned. Returns `Ok` with the closure's value; a child-thread
-/// panic propagates as a panic at the end of the scope (crossbeam
-/// would return `Err` instead — every call site here unwraps, so the
-/// observable behaviour matches).
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope(s))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +120,14 @@ mod tests {
     #[test]
     fn producer_consumer_roundtrip() {
         let (tx, rx) = channel::bounded(4);
-        let sum = scope(|s| {
-            s.spawn(move |_| {
+        let sum = std::thread::scope(|s| {
+            s.spawn(move || {
                 for i in 0..100 {
                     tx.send(i).unwrap();
                 }
             });
             rx.iter().sum::<i64>()
-        })
-        .unwrap();
+        });
         assert_eq!(sum, 4950);
     }
 
@@ -181,15 +148,5 @@ mod tests {
         drop(tx);
         assert!(rx.recv().is_err());
         assert!(rx2.recv().is_err());
-    }
-
-    #[test]
-    fn nested_spawn_compiles() {
-        let done = scope(|s| {
-            let h = s.spawn(|inner| inner.spawn(|_| 7).join().unwrap());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(done, 7);
     }
 }

@@ -17,21 +17,21 @@
 //!   order. Per-item work is pure (or scratch-only, for `map_init`
 //!   state), so output is bit-identical for any thread count and any
 //!   steal interleaving;
-//! * reductions (`reduce`, `reduce_with`, `sum`) collect the ordered
-//!   item stream first and fold it sequentially on the caller — the
-//!   exact fold order of a sequential iterator, so even non-associative
+//! * reductions (`reduce_with`, `sum`) collect the ordered item
+//!   stream first and fold it sequentially on the caller — the exact
+//!   fold order of a sequential iterator, so even non-associative
 //!   operators cannot introduce thread-count dependence;
 //! * nested parallel operations (a parallel solve inside a parallel
 //!   batch) run inline on the worker that encountered them, which keeps
 //!   the pool deadlock-free without rayon's work-stealing re-entrancy
 //!   machinery.
 //!
-//! The public surface mirrors the real crate (`ThreadPoolBuilder`,
-//! `install`, `into_par_iter`/`par_iter`/`par_iter_mut`, `map`,
-//! `map_init`, `filter_map`, `enumerate`, `with_min_len`, `for_each`,
-//! `collect`, `reduce`, `reduce_with`, `sum`), so every call site
-//! compiles unchanged against crates.io rayon — swapping the real crate
-//! back in stays a manifest-only change. As in real rayon, `enumerate`
+//! The public surface is the part of the real crate this workspace
+//! calls (`ThreadPoolBuilder`, `install`, `current_num_threads`,
+//! `into_par_iter`/`par_iter`, `map`, `map_init`, `filter_map`,
+//! `enumerate`, `for_each`, `collect`, `reduce_with`, `sum`), so every
+//! call site compiles unchanged against crates.io rayon — swapping the
+//! real crate back in stays a manifest-only change. As in real rayon, `enumerate`
 //! is only meaningful on index-stable ("indexed") chains: applying it
 //! after a length-changing adaptor like `filter_map` is a type error
 //! upstream and unsupported here.
@@ -353,17 +353,6 @@ pub fn current_num_threads() -> usize {
     current_shared().threads
 }
 
-/// Run two closures, nominally in parallel. Executed sequentially here:
-/// no workspace call site uses `join`, and the fork overhead would not
-/// pay for itself at this granularity.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB,
-{
-    (a(), b())
-}
-
 // ---------------------------------------------------------------------------
 // Parallel iterators
 // ---------------------------------------------------------------------------
@@ -392,8 +381,6 @@ pub mod prelude {
     pub struct Parts<'a, B, T> {
         /// The pipeline's input, in order.
         pub base: Vec<B>,
-        /// Smallest chunk the pipeline wants (`with_min_len`).
-        pub min_len: usize,
         /// Per-worker evaluator factory.
         pub factory: ChunkFactory<'a, B, T>,
     }
@@ -407,23 +394,16 @@ pub mod prelude {
     /// trivial, the pool has one thread, or we are already inside a
     /// parallel operation.
     fn drive<P: ParallelIterator>(iter: P) -> Vec<P::Item> {
-        let Parts {
-            base,
-            min_len,
-            factory,
-        } = iter.decompose();
+        let Parts { base, factory } = iter.decompose();
         let len = base.len();
         let shared = current_shared();
         let inline = len <= 1 || shared.threads <= 1 || IN_PARALLEL.with(|f| f.get());
         if inline {
             return (factory)()(0, base);
         }
-        let chunk = len
-            .div_ceil(shared.threads * CHUNKS_PER_WORKER)
-            .max(min_len.max(1));
-        if chunk >= len {
-            return (factory)()(0, base);
-        }
+        // At least two threads and two items, so every chunk is
+        // shorter than the input.
+        let chunk = len.div_ceil(shared.threads * CHUNKS_PER_WORKER);
         // Deterministic index-ordered chunks: slot i covers base range
         // [i*chunk, ...); which worker evaluates a chunk never matters.
         let n_chunks = len.div_ceil(chunk);
@@ -528,11 +508,6 @@ pub mod prelude {
             Enumerate { inner: self }
         }
 
-        /// Lower bound on chunk size, as real rayon's `with_min_len`.
-        fn with_min_len(self, min: usize) -> WithMinLen<Self> {
-            WithMinLen { inner: self, min }
-        }
-
         /// Consume every item for its side effects.
         fn for_each<F>(self, f: F)
         where
@@ -554,26 +529,12 @@ pub mod prelude {
             drive(self).into_iter().reduce(op)
         }
 
-        /// Fold all items onto `identity()` in input order.
-        fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-        where
-            ID: Fn() -> Self::Item + Send + Sync,
-            OP: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
-        {
-            drive(self).into_iter().fold(identity(), op)
-        }
-
         /// Sum all items in input order.
         fn sum<S>(self) -> S
         where
             S: std::iter::Sum<Self::Item>,
         {
             drive(self).into_iter().sum()
-        }
-
-        /// Number of items the pipeline produces.
-        fn count(self) -> usize {
-            drive(self).len()
         }
     }
 
@@ -592,7 +553,6 @@ pub mod prelude {
         {
             Parts {
                 base: self.items,
-                min_len: 1,
                 factory: Box::new(|| Box::new(|_off, piece| piece)),
             }
         }
@@ -622,7 +582,6 @@ pub mod prelude {
             let f = Arc::new(self.f);
             Parts {
                 base: parts.base,
-                min_len: parts.min_len,
                 factory: Box::new(move || {
                     let mut inner = inner_factory();
                     let f = Arc::clone(&f);
@@ -664,7 +623,6 @@ pub mod prelude {
             let f = Arc::new(self.f);
             Parts {
                 base: parts.base,
-                min_len: parts.min_len,
                 factory: Box::new(move || {
                     let mut inner = inner_factory();
                     // Per-worker state: created on the worker's first
@@ -706,7 +664,6 @@ pub mod prelude {
             let f = Arc::new(self.f);
             Parts {
                 base: parts.base,
-                min_len: parts.min_len,
                 factory: Box::new(move || {
                     let mut inner = inner_factory();
                     let f = Arc::clone(&f);
@@ -735,7 +692,6 @@ pub mod prelude {
             let inner_factory = parts.factory;
             Parts {
                 base: parts.base,
-                min_len: parts.min_len,
                 factory: Box::new(move || {
                     let mut inner = inner_factory();
                     Box::new(move |off, piece| {
@@ -758,26 +714,6 @@ pub mod prelude {
                     })
                 }),
             }
-        }
-    }
-
-    /// See [`ParallelIterator::with_min_len`].
-    pub struct WithMinLen<P> {
-        inner: P,
-        min: usize,
-    }
-
-    impl<P: ParallelIterator> ParallelIterator for WithMinLen<P> {
-        type Base = P::Base;
-        type Item = P::Item;
-
-        fn decompose<'a>(self) -> Parts<'a, P::Base, P::Item>
-        where
-            Self: 'a,
-        {
-            let mut parts = self.inner.decompose();
-            parts.min_len = parts.min_len.max(self.min);
-            parts
         }
     }
 
@@ -812,28 +748,6 @@ pub mod prelude {
         type Iter = VecParIter<<&'data C as IntoIterator>::Item>;
 
         fn par_iter(&'data self) -> Self::Iter {
-            VecParIter {
-                items: self.into_iter().collect(),
-            }
-        }
-    }
-
-    /// By-mutable-reference conversion: `par_iter_mut`.
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// The parallel iterator over `&mut Item`.
-        type Iter: ParallelIterator;
-        /// Parallel iteration over mutable references.
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-    where
-        &'data mut C: IntoIterator,
-        <&'data mut C as IntoIterator>::Item: Send,
-    {
-        type Iter = VecParIter<<&'data mut C as IntoIterator>::Item>;
-
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
             VecParIter {
                 items: self.into_iter().collect(),
             }
@@ -888,19 +802,6 @@ mod tests {
             });
             assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn par_iter_mut_writes_through() {
-        let mut v = vec![0usize; 256];
-        pool(4).install(|| {
-            v.par_iter_mut()
-                .with_min_len(4)
-                .enumerate()
-                .for_each(|(i, cell)| *cell = i * i);
-        });
-        assert_eq!(v[7], 49);
-        assert_eq!(v[255], 255 * 255);
     }
 
     #[test]
