@@ -41,18 +41,16 @@
 //! the approximation: a fragment recovers matches only inside its one
 //! chained window, and there is no worst-case ratio.
 //!
-//! ## Parameter defaults
+//! ## Parameters
 //!
 //! Region alphabets are high-entropy — a conserved-region id is
 //! nearly unique per species, unlike a 4-letter DNA alphabet — so
-//! single-symbol seeds are already specific and [`ChainParams::k`]
-//! defaults to 1. Raise `k` on repetitive alphabets where spurious
-//! single-symbol hits would flood the chainer; the verification step
-//! requires all `k` consecutive pairs to score positively. `w` is the
-//! minimizer window (subsampling engages only when a fragment has
-//! more than `w` seed starts) and `margin` pads each chained window
-//! so flanking matches just outside the chain span still reach the
-//! DP.
+//! single-symbol seeds are already specific and the seed length `K`
+//! is 1; a longer seed would need all `K` consecutive pairs to score
+//! positively. `W` is the minimizer window (subsampling engages only
+//! when a fragment has more than `W` seed starts) and `MARGIN` pads
+//! each chained window so flanking matches just outside the chain
+//! span still reach the DP.
 
 use crate::oracle::ScoreOracle;
 use fragalign_model::conjecture::PairAssembler;
@@ -61,37 +59,21 @@ use fragalign_model::{FragId, Instance, MatchSet, Orient, Score, Species, Sym};
 use fragalign_obs::span;
 use std::collections::HashMap;
 
-/// Tuning knobs of the chaining pipeline. See the module docs for the
-/// reasoning behind the defaults.
-#[derive(Clone, Copy, Debug)]
-pub struct ChainParams {
-    /// Seed length in regions: an anchor needs `k` consecutive
-    /// σ-positive pairs. Fragments shorter than `k` seed with their
-    /// full length instead of going dark.
-    pub k: usize,
-    /// Minimizer window: of every `w` consecutive seed starts, only
-    /// the hash-minimal ones generate anchors. Fragments with at most
-    /// `w` starts keep every position.
-    pub w: usize,
-    /// Padding, in regions, added to each side of a chained window
-    /// before the DP (clipped so windows stay disjoint).
-    pub margin: usize,
-    /// Cap on anchor matches per kept seed position (ascending concat
-    /// position, deterministic); guards repetitive regions from
-    /// quadratic anchor blowup.
-    pub max_anchors_per_seed: usize,
-}
-
-impl Default for ChainParams {
-    fn default() -> Self {
-        ChainParams {
-            k: 1,
-            w: 8,
-            margin: 16,
-            max_anchors_per_seed: 32,
-        }
-    }
-}
+/// Seed length in regions: an anchor needs `K` consecutive
+/// σ-positive pairs. Fragments shorter than `K` seed with their full
+/// length instead of going dark.
+const K: usize = 1;
+/// Minimizer window: of every `W` consecutive seed starts, only the
+/// hash-minimal ones generate anchors. Fragments with at most `W`
+/// starts keep every position.
+const W: usize = 8;
+/// Padding, in regions, added to each side of a chained window before
+/// the DP (clipped so windows stay disjoint).
+const MARGIN: usize = 16;
+/// Cap on anchor matches per kept seed position (ascending concat
+/// position, deterministic); guards repetitive regions from quadratic
+/// anchor blowup.
+const MAX_ANCHORS_PER_SEED: usize = 32;
 
 /// An anchor: seed position `p` in the laid H word matches concat-M
 /// position `j` with σ sum `weight` over the `k` seeded pairs.
@@ -338,16 +320,15 @@ fn fragment_anchors(
     index: &AnchorIndex,
     concat_m: &[Sym],
     word: &[Sym],
-    params: &ChainParams,
     k: usize,
 ) -> Vec<Anchor> {
     let mut anchors = Vec::new();
     let mut cand = Vec::new();
-    for p in minimizer_positions(word, k, params.w.max(1)) {
+    for p in minimizer_positions(word, k, W) {
         index.candidates(word[p], &mut cand);
         let mut taken = 0usize;
         for &j in &cand {
-            if taken >= params.max_anchors_per_seed {
+            if taken >= MAX_ANCHORS_PER_SEED {
                 break;
             }
             let j = j as usize;
@@ -444,7 +425,7 @@ fn pad_windows(selected: &[Claim], margin: usize, total: usize) -> Vec<Window> {
 
 /// Solve by anchor chaining. The oracle supplies the instance and
 /// collects DP-fill telemetry; window DPs count one fill each.
-pub fn solve_chain(oracle: &ScoreOracle<'_>, params: &ChainParams) -> MatchSet {
+pub fn solve_chain(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
     let lens: Vec<usize> = inst.m.iter().map(|f| f.len()).collect();
     let total: usize = lens.iter().sum();
@@ -468,12 +449,12 @@ pub fn solve_chain(oracle: &ScoreOracle<'_>, params: &ChainParams) -> MatchSet {
         if frag.is_empty() || total == 0 {
             continue;
         }
-        let k = params.k.max(1).min(frag.len());
+        let k = K.min(frag.len());
         let fwd = &frag.regions;
         let rev = reverse_word(fwd);
         let mut best: Option<(Chain, bool)> = None;
         for (word, flip) in [(fwd.as_slice(), false), (rev.as_slice(), true)] {
-            let anchors = fragment_anchors(inst, &index, &concat_m, word, params, k);
+            let anchors = fragment_anchors(inst, &index, &concat_m, word, k);
             if let Some(chain) = chain_anchors(&anchors, k) {
                 // Same orientation wins ties, deterministically.
                 if best.is_none_or(|(b, _)| chain.weight > b.weight) {
@@ -497,7 +478,7 @@ pub fn solve_chain(oracle: &ScoreOracle<'_>, params: &ChainParams) -> MatchSet {
 
     let windows = {
         let mut sp = span!(trace, "window_select");
-        let windows = pad_windows(&select_disjoint(claims), params.margin, total);
+        let windows = pad_windows(&select_disjoint(claims), MARGIN, total);
         sp.set_args(windows.len() as i64, 0);
         windows
     };
@@ -572,9 +553,9 @@ mod tests {
     use fragalign_model::check_consistency;
     use fragalign_model::instance::{paper_example, InstanceBuilder};
 
-    /// Chain `inst` with the default parameters on a fresh oracle.
+    /// Chain `inst` on a fresh oracle.
     fn chain(inst: &Instance) -> MatchSet {
-        solve_chain(&ScoreOracle::new(inst), &ChainParams::default())
+        solve_chain(&ScoreOracle::new(inst))
     }
 
     #[test]
@@ -611,32 +592,6 @@ mod tests {
         check_consistency(&inst, &sol).unwrap();
         assert_eq!(sol.total_score(), 12);
         assert!(sol.iter().all(|(_, m)| m.orient == Orient::Reversed));
-    }
-
-    #[test]
-    fn k2_seeds_require_consecutive_runs() {
-        // Two isolated positive pairs never form a k=2 seed; a
-        // consecutive run does.
-        let mut b = InstanceBuilder::new();
-        b.h_frag("h1", &["a", "b"]);
-        b.h_frag("h2", &["c", "x", "d"]);
-        b.m_frag("m", &["p", "q", "r", "s", "t"]);
-        b.score("a", "p", 3);
-        b.score("b", "q", 3); // run of 2 → anchors at k=2
-        b.score("c", "r", 9);
-        b.score("d", "t", 9); // isolated → no k=2 anchor
-        let inst = b.build();
-        let oracle = ScoreOracle::new(&inst);
-        let params = ChainParams {
-            k: 2,
-            ..ChainParams::default()
-        };
-        let sol = solve_chain(&oracle, &params);
-        check_consistency(&inst, &sol).unwrap();
-        // Only h1 is anchored; its window DP recovers both pairs.
-        assert_eq!(sol.total_score(), 6);
-        // k=1 seeds recover h2 as well.
-        assert_eq!(chain(&inst).total_score(), 24);
     }
 
     #[test]
@@ -746,7 +701,7 @@ mod tests {
     fn fills_are_counted_per_window() {
         let inst = paper_example();
         let oracle = ScoreOracle::new(&inst);
-        let _ = solve_chain(&oracle, &ChainParams::default());
+        let _ = solve_chain(&oracle);
         assert!(oracle.stats.snapshot().dp_fills > 0);
     }
 }

@@ -36,7 +36,7 @@ mod kernel;
 pub mod oracle;
 pub mod workspace;
 
-pub use chain::{solve_chain, ChainParams};
+pub use chain::solve_chain;
 pub use kernel::{KERNEL_BLOCK, PROFILE_MAX_CELLS, PROFILE_MIN_CELLS};
 pub use oracle::{BorderTable, OracleStats, OracleStatsSnapshot, ScoreOracle};
 pub use workspace::{DpAligner, DpWorkspace, KernelMode};

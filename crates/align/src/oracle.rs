@@ -452,14 +452,6 @@ impl<'a> ScoreOracle<'a> {
             },
         )
     }
-
-    /// Drop all cached entries (used by the cache ablation bench).
-    /// Pooled workspaces keep their warm buffers.
-    pub fn clear(&self) {
-        self.tables.write().clear();
-        self.borders.write().clear();
-        self.pairs.write().clear();
-    }
 }
 
 #[cfg(test)]
@@ -526,9 +518,6 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(oracle.stats.pair_misses.load(Ordering::Relaxed), 1);
         assert_eq!(oracle.stats.pair_hits.load(Ordering::Relaxed), 1);
-        oracle.clear();
-        let _ = oracle.ms(Site::new(FragId::h(0), 0, 2), Site::new(FragId::m(0), 0, 2));
-        assert_eq!(oracle.stats.pair_misses.load(Ordering::Relaxed), 2);
     }
 
     #[test]

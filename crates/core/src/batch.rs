@@ -91,9 +91,9 @@ pub fn solve_single_traced(
             reason,
         })?;
     let mut ctx = SolveCtx::new(inst, engine);
-    ctx.set_trace(trace);
+    ctx.oracle.set_trace(trace);
     ctx.oracle.adopt_workspace(std::mem::take(ws));
-    let mut solve_span = ctx.trace.span_labeled("solve", spec.name);
+    let mut solve_span = ctx.oracle.trace().span_labeled("solve", spec.name);
     let start = Instant::now();
     let out = if engine.threads > 0 {
         let solver = &solver;

@@ -14,7 +14,7 @@
 //!   run options;
 //! * [`SolverRegistry`] is the single source of truth mapping names to
 //!   solver factories plus paper metadata — the CLI, the batch loop,
-//!   the bench matrix, and the README table all read it;
+//!   the router experiment, and the README table all read it;
 //! * [`solve_single_traced`](crate::solve_single_traced) is the one way
 //!   to run a registered solver on one instance (and
 //!   [`solve_batch_reports`](crate::solve_batch_reports) the one batch
@@ -61,18 +61,18 @@ pub struct EngineOptions {
 /// never shared between instances, so batch results stay deterministic
 /// regardless of thread count.
 pub struct SolveCtx<'a> {
-    /// Shared-per-run memoising score oracle over the instance.
+    /// Shared-per-run memoising score oracle over the instance. It
+    /// also carries the run's span sink for phase/racer timelines
+    /// ([`ScoreOracle::trace`]), disabled (one branch per span site,
+    /// no clock reads) unless [`ScoreOracle::set_trace`] was called.
+    /// Tracing is observational only — results are bit-identical
+    /// with it on or off (test-enforced).
     pub oracle: ScoreOracle<'a>,
     /// The options of this run.
     pub opts: EngineOptions,
     /// The run's stop signal; solvers poll it at round boundaries and
     /// return their best-so-far (consistent) result when it trips.
     pub cancel: CancelToken,
-    /// Span sink for phase/racer timelines; disabled (one branch per
-    /// span site, no clock reads) unless [`SolveCtx::set_trace`] was
-    /// called. Tracing is observational only — results are
-    /// bit-identical with it on or off (test-enforced).
-    pub trace: TraceHandle,
 }
 
 impl<'a> SolveCtx<'a> {
@@ -83,15 +83,7 @@ impl<'a> SolveCtx<'a> {
             oracle: ScoreOracle::new(inst),
             opts,
             cancel: CancelToken::never(),
-            trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Attach a trace handle to this context (and its oracle, so
-    /// DP-layer phases share the sink without signature changes).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.oracle.set_trace(trace.clone());
-        self.trace = trace;
     }
 
     /// The instance this context solves.

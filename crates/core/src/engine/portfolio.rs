@@ -151,13 +151,14 @@ impl Solver for Portfolio {
         // every routing table (and equal to a sequential
         // registry-order race).
         let (routed, rule, feats) = self.router.route_explain(inst, &opts);
-        ctx.trace.instant(
+        let trace = ctx.oracle.trace().clone();
+        trace.instant(
             "route_features",
             rule,
             feats.total_regions() as i64,
             feats.sigma_entries as i64,
         );
-        ctx.trace.instant("routed", routed, 0, 0);
+        trace.instant("routed", routed, 0, 0);
         let routed_by = racers
             .iter()
             .any(|m| m.spec.name == routed)
@@ -175,7 +176,6 @@ impl Solver for Portfolio {
         let board = &board;
         let tokens_ref = &tokens;
         let racers_ref = &racers;
-        let trace = ctx.trace.clone();
         let dispatched: Vec<_> = order
             .par_iter()
             .map(move |&idx| {
@@ -189,7 +189,7 @@ impl Solver for Portfolio {
                 let t0 = Instant::now();
                 let mut sub = SolveCtx::new(inst, opts);
                 sub.cancel = tokens_ref[idx].clone();
-                sub.set_trace(rt.clone());
+                sub.oracle.set_trace(rt.clone());
                 let out = member.solver.solve(inst, &mut sub);
                 let wall = t0.elapsed().as_secs_f64();
                 let score = out.matches.total_score();

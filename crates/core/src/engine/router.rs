@@ -332,13 +332,14 @@ impl Solver for Auto {
         let (choice, rule, feats) = self.router.route_explain(inst, &ctx.opts);
         // Two markers: the features the decision saw, and the matched
         // rule → solver. `args` carry the router's main size axes.
-        ctx.trace.instant(
+        let trace = ctx.oracle.trace();
+        trace.instant(
             "route_features",
             rule,
             feats.total_regions() as i64,
             feats.sigma_entries as i64,
         );
-        ctx.trace.instant("routed", choice, 0, 0);
+        trace.instant("routed", choice, 0, 0);
         let spec = SolverRegistry::global()
             .spec(choice)
             .expect("router tables only name registered solvers");

@@ -56,7 +56,7 @@ impl Solver for FourApprox {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        let _sp = ctx.trace.span_labeled("phase", "factor4");
+        let _sp = ctx.oracle.trace().span_labeled("phase", "factor4");
         SolveOutcome::from_matches(crate::solve_four_approx(&ctx.oracle))
     }
 }
@@ -69,7 +69,7 @@ impl Solver for Greedy {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        let _sp = ctx.trace.span_labeled("phase", "greedy");
+        let _sp = ctx.oracle.trace().span_labeled("phase", "greedy");
         SolveOutcome::from_matches(crate::solve_greedy(&ctx.oracle))
     }
 }
@@ -82,7 +82,7 @@ impl Solver for BorderMatching {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        let _sp = ctx.trace.span_labeled("phase", "border-matching");
+        let _sp = ctx.oracle.trace().span_labeled("phase", "border-matching");
         SolveOutcome::from_matches(crate::border_matching_2approx(&ctx.oracle))
     }
 }
@@ -107,7 +107,7 @@ impl Solver for OneCsr {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        let _sp = ctx.trace.span_labeled("phase", "one-csr");
+        let _sp = ctx.oracle.trace().span_labeled("phase", "one-csr");
         SolveOutcome::from_matches(crate::solve_one_csr(&ctx.oracle))
     }
 }
@@ -123,10 +123,7 @@ impl Solver for Chain {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        SolveOutcome::from_matches(fragalign_align::solve_chain(
-            &ctx.oracle,
-            &fragalign_align::ChainParams::default(),
-        ))
+        SolveOutcome::from_matches(fragalign_align::solve_chain(&ctx.oracle))
     }
 }
 
@@ -144,7 +141,7 @@ impl Solver for Exact {
         if ctx.cancel.is_cancelled() {
             return preempted();
         }
-        let _sp = ctx.trace.span_labeled("phase", "exact-search");
+        let _sp = ctx.oracle.trace().span_labeled("phase", "exact-search");
         let sol = crate::solve_exact(inst, ExactLimits::default());
         SolveOutcome::from_matches(crate::exact::exact_matches(inst, &sol))
     }

@@ -3,7 +3,7 @@
 //! optimum, chaining must stay consistent, deterministic, and at or
 //! below that optimum — a heuristic may lose score, never invent it.
 
-use fragalign_align::{solve_chain, ChainParams, ScoreOracle};
+use fragalign_align::{solve_chain, ScoreOracle};
 use fragalign_core::{solve_exact, ExactLimits};
 use fragalign_model::check_consistency;
 use fragalign_sim::{generate, SimConfig};
@@ -33,7 +33,7 @@ proptest! {
             ..SimConfig::default()
         });
         let inst = &sim.instance;
-        let chain = || solve_chain(&ScoreOracle::new(inst), &ChainParams::default());
+        let chain = || solve_chain(&ScoreOracle::new(inst));
         let sol = chain();
         let report = check_consistency(inst, &sol);
         prop_assert!(report.is_ok(), "chain broke consistency: {report:?}");

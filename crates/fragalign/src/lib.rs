@@ -68,7 +68,7 @@ pub use fragalign_sim as sim;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use fragalign_align::{solve_chain, ChainParams, DpAligner, DpWorkspace, ScoreOracle};
+    pub use fragalign_align::{solve_chain, DpAligner, DpWorkspace, ScoreOracle};
     pub use fragalign_core::improve::improve;
     pub use fragalign_core::{
         border_improve, border_matching_2approx, csr_improve, full_improve, solve_batch_reports,

@@ -12,7 +12,8 @@
 //!   [`TraceSink::dropped`] and in every [`TraceLog`], so a truncated
 //!   timeline is always visibly truncated.
 //! * [`TraceHandle`] — a cheap, cloneable handle carried through the
-//!   solve path (`SolveCtx`, `ScoreOracle`). A disabled handle is a
+//!   solve path by the `ScoreOracle` that every solve context holds,
+//!   so solvers and DP-layer phases share it. A disabled handle is a
 //!   `None` and costs one branch per span site — no clock reads, no
 //!   atomics. An enabled handle stamps events with a monotonic
 //!   nanosecond clock relative to the sink's epoch and a `track` id

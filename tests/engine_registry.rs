@@ -164,7 +164,7 @@ fn chain_registered_consistent_and_bounded_by_exact() {
         check_consistency(&inst, &got).unwrap_or_else(|e| panic!("chain/{iname}: {e}"));
         assert_eq!(
             got,
-            solve_chain(&ScoreOracle::new(&inst), &ChainParams::default()),
+            solve_chain(&ScoreOracle::new(&inst)),
             "chain diverged from a direct call on {iname}"
         );
         let optimum = solve_exact(&inst, ExactLimits::default()).score;
