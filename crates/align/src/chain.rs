@@ -1,5 +1,5 @@
-//! Anchor-chaining solver tier: k-mer/minimizer anchors + LIS
-//! chaining + windowed DP.
+//! Anchor-chaining solver tier: minimizer-sampled single-symbol
+//! anchors + LIS chaining + windowed DP.
 //!
 //! Every other solver in the registry ultimately pays full DP over
 //! region pairs — `O(|h| · n²)` interval tables against the whole
@@ -12,13 +12,13 @@
 //!    index every laid symbol occurrence by position; invert the
 //!    positive σ entries so each H symbol knows its potential
 //!    M partners.
-//! 2. **Seeds** — slide a `k`-symbol window over each H fragment in
-//!    both laid orientations; when every one of the `k` consecutive
-//!    pairs scores positively against a run of concat-M, that
-//!    `(h position, m position)` pair is an *anchor* weighted by its
-//!    σ sum. Long fragments are subsampled with `(k, w)` minimizers —
-//!    only window-minimal hash positions seed anchors — bounding the
-//!    anchor count at roughly `2·L/w` per fragment.
+//! 2. **Seeds** — each position of an H fragment, in both laid
+//!    orientations, seeds one symbol; every concat-M position whose
+//!    symbol scores positively against it makes that
+//!    `(h position, m position)` pair an *anchor* weighted by its σ.
+//!    Long fragments are subsampled with `w`-window minimizers — only
+//!    window-minimal hash positions seed anchors — bounding the anchor
+//!    count at roughly `2·L/w` per fragment.
 //! 3. **Chaining** — per fragment and orientation, the maximum-weight
 //!    strictly-increasing chain of anchors (LIS on `(p, j)` with a
 //!    prefix-max Fenwick tree, `O(A log A)`); the better orientation
@@ -43,14 +43,13 @@
 //!
 //! ## Parameters
 //!
-//! Region alphabets are high-entropy — a conserved-region id is
-//! nearly unique per species, unlike a 4-letter DNA alphabet — so
-//! single-symbol seeds are already specific and the seed length `K`
-//! is 1; a longer seed would need all `K` consecutive pairs to score
-//! positively. `W` is the minimizer window (subsampling engages only
-//! when a fragment has more than `W` seed starts) and `MARGIN` pads
-//! each chained window so flanking matches just outside the chain
-//! span still reach the DP.
+//! Seeds are single symbols: region alphabets are high-entropy — a
+//! conserved-region id is nearly unique per species, unlike a 4-letter
+//! DNA alphabet — so one symbol is already specific, and a longer seed
+//! would only drop anchors whose neighbours fail to score. `W` is the
+//! minimizer window (subsampling engages only when a fragment has more
+//! than `W` positions) and `MARGIN` pads each chained window so
+//! flanking matches just outside the chain span still reach the DP.
 
 use crate::oracle::ScoreOracle;
 use fragalign_model::conjecture::PairAssembler;
@@ -59,13 +58,9 @@ use fragalign_model::{FragId, Instance, MatchSet, Orient, Score, Species, Sym};
 use fragalign_obs::span;
 use std::collections::HashMap;
 
-/// Seed length in regions: an anchor needs `K` consecutive
-/// σ-positive pairs. Fragments shorter than `K` seed with their full
-/// length instead of going dark.
-const K: usize = 1;
-/// Minimizer window: of every `W` consecutive seed starts, only the
+/// Minimizer window: of every `W` consecutive positions, only the
 /// hash-minimal ones generate anchors. Fragments with at most `W`
-/// starts keep every position.
+/// positions keep every one.
 const W: usize = 8;
 /// Padding, in regions, added to each side of a chained window before
 /// the DP (clipped so windows stay disjoint).
@@ -75,8 +70,8 @@ const MARGIN: usize = 16;
 /// anchor blowup.
 const MAX_ANCHORS_PER_SEED: usize = 32;
 
-/// An anchor: seed position `p` in the laid H word matches concat-M
-/// position `j` with σ sum `weight` over the `k` seeded pairs.
+/// An anchor: position `p` in the laid H word matches concat-M
+/// position `j` with score `weight`.
 #[derive(Clone, Copy, Debug)]
 struct Anchor {
     p: u32,
@@ -123,27 +118,23 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash of the `k`-symbol seed starting at `p`.
-fn seed_hash(word: &[Sym], p: usize, k: usize) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for sym in &word[p..p + k] {
-        h = mix64(h ^ (((sym.id as u64) << 1) | sym.rev as u64));
-    }
-    h
+/// Hash of the seed symbol `sym`.
+fn seed_hash(sym: Sym) -> u64 {
+    mix64(0xcbf29ce484222325 ^ (((sym.id as u64) << 1) | sym.rev as u64))
 }
 
-/// The `(k, w)` minimizer positions of `word`: seed starts whose hash
-/// is minimal in at least one window of `w` consecutive starts. With
-/// at most `w` starts every position is kept. Ties keep every
+/// The `w`-window minimizer positions of `word`: positions whose hash
+/// is minimal in at least one window of `w` consecutive positions.
+/// With at most `w` positions every one is kept. Ties keep every
 /// attaining position (deterministic either way).
-fn minimizer_positions(word: &[Sym], k: usize, w: usize) -> Vec<usize> {
-    let starts = word.len() + 1 - k; // caller guarantees len >= k
-    if starts <= w {
-        return (0..starts).collect();
+fn minimizer_positions(word: &[Sym], w: usize) -> Vec<usize> {
+    let n = word.len();
+    if n <= w {
+        return (0..n).collect();
     }
-    let hashes: Vec<u64> = (0..starts).map(|p| seed_hash(word, p, k)).collect();
-    let mut keep = vec![false; starts];
-    for lo in 0..=(starts - w) {
+    let hashes: Vec<u64> = word.iter().map(|&sym| seed_hash(sym)).collect();
+    let mut keep = vec![false; n];
+    for lo in 0..=(n - w) {
         let min = *hashes[lo..lo + w].iter().min().expect("w > 0");
         for (off, &h) in hashes[lo..lo + w].iter().enumerate() {
             if h == min {
@@ -151,7 +142,7 @@ fn minimizer_positions(word: &[Sym], k: usize, w: usize) -> Vec<usize> {
             }
         }
     }
-    (0..starts).filter(|&p| keep[p]).collect()
+    (0..n).filter(|&p| keep[p]).collect()
 }
 
 /// Max-query Fenwick tree over j-ranks for the weighted LIS: each
@@ -199,7 +190,7 @@ impl FenwickMax {
 /// Maximum-weight chain of anchors with strictly increasing `p` and
 /// `j`. Anchors must arrive sorted by `(p, j)`; anchors sharing a seed
 /// position never chain with each other.
-fn chain_anchors(anchors: &[Anchor], k: usize) -> Option<Chain> {
+fn chain_anchors(anchors: &[Anchor]) -> Option<Chain> {
     if anchors.is_empty() {
         return None;
     }
@@ -231,7 +222,7 @@ fn chain_anchors(anchors: &[Anchor], k: usize) -> Option<Chain> {
             let cand = Chain {
                 weight,
                 j_start: start,
-                j_end: a.j + k as u32,
+                j_end: a.j + 1,
             };
             let wins = best.is_none_or(|b| {
                 cand.weight > b.weight
@@ -320,39 +311,19 @@ fn fragment_anchors(
     index: &AnchorIndex,
     concat_m: &[Sym],
     word: &[Sym],
-    k: usize,
 ) -> Vec<Anchor> {
     let mut anchors = Vec::new();
     let mut cand = Vec::new();
-    for p in minimizer_positions(word, k, W) {
+    for p in minimizer_positions(word, W) {
         index.candidates(word[p], &mut cand);
-        let mut taken = 0usize;
-        for &j in &cand {
-            if taken >= MAX_ANCHORS_PER_SEED {
-                break;
-            }
-            let j = j as usize;
-            if j + k > concat_m.len() {
-                continue;
-            }
-            let mut weight: Score = 0;
-            let mut ok = true;
-            for t in 0..k {
-                let s = inst.sigma.score(word[p + t], concat_m[j + t]);
-                if s <= 0 {
-                    ok = false;
-                    break;
-                }
-                weight += s;
-            }
-            if ok {
-                anchors.push(Anchor {
-                    p: p as u32,
-                    j: j as u32,
-                    weight,
-                });
-                taken += 1;
-            }
+        for &j in cand.iter().take(MAX_ANCHORS_PER_SEED) {
+            let weight = inst.sigma.score(word[p], concat_m[j as usize]);
+            debug_assert!(weight > 0, "candidates score positively");
+            anchors.push(Anchor {
+                p: p as u32,
+                j,
+                weight,
+            });
         }
     }
     anchors.sort_unstable_by_key(|a| (a.p, a.j));
@@ -449,13 +420,12 @@ pub fn solve_chain(oracle: &ScoreOracle<'_>) -> MatchSet {
         if frag.is_empty() || total == 0 {
             continue;
         }
-        let k = K.min(frag.len());
         let fwd = &frag.regions;
         let rev = reverse_word(fwd);
         let mut best: Option<(Chain, bool)> = None;
         for (word, flip) in [(fwd.as_slice(), false), (rev.as_slice(), true)] {
-            let anchors = fragment_anchors(inst, &index, &concat_m, word, k);
-            if let Some(chain) = chain_anchors(&anchors, k) {
+            let anchors = fragment_anchors(inst, &index, &concat_m, word);
+            if let Some(chain) = chain_anchors(&anchors) {
                 // Same orientation wins ties, deterministically.
                 if best.is_none_or(|(b, _)| chain.weight > b.weight) {
                     best = Some((chain, flip));
@@ -597,16 +567,16 @@ mod tests {
     #[test]
     fn minimizers_subsample_long_words_deterministically() {
         let word: Vec<Sym> = (0..200).map(Sym::fwd).collect();
-        let a = minimizer_positions(&word, 2, 8);
-        let b = minimizer_positions(&word, 2, 8);
+        let a = minimizer_positions(&word, 8);
+        let b = minimizer_positions(&word, 8);
         assert_eq!(a, b);
-        assert!(a.len() < 199, "long words must be subsampled");
-        assert!(a.len() >= 199 / 8, "every window keeps a position");
+        assert!(a.len() < 200, "long words must be subsampled");
+        assert!(a.len() >= 200 / 8, "every window keeps a position");
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted positions");
         // Short words keep everything.
         assert_eq!(
-            minimizer_positions(&word[..8], 2, 8),
-            (0..7).collect::<Vec<_>>()
+            minimizer_positions(&word[..8], 8),
+            (0..8).collect::<Vec<_>>()
         );
     }
 
@@ -636,7 +606,7 @@ mod tests {
                 weight: 2,
             },
         ];
-        let c = chain_anchors(&anchors, 1).unwrap();
+        let c = chain_anchors(&anchors).unwrap();
         assert_eq!(c.weight, 6);
         assert_eq!((c.j_start, c.j_end), (0, 2));
         // Same-p anchors never chain together.
@@ -652,8 +622,8 @@ mod tests {
                 weight: 3,
             },
         ];
-        assert_eq!(chain_anchors(&same_p, 1).unwrap().weight, 3);
-        assert!(chain_anchors(&[], 1).is_none());
+        assert_eq!(chain_anchors(&same_p).unwrap().weight, 3);
+        assert!(chain_anchors(&[]).is_none());
     }
 
     #[test]

@@ -115,14 +115,9 @@ pub struct Connection {
 impl Connection {
     /// Open a persistent connection with the default timeout.
     pub fn open(addr: SocketAddr) -> io::Result<Connection> {
-        Connection::open_timeout(addr, DEFAULT_TIMEOUT)
-    }
-
-    /// Open a persistent connection with an explicit socket timeout.
-    pub fn open_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Connection> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
+        let stream = TcpStream::connect_timeout(&addr, DEFAULT_TIMEOUT)?;
+        stream.set_read_timeout(Some(DEFAULT_TIMEOUT))?;
+        stream.set_write_timeout(Some(DEFAULT_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(Connection {
             stream,
@@ -199,12 +194,6 @@ impl Connection {
     /// Number of requests sent whose responses have not been read.
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Whether the server has announced it will close after the last
-    /// delivered response.
-    pub fn peer_closing(&self) -> bool {
-        self.peer_closing
     }
 }
 

@@ -1,19 +1,19 @@
 //! Minimal HTTP/1.1 framing: request parsing and response rendering.
 //!
 //! Scope is exactly what the service needs — `GET`/`POST` with
-//! `Content-Length` bodies. Since the event-driven rewrite the parser
-//! is buffer-based: [`try_parse`] inspects whatever bytes have
-//! arrived so far and either asks for more ([`Parse::Incomplete`]) or
-//! yields one request plus the number of bytes it consumed
-//! ([`Parse::Ready`]), so a connection buffer can carry leftover
-//! pipelined bytes forward to the next request. Keep-alive follows
-//! HTTP/1.1 semantics (persistent by default, `Connection: close`
-//! honoured both ways, HTTP/1.0 closes unless `keep-alive` is asked
-//! for). Chunked transfer encoding is refused with `501`, and
-//! `Expect: 100-continue` (which `curl` sends for large instance
-//! uploads) is honoured so command-line sessions work out of the box.
-
-use std::io::{Read, Write};
+//! `Content-Length` bodies. The parser does no I/O: [`try_parse`]
+//! inspects whatever bytes have arrived so far and either asks for
+//! more ([`Parse::Incomplete`]) or yields one request plus the number
+//! of bytes it consumed ([`Parse::Ready`]), so a connection buffer can
+//! carry leftover pipelined bytes forward to the next request. Its
+//! errors are framing errors only ([`RequestError`]). Reading, writing
+//! and the interim `100 Continue` that `Expect: 100-continue` asks for
+//! (`curl` sends it for large instance uploads) belong to the server's
+//! connection machine, the one caller that turns stream bytes into
+//! requests. Keep-alive follows HTTP/1.1 semantics (persistent by
+//! default, `Connection: close` honoured both ways, HTTP/1.0 closes
+//! unless `keep-alive` is asked for). Chunked transfer encoding is
+//! refused with `501`.
 
 /// Hard cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 32 * 1024;
@@ -67,13 +67,11 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. The server maps `Malformed` to
-/// `400`, `Unimplemented` to `501`, `BodyTooLarge` to `413`, and
-/// drops the connection on raw I/O failure.
+/// Why the bytes could not be framed as a request. The server answers
+/// `Malformed` with `400`, `Unimplemented` with `501` and
+/// `BodyTooLarge` with `413`, then closes the connection.
 #[derive(Debug)]
 pub enum RequestError {
-    /// The socket failed mid-read (client went away, timeout).
-    Io(std::io::Error),
     /// The bytes were not an HTTP/1.x request this parser accepts.
     Malformed(String),
     /// A feature outside this parser's scope (chunked encoding).
@@ -83,12 +81,6 @@ pub enum RequestError {
         /// The configured cap, for the error response.
         limit: usize,
     },
-}
-
-impl From<std::io::Error> for RequestError {
-    fn from(e: std::io::Error) -> Self {
-        RequestError::Io(e)
-    }
 }
 
 /// What [`try_parse`] made of the buffer so far.
@@ -259,48 +251,6 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
     Ok(Parse::Ready { request, consumed })
 }
 
-/// Read and parse one request from `stream`, answering `Expect:
-/// 100-continue` inline (the stream must be writable for that). The
-/// blocking reader over [`try_parse`] that the parser's tests drive
-/// (this module's unit tests and `proptest_http`); the server's event
-/// loop parses buffers directly.
-pub fn read_request<S: Read + Write>(
-    stream: &mut S,
-    max_body: usize,
-) -> Result<Request, RequestError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut sent_continue = false;
-    loop {
-        match try_parse(&buf, max_body)? {
-            Parse::Ready { request, .. } => {
-                // The historical contract: the interim 100 goes out
-                // even when the body was already buffered, so clients
-                // that wait on it never stall.
-                if request.expect_continue && !sent_continue {
-                    stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-                    stream.flush()?;
-                }
-                return Ok(request);
-            }
-            Parse::Incomplete { needs_continue } => {
-                if needs_continue && !sent_continue {
-                    stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-                    stream.flush()?;
-                    sent_continue = true;
-                }
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(RequestError::Malformed(
-                        "connection closed before the request completed".into(),
-                    ));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -353,42 +303,24 @@ pub fn render_response(
 mod tests {
     use super::*;
 
-    /// A duplex test stream: reads from a script, records writes.
-    struct Pipe {
-        input: std::io::Cursor<Vec<u8>>,
-        output: Vec<u8>,
-    }
-
-    impl Pipe {
-        fn new(input: &str) -> Self {
-            Pipe {
-                input: std::io::Cursor::new(input.as_bytes().to_vec()),
-                output: Vec::new(),
+    /// The one request `raw` holds, which must parse whole.
+    fn parse(raw: &str, max_body: usize) -> Result<Request, RequestError> {
+        match try_parse(raw.as_bytes(), max_body)? {
+            Parse::Ready { request, consumed } => {
+                assert_eq!(consumed, raw.len(), "{raw:?} holds one request");
+                Ok(request)
             }
-        }
-    }
-
-    impl Read for Pipe {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
-        }
-    }
-
-    impl Write for Pipe {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+            Parse::Incomplete { .. } => panic!("{raw:?} is incomplete"),
         }
     }
 
     #[test]
     fn parses_post_with_body() {
-        let mut pipe =
-            Pipe::new("POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}");
-        let req = read_request(&mut pipe, 1024).unwrap();
+        let req = parse(
+            "POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+            1024,
+        )
+        .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/solve");
         assert_eq!(req.header("HOST"), Some("x"));
@@ -398,16 +330,18 @@ mod tests {
 
     #[test]
     fn splits_query_from_path() {
-        let mut pipe = Pipe::new("GET /metrics?format=prometheus&x HTTP/1.1\r\nHost: a\r\n\r\n");
-        let req = read_request(&mut pipe, 1024).unwrap();
+        let req = parse(
+            "GET /metrics?format=prometheus&x HTTP/1.1\r\nHost: a\r\n\r\n",
+            1024,
+        )
+        .unwrap();
         assert_eq!(req.path, "/metrics");
         assert_eq!(req.query, "format=prometheus&x");
         assert_eq!(req.param("format"), Some("prometheus"));
         assert_eq!(req.param("x"), Some(""));
         assert_eq!(req.param("missing"), None);
 
-        let mut pipe = Pipe::new("GET /healthz HTTP/1.1\r\n\r\n");
-        let req = read_request(&mut pipe, 1024).unwrap();
+        let req = parse("GET /healthz HTTP/1.1\r\n\r\n", 1024).unwrap();
         assert_eq!(req.path, "/healthz");
         assert_eq!(req.query, "");
         assert_eq!(req.param("trace"), None);
@@ -415,15 +349,16 @@ mod tests {
 
     #[test]
     fn connection_semantics_follow_version_and_header() {
-        let parse = |raw: &str| match try_parse(raw.as_bytes(), 1024).unwrap() {
-            Parse::Ready { request, .. } => request,
-            other => panic!("expected Ready, got {other:?}"),
-        };
-        assert!(parse("GET / HTTP/1.1\r\n\r\n").keep_alive);
-        assert!(!parse("GET / HTTP/1.0\r\n\r\n").keep_alive);
-        assert!(!parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive);
-        assert!(parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").keep_alive);
-        assert!(!parse("GET / HTTP/1.1\r\nConnection: TE, Close\r\n\r\n").keep_alive);
+        let keep_alive = |raw: &str| parse(raw, 1024).unwrap().keep_alive;
+        assert!(keep_alive("GET / HTTP/1.1\r\n\r\n"));
+        assert!(!keep_alive("GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keep_alive("GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(keep_alive(
+            "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        ));
+        assert!(!keep_alive(
+            "GET / HTTP/1.1\r\nConnection: TE, Close\r\n\r\n"
+        ));
     }
 
     #[test]
@@ -472,40 +407,50 @@ mod tests {
 
     #[test]
     fn answers_expect_100_continue() {
-        let mut pipe = Pipe::new(
-            "POST /v1/solve HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n{}",
-        );
-        let req = read_request(&mut pipe, 1024).unwrap();
+        // The head alone asks for the interim 100 while the body is
+        // awaited; the whole request carries the flag, so the 100 also
+        // precedes a body that arrived with its head. A request without
+        // a body is owed none.
+        let head = "POST /v1/solve HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n";
+        assert!(matches!(
+            try_parse(head.as_bytes(), 1024),
+            Ok(Parse::Incomplete {
+                needs_continue: true
+            })
+        ));
+        let req = parse(&format!("{head}{{}}"), 1024).unwrap();
         assert_eq!(req.body, "{}");
-        assert!(String::from_utf8(pipe.output)
-            .unwrap()
-            .starts_with("HTTP/1.1 100 Continue"));
+        assert!(req.expect_continue);
+        let bodiless = parse("GET / HTTP/1.1\r\nExpect: 100-continue\r\n\r\n", 1024).unwrap();
+        assert!(!bodiless.expect_continue);
+        let plain = parse("POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 1024).unwrap();
+        assert!(!plain.expect_continue);
     }
 
     #[test]
     fn rejects_oversized_bodies_and_chunked_encoding() {
-        let mut pipe = Pipe::new("POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\n");
         assert!(matches!(
-            read_request(&mut pipe, 100),
+            parse("POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\n", 100),
             Err(RequestError::BodyTooLarge { limit: 100 })
         ));
-        let mut pipe = Pipe::new("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
         assert!(matches!(
-            read_request(&mut pipe, 100),
+            parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 100),
             Err(RequestError::Unimplemented(_))
         ));
     }
 
     #[test]
     fn rejects_torn_and_malformed_requests() {
-        let mut pipe = Pipe::new("GET /healthz HTTP/1.1\r\n"); // head never ends
+        // A head that never ends only ever asks for more bytes; the
+        // connection machine closes it unanswered at end of stream.
         assert!(matches!(
-            read_request(&mut pipe, 1024),
-            Err(RequestError::Malformed(_))
+            try_parse(b"GET /healthz HTTP/1.1\r\n", 1024),
+            Ok(Parse::Incomplete {
+                needs_continue: false
+            })
         ));
-        let mut pipe = Pipe::new("NONSENSE\r\n\r\n");
         assert!(matches!(
-            read_request(&mut pipe, 1024),
+            parse("NONSENSE\r\n\r\n", 1024),
             Err(RequestError::Malformed(_))
         ));
         // An oversized head is refused even when it arrives whole.
@@ -523,21 +468,16 @@ mod tests {
     fn rejects_whitespace_before_header_colon() {
         // RFC 7230 §3.2.4: `Content-Length : 7` must be refused, not
         // silently repaired into a valid header.
-        let mut pipe = Pipe::new("POST / HTTP/1.1\r\nContent-Length : 7\r\n\r\n{\"a\":1}");
-        assert!(matches!(
-            read_request(&mut pipe, 1024),
-            Err(RequestError::Malformed(_))
-        ));
-        let mut pipe = Pipe::new("GET / HTTP/1.1\r\n\tHost: x\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut pipe, 1024),
-            Err(RequestError::Malformed(_))
-        ));
-        let mut pipe = Pipe::new("GET / HTTP/1.1\r\n: novalue\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut pipe, 1024),
-            Err(RequestError::Malformed(_))
-        ));
+        for bad in [
+            "POST / HTTP/1.1\r\nContent-Length : 7\r\n\r\n{\"a\":1}",
+            "GET / HTTP/1.1\r\n\tHost: x\r\n\r\n",
+            "GET / HTTP/1.1\r\n: novalue\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(bad, 1024), Err(RequestError::Malformed(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -547,12 +487,9 @@ mod tests {
         // (OWS around the value is legal and trimmed; the value
         // itself must be 1*DIGIT.)
         for bad in ["+7", "-7", "0x7", "7a", ""] {
-            let mut pipe = Pipe::new(&format!("POST / HTTP/1.1\r\nContent-Length:{bad}\r\n\r\n"));
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length:{bad}\r\n\r\n");
             assert!(
-                matches!(
-                    read_request(&mut pipe, 1024),
-                    Err(RequestError::Malformed(_))
-                ),
+                matches!(parse(&raw, 1024), Err(RequestError::Malformed(_))),
                 "Content-Length {bad:?} must be rejected"
             );
         }
@@ -560,16 +497,20 @@ mod tests {
 
     #[test]
     fn duplicate_content_lengths_must_agree() {
-        let mut pipe =
-            Pipe::new("POST / HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 2\r\n\r\n{\"a\":1}");
         assert!(matches!(
-            read_request(&mut pipe, 1024),
+            parse(
+                "POST / HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 2\r\n\r\n{\"a\":1}",
+                1024
+            ),
             Err(RequestError::Malformed(_))
         ));
         // Identical duplicates are fine (RFC 7230 §3.3.2 allows them).
-        let mut pipe =
-            Pipe::new("POST / HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 7\r\n\r\n{\"a\":1}");
-        assert_eq!(read_request(&mut pipe, 1024).unwrap().body, "{\"a\":1}");
+        let req = parse(
+            "POST / HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+            1024,
+        )
+        .unwrap();
+        assert_eq!(req.body, "{\"a\":1}");
     }
 
     #[test]

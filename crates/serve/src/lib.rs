@@ -22,6 +22,10 @@
 //!   response is queued, and the loop writes whatever the socket could
 //!   not take yet, so a client that reads slowly costs a buffer, not a
 //!   worker.
+//!   Each connection is one connection machine (the crate-private
+//!   `conn` module) that turns its bytes into requests and writes every
+//!   response, whichever thread holds it; a socket-free property drives
+//!   it over a scripted stream.
 //!   The loop frames requests but decodes no body: it answers a repeat
 //!   `/v1/solve` body's cache hit from a memo keyed on the raw body,
 //!   which the worker that decoded the body published.
@@ -40,7 +44,8 @@
 //!   canonical instance JSON). Repeat queries skip the DP entirely;
 //!   per-worker DP workspaces stay shared-nothing beneath it, exactly
 //!   as in the batch pipeline.
-//! * [`http`] — minimal request parsing and response rendering;
+//! * [`http`] — minimal request parsing (framing errors only, no I/O)
+//!   and response rendering;
 //! * [`metrics`] — one table of counters, gauges and latency
 //!   histograms (uptime, per-solver requests and solve latency,
 //!   queue, cache, connections, admission) that renders both the JSON
@@ -67,6 +72,7 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod http;
 pub mod metrics;
 pub mod poll;

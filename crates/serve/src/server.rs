@@ -6,27 +6,29 @@
 //!
 //! One event-loop thread owns the nonblocking listener, a `poll(2)`
 //! interest list (see [`crate::poll`]), and every connection that is
-//! idle, mid-read, or mid-write. Connections carry their own read and
-//! write buffers; the loop feeds bytes through [`http::try_parse`]
-//! until a full request materialises, then hands the *connection plus
-//! parsed request* to the bounded worker queue. A connection
-//! therefore occupies a worker thread only while a fully-parsed
-//! request is being solved — thousands of idle keep-alive connections
-//! cost zero threads, and a slowloris client dribbling header bytes
-//! costs one buffer and an idle timer, never a worker.
+//! idle, mid-read, or mid-write. Each connection is a connection
+//! machine (`Conn`, in `conn.rs`) holding the socket and its read and
+//! write buffers. Every turn the loop asks each machine what it waits
+//! for — readability, writability alone (it owes output, and reads
+//! nothing until that has left), or nothing because it idled out and
+//! closes — and pumps the ready ones: a pump writes what is owed, reads
+//! what has arrived and feeds it through [`crate::http::try_parse`]
+//! until a full request materialises, which the loop hands with its
+//! connection to the bounded worker queue. A connection therefore
+//! occupies a worker thread only while a fully-parsed request is being
+//! solved — thousands of idle keep-alive connections cost zero threads,
+//! and a slowloris client dribbling header bytes costs one buffer and
+//! an idle timer, never a worker.
 //!
-//! Every response, whoever answers it, leaves the same way:
-//! `Conn::respond` queues it on the connection's write buffer, and
-//! `Conn::flush` writes that buffer until it empties or the
-//! nonblocking socket is full. A worker flushes once, right after
-//! queueing its reply. Unless the reply has left and the connection is
-//! done, the worker then hands the connection back to the loop over an
-//! in-process return queue (plus one wakeup byte on a loopback socket
-//! pair, since `poll` cannot watch an mpsc channel), with any unwritten
-//! output and any pipelined leftover bytes. A connection that owes
-//! output is polled for writability alone and reads nothing until its
-//! output has left, so a client that stops reading costs a buffer, not
-//! a worker or loop turns, and the idle timeout closes it.
+//! Every response, whoever answers it, is queued by `Conn::respond` and
+//! written by the machine until its buffer empties or the socket is
+//! full. A worker answers through `Conn::answer` and, unless the reply
+//! has left and the connection is done, hands the connection back over
+//! an in-process return queue (plus one wakeup byte on a loopback
+//! socket pair, since `poll` cannot watch an mpsc channel), with any
+//! unwritten output and pipelined leftover bytes. The machine takes the
+//! time from its caller and runs over any byte stream, so a property in
+//! `conn.rs` drives it without a socket.
 //!
 //! The loop frames requests but never decodes a body. For a plain
 //! `POST /v1/solve` it fingerprints the raw body and looks it up in the
@@ -57,7 +59,8 @@
 
 use crate::admission::{AdmissionConfig, AdmissionPolicy};
 use crate::cache::{self, Fingerprint, ResultCache};
-use crate::http::{self, Parse, Request, RequestError};
+use crate::conn::{Conn, Interest, Pump, MAX_REQUESTS_PER_TURN};
+use crate::http::Request;
 use crate::metrics::{Stat, Telemetry};
 use crate::poll::{self, Poller};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -148,7 +151,7 @@ impl Default for ServeConfig {
 
 /// The 1-in-N sampler: a shared sink plus the tick counter that
 /// decides which plain solves get a recording handle.
-struct Sampler {
+pub(crate) struct Sampler {
     /// The active sink. `GET /debug/trace` swaps in a fresh ring and
     /// snapshots the old one, so each drain returns only spans
     /// recorded since the previous drain (a solve racing the swap may
@@ -168,7 +171,7 @@ impl Sampler {
     }
 
     /// A clone of the currently active sink.
-    fn current(&self) -> Arc<TraceSink> {
+    pub(crate) fn current(&self) -> Arc<TraceSink> {
         Arc::clone(&self.sink.lock().expect("sampler lock poisoned"))
     }
 
@@ -193,138 +196,10 @@ pub struct ServeState {
     default_solver: &'static str,
     queue_capacity: usize,
     workers: usize,
-    max_body_bytes: usize,
+    pub(crate) max_body_bytes: usize,
+    pub(crate) idle_timeout: Duration,
     admission: AdmissionPolicy,
-    sampler: Option<Sampler>,
-}
-
-/// Decrements the open-connections gauge when its connection dies,
-/// whichever thread drops it.
-struct OpenConn(Arc<ServeState>);
-
-impl Drop for OpenConn {
-    fn drop(&mut self) {
-        self.0.telemetry.sub(Stat::ConnectionsOpen, 1);
-    }
-}
-
-/// One live connection: the socket plus its read buffer (bytes not
-/// yet parsed, including pipelined leftover), write buffer (every
-/// response queued on it and not yet written), and liveness
-/// bookkeeping.
-struct Conn {
-    stream: TcpStream,
-    /// Inbound bytes; `buf[buf_pos..]` is not parsed yet and starts at
-    /// a request boundary.
-    buf: Vec<u8>,
-    buf_pos: usize,
-    /// Outbound bytes the socket has not taken yet (responses and
-    /// interim 100s), written by [`Conn::flush`] as the socket drains.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Close once `out` is fully flushed (framing is broken or the
-    /// request asked for it).
-    close_after_write: bool,
-    /// An interim `100 Continue` has been queued for the request
-    /// currently being read.
-    sent_continue: bool,
-    last_activity: Instant,
-    born: Instant,
-    /// Requests fully parsed off this connection so far.
-    served: u64,
-    /// Whether this connection's lifetime is traced by the sampler.
-    sampled: bool,
-    _open: OpenConn,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, state: &Arc<ServeState>, sampled: bool) -> Conn {
-        let now = Instant::now();
-        Conn {
-            stream,
-            buf: Vec::new(),
-            buf_pos: 0,
-            out: Vec::new(),
-            out_pos: 0,
-            close_after_write: false,
-            sent_continue: false,
-            last_activity: now,
-            born: now,
-            served: 0,
-            sampled,
-            _open: OpenConn(Arc::clone(state)),
-        }
-    }
-
-    fn has_pending_out(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    /// Mark `n` more bytes of `buf` parsed. The buffer is compacted
-    /// only when it empties or the parsed prefix is at least half of
-    /// it, so a deep pipeline costs time linear in its bytes.
-    fn consume(&mut self, n: usize) {
-        self.buf_pos += n;
-        if self.buf_pos == self.buf.len() {
-            self.buf.clear();
-            self.buf_pos = 0;
-        } else if self.buf_pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.buf_pos);
-            self.buf_pos = 0;
-        }
-    }
-
-    /// Queue `reply` as this connection's next response: the one way a
-    /// final response is queued, whoever answers. Records its status,
-    /// adds the cache, degraded and (on a 503) `Retry-After` headers,
-    /// and with `keep_alive` false marks the connection to close once
-    /// `out` is flushed.
-    fn respond(&mut self, state: &ServeState, reply: &Reply, keep_alive: bool) {
-        state.telemetry.record_response(reply.status);
-        let mut extra: Vec<(&str, &str)> = Vec::new();
-        if let Some(marker) = reply.cache_marker {
-            extra.push(("X-Fragalign-Cache", marker));
-        }
-        if let Some(tier) = reply.degraded {
-            extra.push(("X-Fragalign-Degraded", tier));
-        }
-        if reply.status == 503 {
-            state.telemetry.add(Stat::Rejected503, 1);
-            extra.push(("Retry-After", "1"));
-        }
-        self.out.extend_from_slice(&http::render_response(
-            reply.status,
-            reply.content_type,
-            &extra,
-            &reply.body,
-            keep_alive,
-        ));
-        if !keep_alive {
-            self.close_after_write = true;
-        }
-    }
-
-    /// Write `out` until it is empty or the socket would block: the one
-    /// way response bytes reach a socket. `Ok(true)` when everything
-    /// queued has left, `Ok(false)` when the socket is full, `Err` when
-    /// the peer is gone.
-    fn flush(&mut self, now: Instant) -> io::Result<bool> {
-        while self.has_pending_out() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.out_pos += n;
-                    self.last_activity = now;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
-    }
+    pub(crate) sampler: Option<Sampler>,
 }
 
 /// One parsed request travelling to a worker, carrying its connection
@@ -332,7 +207,7 @@ impl Conn {
 /// decision is reproducible from the stamped value, not a re-read of
 /// a moving gauge).
 struct Job {
-    conn: Conn,
+    conn: Conn<TcpStream>,
     request: Request,
     load: f64,
     enqueued: Instant,
@@ -353,34 +228,15 @@ impl Server {
     /// return the running server. Fails fast on an unbindable address
     /// or an unregistered default solver.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
-        let default_solver = SolverRegistry::global()
-            .spec(&cfg.default_solver)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
-            .name;
+        let state = Arc::new(ServeState::new(&cfg)?);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
-        let state = Arc::new(ServeState {
-            telemetry: Telemetry::new(),
-            cache: ResultCache::new(cfg.cache_shards, cfg.cache_mb * 1024 * 1024),
-            prep_memo: parking_lot::Mutex::new(HashMap::new()),
-            default_solver,
-            queue_capacity: cfg.queue_depth.max(1),
-            workers,
-            max_body_bytes: cfg.max_body_bytes,
-            admission: AdmissionPolicy::new(cfg.admission.clone()),
-            sampler: (cfg.trace_sample > 0).then(|| Sampler {
-                sink: Mutex::new(TraceSink::new()),
-                every: cfg.trace_sample,
-                ticks: AtomicU64::new(0),
-            }),
-        });
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = channel::bounded::<Job>(state.queue_capacity);
-        let (ret_tx, ret_rx) = mpsc::channel::<Conn>();
+        let (ret_tx, ret_rx) = mpsc::channel::<Conn<TcpStream>>();
         let (wake_writer, wake_reader) = wake_pair()?;
 
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
+        let worker_handles: Vec<JoinHandle<()>> = (0..state.workers)
             .map(|i| {
                 let rx: Receiver<Job> = rx.clone();
                 let ret_tx = ret_tx.clone();
@@ -396,14 +252,19 @@ impl Server {
         let events = {
             let state = Arc::clone(&state);
             let shutdown = Arc::clone(&shutdown);
-            let knobs = LoopKnobs {
-                max_conns: cfg.max_conns.max(1),
-                idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
-            };
+            let max_conns = cfg.max_conns.max(1);
             std::thread::Builder::new()
                 .name("serve-events".to_string())
                 .spawn(move || {
-                    event_loop(listener, tx, ret_rx, wake_reader, state, shutdown, knobs)
+                    event_loop(
+                        listener,
+                        tx,
+                        ret_rx,
+                        wake_reader,
+                        state,
+                        shutdown,
+                        max_conns,
+                    )
                 })
                 .expect("spawn event-loop thread")
         };
@@ -457,6 +318,31 @@ impl Drop for Server {
 }
 
 impl ServeState {
+    /// The state a server configured by `cfg` starts from. Fails on an
+    /// unregistered default solver.
+    pub(crate) fn new(cfg: &ServeConfig) -> io::Result<ServeState> {
+        let default_solver = SolverRegistry::global()
+            .spec(&cfg.default_solver)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
+            .name;
+        Ok(ServeState {
+            telemetry: Telemetry::new(),
+            cache: ResultCache::new(cfg.cache_shards, cfg.cache_mb * 1024 * 1024),
+            prep_memo: parking_lot::Mutex::new(HashMap::new()),
+            default_solver,
+            queue_capacity: cfg.queue_depth.max(1),
+            workers: cfg.workers.max(1),
+            max_body_bytes: cfg.max_body_bytes,
+            idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
+            admission: AdmissionPolicy::new(cfg.admission.clone()),
+            sampler: (cfg.trace_sample > 0).then(|| Sampler {
+                sink: Mutex::new(TraceSink::new()),
+                every: cfg.trace_sample,
+                ticks: AtomicU64::new(0),
+            }),
+        })
+    }
+
     /// The `/metrics` JSON document for this instant.
     pub fn metrics(&self) -> Value {
         self.telemetry
@@ -479,64 +365,45 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((writer, reader))
 }
 
-/// The event loop's fixed knobs.
-struct LoopKnobs {
-    max_conns: usize,
-    idle_timeout: Duration,
-}
-
-/// What one pump of a connection decided.
-enum Pump {
-    /// Nothing to do yet (waiting for bytes or socket writability).
-    Keep,
-    /// The connection is dead or finished; close it.
-    Close,
-    /// A full request parsed; dispatch connection + request.
-    Dispatch(Box<Request>),
-}
-
 fn event_loop(
     listener: TcpListener,
     tx: Sender<Job>,
-    ret_rx: mpsc::Receiver<Conn>,
+    ret_rx: mpsc::Receiver<Conn<TcpStream>>,
     wake_reader: TcpStream,
     state: Arc<ServeState>,
     shutdown: Arc<AtomicBool>,
-    knobs: LoopKnobs,
+    max_conns: usize,
 ) {
     listener
         .set_nonblocking(true)
         .expect("listener nonblocking");
     let mut poller = Poller::new();
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut conns: Vec<Conn<TcpStream>> = Vec::new();
     let mut accepted: u64 = 0;
-    // Reads stop once this many bytes wait unparsed (the buffer then
-    // holds under twice that, see `Conn::consume`); the kernel's TCP
-    // window takes over as backpressure for clients that pipeline
-    // faster than the service drains.
-    let read_cap = state.max_body_bytes + http::MAX_HEAD_BYTES + 4096;
 
     while !shutdown.load(Ordering::SeqCst) {
         poller.clear();
         let listener_slot = poller.register(poll::listener_fd(&listener), true, false);
         let wake_slot = poller.register(poll::stream_fd(&wake_reader), true, false);
         let base = 2;
-        let polled = conns.len();
-        // A connection that owes output waits for writability alone:
-        // it reads nothing until its responses have left, so a client
-        // that stops reading stops costing turns and idles out.
-        for conn in &conns {
-            let owes = conn.has_pending_out();
-            poller.register(poll::stream_fd(&conn.stream), !owes, owes);
-        }
-        // Wake by the nearest idle deadline, capped so shutdown and
-        // returned-connection checks never starve.
+        // Close the connections that idled out and register the rest
+        // for what each waits for, in order, so slot base+i is
+        // conns[i]. Wake by the nearest idle deadline, capped so
+        // shutdown and returned-connection checks never starve.
         let now = Instant::now();
         let mut timeout = Duration::from_millis(100);
-        for conn in &conns {
-            timeout = timeout
-                .min((conn.last_activity + knobs.idle_timeout).saturating_duration_since(now));
+        let interest = |conn: &mut Conn<TcpStream>| match conn.interest(now) {
+            Interest::Idle => true,
+            Interest::Poll { write, within } => {
+                poller.register(conn.fd(), !write, write);
+                timeout = timeout.min(within);
+                false
+            }
+        };
+        for conn in conns.extract_if(.., interest) {
+            conn.close(now);
         }
+        let polled = conns.len();
         if poller.wait(Some(timeout)).is_err() {
             std::thread::sleep(Duration::from_millis(5));
             continue;
@@ -554,10 +421,7 @@ fn event_loop(
         // are past `polled`, so they get pumped unconditionally this
         // turn: the rest of a reply the worker could not write goes
         // out, and any pipelined leftover parses.
-        while let Ok(mut conn) = ret_rx.try_recv() {
-            conn.last_activity = now;
-            conns.push(conn);
-        }
+        conns.extend(ret_rx.try_iter());
 
         if poller.readable(listener_slot) {
             loop {
@@ -566,19 +430,16 @@ fn event_loop(
                         let _ = stream.set_nonblocking(true);
                         let _ = stream.set_nodelay(true);
                         state.telemetry.add(Stat::ConnectionsAccepted, 1);
-                        state.telemetry.add(Stat::ConnectionsOpen, 1);
                         let sampled = state
                             .sampler
                             .as_ref()
                             .is_some_and(|s| accepted.is_multiple_of(s.every));
                         accepted += 1;
-                        let mut conn = Conn::new(stream, &state, sampled);
-                        if conns.len() >= knobs.max_conns {
-                            let busy = Reply::busy(
-                                "connection limit reached",
-                                ("max_conns", knobs.max_conns),
-                            );
-                            conn.respond(&state, &busy, false);
+                        let mut conn = Conn::new(stream, &state, sampled, now);
+                        if conns.len() >= max_conns {
+                            let busy =
+                                Reply::busy("connection limit reached", ("max_conns", max_conns));
+                            conn.respond(&busy, false);
                         }
                         conns.push(conn);
                     }
@@ -590,30 +451,18 @@ fn event_loop(
 
         // Pump back-to-front so swap_remove only disturbs indices we
         // have already visited; slots base+i stay aligned for i <
-        // polled. Each connection may serve several requests per turn
-        // (pipelined cache hits and loop-answered 503s never leave
-        // the loop), bounded for fairness. Every one of those queues a
-        // response, so a connection the cap stops owes output and is
-        // pumped again once its socket takes more: the cap never
-        // strands buffered requests.
-        const MAX_REQUESTS_PER_TURN: usize = 64;
+        // polled.
         let mut i = conns.len();
         while i > 0 {
             i -= 1;
-            let ready = i >= polled || poller.readable(base + i) || poller.writable(base + i);
-            if !ready {
-                if now.saturating_duration_since(conns[i].last_activity) >= knobs.idle_timeout {
-                    let conn = conns.swap_remove(i);
-                    close_conn(conn, &state);
-                }
+            if i < polled && !poller.readable(base + i) && !poller.writable(base + i) {
                 continue;
             }
             for _ in 0..MAX_REQUESTS_PER_TURN {
-                match pump_conn(&mut conns[i], &state, now, read_cap) {
+                match conns[i].pump(now) {
                     Pump::Keep => break,
                     Pump::Close => {
-                        let conn = conns.swap_remove(i);
-                        close_conn(conn, &state);
+                        conns.swap_remove(i).close(now);
                         break;
                     }
                     Pump::Dispatch(request) => {
@@ -624,7 +473,7 @@ fn event_loop(
                                 "past the hard admission watermark",
                                 ("queue_capacity", state.queue_capacity),
                             );
-                            conns[i].respond(&state, &busy, request.keep_alive);
+                            conns[i].respond(&busy, request.keep_alive);
                             continue;
                         }
                         // Cache hits (the hot path by construction —
@@ -636,7 +485,7 @@ fn event_loop(
                         if let Some(reply) = try_inline_hit(&request, &state, load) {
                             state.telemetry.service.record(t0.elapsed());
                             state.telemetry.latency.record(t0.elapsed());
-                            conns[i].respond(&state, &reply, request.keep_alive);
+                            conns[i].respond(&reply, request.keep_alive);
                             continue;
                         }
                         state.telemetry.add(Stat::QueueDepth, 1);
@@ -655,11 +504,11 @@ fn event_loop(
                                     "worker queue is full",
                                     ("queue_capacity", state.queue_capacity),
                                 );
-                                conn.respond(&state, &busy, job.request.keep_alive);
+                                conn.respond(&busy, job.request.keep_alive);
                                 conns.push(conn);
                             }
                             Err(TrySendError::Disconnected(job)) => {
-                                close_conn(job.conn, &state);
+                                job.conn.close(now);
                                 return;
                             }
                         }
@@ -669,120 +518,17 @@ fn event_loop(
             }
         }
     }
-    // Dropping `tx` lets the workers drain and exit; dropping the
-    // conns vec closes every remaining socket.
+    // Dropping `tx` lets the workers drain and exit; closing the conns
+    // closes every remaining socket.
+    let now = Instant::now();
     for conn in conns.drain(..) {
-        close_conn(conn, &state);
+        conn.close(now);
     }
-}
-
-/// Flush, read, and parse one connection as far as nonblocking I/O
-/// allows. At most one request is dispatched per pump — in-order
-/// pipelining falls out of the connection travelling with its request
-/// and only rejoining the loop once its response is queued, and of
-/// nothing being read while a response is still owed.
-fn pump_conn(conn: &mut Conn, state: &ServeState, now: Instant, read_cap: usize) -> Pump {
-    // Phase 1: write what the connection owes.
-    match conn.flush(now) {
-        Ok(true) if conn.close_after_write => return Pump::Close,
-        Ok(true) => {}
-        Ok(false) => return Pump::Keep,
-        Err(_) => return Pump::Close,
-    }
-
-    // Phase 2: read whatever has arrived.
-    let mut peer_eof = false;
-    loop {
-        if conn.buf.len() - conn.buf_pos >= read_cap {
-            break;
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                peer_eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                conn.last_activity = now;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Pump::Close,
-        }
-    }
-
-    // Phase 3: try to produce one request.
-    match http::try_parse(&conn.buf[conn.buf_pos..], state.max_body_bytes) {
-        Ok(Parse::Ready {
-            mut request,
-            consumed,
-        }) => {
-            conn.consume(consumed);
-            conn.served += 1;
-            if conn.served >= 2 {
-                state.telemetry.add(Stat::KeepaliveReuse, 1);
-            }
-            if peer_eof {
-                // The client half-closed after sending; answer, then
-                // close — there is no next request.
-                request.keep_alive = false;
-            }
-            if request.expect_continue && !conn.sent_continue {
-                // The interim 100 is queued ahead of the final
-                // response, so one flush sends both in order.
-                conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
-            }
-            conn.sent_continue = false;
-            Pump::Dispatch(Box::new(request))
-        }
-        Ok(Parse::Incomplete { needs_continue }) => {
-            if peer_eof {
-                // Torn request: nobody left to answer.
-                return Pump::Close;
-            }
-            if needs_continue && !conn.sent_continue && conn.out.is_empty() {
-                conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
-                conn.sent_continue = true;
-            }
-            Pump::Keep
-        }
-        Err(err) => {
-            let reply = match err {
-                RequestError::Io(_) => return Pump::Close,
-                RequestError::Malformed(msg) => Reply::error(400, &msg),
-                RequestError::Unimplemented(msg) => Reply::error(501, &msg),
-                RequestError::BodyTooLarge { limit } => {
-                    Reply::error(413, &format!("request body exceeds the {limit}-byte limit"))
-                }
-            };
-            // After a framing error the byte stream can no longer be
-            // trusted to delimit requests: answer and close.
-            conn.respond(state, &reply, false);
-            Pump::Keep
-        }
-    }
-}
-
-/// Close a connection, emitting its lifetime instant into the sampled
-/// sink when this connection drew the sampling ticket.
-fn close_conn(conn: Conn, state: &ServeState) {
-    if conn.sampled {
-        if let Some(sampler) = &state.sampler {
-            TraceHandle::new(sampler.current()).instant(
-                "connection",
-                "closed",
-                conn.served as i64,
-                conn.born.elapsed().as_micros() as i64,
-            );
-        }
-    }
-    // Dropping `conn` closes the socket and decrements the gauge.
 }
 
 fn worker_loop(
     rx: Receiver<Job>,
-    ret_tx: mpsc::Sender<Conn>,
+    ret_tx: mpsc::Sender<Conn<TcpStream>>,
     wake: TcpStream,
     state: Arc<ServeState>,
 ) {
@@ -820,41 +566,36 @@ fn worker_loop(
                 )
             }
         };
-        conn.respond(&state, &reply, keep_alive);
         // Write what the socket takes now; whatever it does not take
         // goes back to the loop with the connection, so a client that
         // reads slowly costs a buffer, never a worker.
-        let flushed = conn.flush(Instant::now());
+        let now = Instant::now();
+        let back = conn.answer(&reply, keep_alive, now);
         state.telemetry.service.record(service_started.elapsed());
         state.telemetry.latency.record(enqueued.elapsed());
         state.telemetry.sub(Stat::BusyWorkers, 1);
-        match flushed {
-            Ok(true) if conn.close_after_write => close_conn(conn, &state),
-            Err(_) => close_conn(conn, &state),
-            // Kept alive, or still owing output: back to the loop.
-            Ok(_) => {
-                if ret_tx.send(conn).is_ok() {
-                    // One byte wakes the loop's poll; WouldBlock means
-                    // it is drowning in wakeups already.
-                    let _ = (&wake).write(&[1]);
-                }
-            }
+        if !back {
+            conn.close(now);
+        } else if ret_tx.send(conn).is_ok() {
+            // One byte wakes the loop's poll; WouldBlock means it is
+            // drowning in wakeups already.
+            let _ = (&wake).write(&[1]);
         }
     }
 }
 
 /// A routed response: status, body, content type, and for `/v1/solve`
 /// whether the cache answered and whether admission degraded it.
-struct Reply {
-    status: u16,
-    body: String,
-    content_type: &'static str,
-    cache_marker: Option<&'static str>,
-    degraded: Option<&'static str>,
+pub(crate) struct Reply {
+    pub(crate) status: u16,
+    pub(crate) body: String,
+    pub(crate) content_type: &'static str,
+    pub(crate) cache_marker: Option<&'static str>,
+    pub(crate) degraded: Option<&'static str>,
 }
 
 impl Reply {
-    fn json(status: u16, body: String) -> Reply {
+    pub(crate) fn json(status: u16, body: String) -> Reply {
         Reply {
             status,
             body,
@@ -864,8 +605,18 @@ impl Reply {
         }
     }
 
-    fn error(status: u16, message: &str) -> Reply {
+    pub(crate) fn error(status: u16, message: &str) -> Reply {
         Reply::json(status, error_object(message, &[]))
+    }
+
+    /// A `/v1/solve` 200 saying how the cache took part (`hit`, `miss`
+    /// or `bypass`) and the tier admission degraded it to, if any.
+    fn solved(body: String, cache_marker: &'static str, degraded: Option<&'static str>) -> Reply {
+        Reply {
+            cache_marker: Some(cache_marker),
+            degraded,
+            ..Reply::json(200, body)
+        }
     }
 
     /// A `503` saying why the server is busy and naming the limit it
@@ -1113,13 +864,7 @@ fn try_inline_hit(request: &Request, state: &ServeState, load: f64) -> Option<Re
         state.telemetry.add(Stat::AdmissionDegraded, 1);
     }
     state.telemetry.record_solve(position);
-    Some(Reply {
-        status: 200,
-        body: body.to_string(),
-        content_type: "application/json",
-        cache_marker: Some("hit"),
-        degraded,
-    })
+    Some(Reply::solved(body.to_string(), "hit", degraded))
 }
 
 fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, load: f64) -> Reply {
@@ -1157,13 +902,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
     let traced = request.param("trace") == Some("1");
     if !traced {
         if let Some(body) = state.cache.get(key) {
-            return Reply {
-                status: 200,
-                body: body.to_string(),
-                content_type: "application/json",
-                cache_marker: Some("hit"),
-                degraded,
-            };
+            return Reply::solved(body.to_string(), "hit", degraded);
         }
     }
     let opts = BatchOptions {
@@ -1200,13 +939,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
             match sink {
                 None => {
                     state.cache.insert(key, Arc::from(body.as_str()));
-                    Reply {
-                        status: 200,
-                        body,
-                        content_type: "application/json",
-                        cache_marker: Some("miss"),
-                        degraded,
-                    }
+                    Reply::solved(body, "miss", degraded)
                 }
                 Some(sink) => {
                     // Splice the Chrome trace document into the
@@ -1218,13 +951,7 @@ fn handle_solve(request: &Request, state: &ServeState, ws: &mut DpWorkspace, loa
                     body.push_str(",\"trace\":");
                     body.push_str(&log.to_chrome_json());
                     body.push('}');
-                    Reply {
-                        status: 200,
-                        body,
-                        content_type: "application/json",
-                        cache_marker: Some("bypass"),
-                        degraded,
-                    }
+                    Reply::solved(body, "bypass", degraded)
                 }
             }
         }

@@ -1,61 +1,36 @@
-//! Fuzz-shaped properties for the HTTP/1.1 request parser: arbitrary
-//! bytes, truncations of valid requests, pathological read chunkings
-//! and single-byte mutations must never panic; any failure must land
-//! in one of the typed [`RequestError`] categories the server maps to
-//! 4xx/5xx responses; well-formed requests must parse to the same
-//! request no matter how the socket splits the bytes; and pipelined
-//! request streams must come apart at exactly their framing
-//! boundaries with keep-alive semantics intact, whatever the
-//! chunking.
+//! Fuzz-shaped properties for the HTTP/1.1 request parser, fed the way
+//! the server's connection machine feeds it — a growing buffer,
+//! re-parsed as each read's bytes arrive: arbitrary bytes, truncations
+//! of valid requests, pathological read chunkings and single-byte
+//! mutations must never panic; any failure must land in one of the
+//! typed [`RequestError`] categories the server maps to 4xx/5xx
+//! responses; a truncated request only ever asks for more bytes;
+//! well-formed requests must parse to the same request no matter how
+//! the socket splits the bytes; and pipelined request streams must come
+//! apart at exactly their framing boundaries with keep-alive semantics
+//! intact, whatever the chunking.
 
-use fragalign_serve::http::{read_request, try_parse, Parse, Request, RequestError};
+use fragalign_serve::http::{try_parse, Parse, Request, RequestError};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::io::{Read, Write};
 
-/// A duplex test stream that hands out at most `chunk` bytes per
-/// `read` — the socket-level adversary: head/body boundaries landing
-/// anywhere, including mid-CRLF.
-struct ChunkedPipe {
-    input: Vec<u8>,
-    pos: usize,
+/// Feed `bytes` to [`try_parse`] `chunk` bytes at a time, as reads
+/// deliver them — head/body boundaries landing anywhere, including
+/// mid-CRLF — until the first request or framing error. `Ok(None)` when
+/// the bytes end mid-request.
+fn parse_first(
+    bytes: &[u8],
     chunk: usize,
-    output: Vec<u8>,
-}
-
-impl ChunkedPipe {
-    fn new(input: &[u8], chunk: usize) -> Self {
-        assert!(chunk > 0, "zero-byte reads would mean EOF");
-        ChunkedPipe {
-            input: input.to_vec(),
-            pos: 0,
-            chunk,
-            output: Vec::new(),
+    max_body: usize,
+) -> Result<Option<Request>, RequestError> {
+    let mut end = 0;
+    loop {
+        match try_parse(&bytes[..end], max_body)? {
+            Parse::Ready { request, .. } => return Ok(Some(request)),
+            Parse::Incomplete { .. } if end == bytes.len() => return Ok(None),
+            Parse::Incomplete { .. } => end = (end + chunk).min(bytes.len()),
         }
     }
-}
-
-impl Read for ChunkedPipe {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.chunk.min(buf.len()).min(self.input.len() - self.pos);
-        buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl Write for ChunkedPipe {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.output.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn parse(bytes: &[u8], chunk: usize, max_body: usize) -> Result<Request, RequestError> {
-    read_request(&mut ChunkedPipe::new(bytes, chunk), max_body)
 }
 
 /// A canonical valid POST whose body is `body`; `needed` is the byte
@@ -103,7 +78,7 @@ proptest! {
         chunk in 1usize..9,
         max_body in 0usize..256,
     ) {
-        if let Ok(req) = parse(&bytes, chunk, max_body) {
+        if let Ok(Some(req)) = parse_first(&bytes, chunk, max_body) {
             prop_assert!(!req.method.is_empty());
             prop_assert!(!req.path.is_empty());
             prop_assert!(req.body.len() <= max_body, "body exceeded the cap");
@@ -115,11 +90,13 @@ proptest! {
             }
         }
         // An Err is fine by construction: every variant maps to a
-        // 4xx/5xx response or a dropped connection, never a panic.
+        // 4xx/5xx response, never a panic.
     }
 
-    /// Truncating a valid request anywhere fails cleanly; the full
-    /// request parses whole, byte-for-byte, at every chunking.
+    /// Truncating a valid request anywhere leaves the parser asking for
+    /// more bytes (the connection machine closes such a torn request
+    /// unanswered at end of stream); the full request parses whole,
+    /// byte-for-byte, at every chunking.
     #[test]
     fn truncations_fail_cleanly_and_full_requests_split_anywhere(
         body_bytes in vec(32u8..127, 0..80),
@@ -129,29 +106,29 @@ proptest! {
         let body: String = body_bytes.iter().map(|&b| b as char).collect();
         let (bytes, needed) = valid_post(&body);
         let cut = cut.min(needed);
-        let result = parse(&bytes[..cut], chunk, 4096);
+        let result = parse_first(&bytes[..cut], chunk, 4096);
         if cut < needed {
             prop_assert!(
-                result.is_err(),
-                "a truncated request (cut {} of {}) must not parse",
+                matches!(result, Ok(None)),
+                "a truncated request (cut {} of {}) must only ask for more",
                 cut, needed
             );
         } else {
-            let req = result.expect("the complete request parses");
+            let req = result.expect("the complete request parses").expect("it is whole");
             prop_assert_eq!(&req.method, "POST");
             prop_assert_eq!(&req.path, "/v1/solve");
             prop_assert_eq!(req.header("host"), Some("fuzz"));
             prop_assert_eq!(&req.body, &body);
             // And the chunking must not matter: one-shot == chunked.
-            let whole = parse(&bytes, needed.max(1), 4096).unwrap();
+            let whole = parse_first(&bytes, needed.max(1), 4096).unwrap().unwrap();
             prop_assert_eq!(&req.body, &whole.body);
             prop_assert_eq!(&req.headers, &whole.headers);
         }
     }
 
-    /// Flipping any single byte of a valid request never panics, and
-    /// mutations ahead of the body either still parse or land in a
-    /// typed error.
+    /// Flipping any single byte of a valid request never panics: the
+    /// request still parses, asks for more bytes (a length digit grew)
+    /// or lands in a typed error.
     #[test]
     fn single_byte_mutations_never_panic(
         body_bytes in vec(32u8..127, 1..60),
@@ -162,13 +139,13 @@ proptest! {
         let (mut bytes, _) = valid_post(&body);
         let at = idx.index(bytes.len());
         bytes[at] = replacement;
-        match parse(&bytes, 5, 4096) {
-            Ok(req) => prop_assert!(req.body.len() <= 4096),
-            Err(
+        match parse_first(&bytes, 5, 4096) {
+            Ok(Some(req)) => prop_assert!(req.body.len() <= 4096),
+            Ok(None)
+            | Err(
                 RequestError::Malformed(_)
                 | RequestError::Unimplemented(_)
-                | RequestError::BodyTooLarge { .. }
-                | RequestError::Io(_),
+                | RequestError::BodyTooLarge { .. },
             ) => {}
         }
     }
@@ -192,7 +169,9 @@ proptest! {
             " ".repeat(pad_right),
             body.len(),
         );
-        let req = parse(raw.as_bytes(), chunk, 4096).expect("valid request parses");
+        let req = parse_first(raw.as_bytes(), chunk, 4096)
+            .expect("valid request parses")
+            .expect("it is whole");
         prop_assert_eq!(&req.method, "POST");
         prop_assert_eq!(&req.path, "/v1/solve");
         prop_assert_eq!(req.query, format!("tag={tag}"));
@@ -283,7 +262,7 @@ proptest! {
             max_body + excess
         );
         let typed = matches!(
-            parse(raw.as_bytes(), chunk, max_body),
+            parse_first(raw.as_bytes(), chunk, max_body),
             Err(RequestError::BodyTooLarge { limit }) if limit == max_body
         );
         prop_assert!(typed, "oversized Content-Length must be the typed 413 error");

@@ -1,6 +1,8 @@
 //! Offline shim of the `crossbeam` API surface used by this workspace
 //! (see `shims/README.md`): bounded MPMC-ish channels over
-//! `std::sync::mpsc::sync_channel`. It is genuinely concurrent: the
+//! `std::sync::mpsc::sync_channel`, with exactly the calls the
+//! workspace makes — `bounded`, `Sender::try_send`, `Receiver::recv`
+//! and `clone` on both halves. It is genuinely concurrent: the
 //! service's worker pool and the rayon shim's thread pool both run on
 //! its channels.
 
@@ -20,7 +22,7 @@ pub mod channel {
     //! lock-free receiver if something ever needs them.
 
     use std::sync::mpsc::{Receiver as StdReceiver, SyncSender};
-    pub use std::sync::mpsc::{RecvError, SendError, TryRecvError, TrySendError};
+    pub use std::sync::mpsc::{RecvError, TrySendError};
     use std::sync::{Arc, Mutex};
 
     /// Sending half of a bounded channel.
@@ -42,11 +44,6 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Block until the value is enqueued; `Err` when disconnected.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-
         /// Enqueue without blocking: `Err(Full)` when the channel is
         /// at capacity — the backpressure probe a bounded worker queue
         /// rejects on — and `Err(Disconnected)` when no receiver is
@@ -67,43 +64,6 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             self.inner().recv()
         }
-
-        /// Iterate until every sender is dropped.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Blocking iterator over received values (see [`Receiver::iter`]).
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    /// Owning blocking iterator over received values.
-    pub struct IntoIter<T> {
-        rx: Receiver<T>,
-    }
-
-    impl<T> Iterator for IntoIter<T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = IntoIter<T>;
-        fn into_iter(self) -> Self::IntoIter {
-            IntoIter { rx: self }
-        }
     }
 
     /// A channel holding at most `cap` in-flight values.
@@ -116,20 +76,6 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn producer_consumer_roundtrip() {
-        let (tx, rx) = channel::bounded(4);
-        let sum = std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..100 {
-                    tx.send(i).unwrap();
-                }
-            });
-            rx.iter().sum::<i64>()
-        });
-        assert_eq!(sum, 4950);
-    }
 
     #[test]
     fn try_send_reports_full_and_cloned_receivers_share_work() {

@@ -16,6 +16,9 @@
 //!   the reuse counters say so), pipelined requests answer in send
 //!   order (20,000 of them within seconds), and idle sockets and
 //!   stalled readers are closed after `idle_timeout_ms`;
+//! * `Expect: 100-continue` earns one interim `100 Continue`, before
+//!   the body when the client waits for it and always ahead of the
+//!   final response;
 //! * the `/v1/solve` wire format is pinned by a golden snapshot
 //!   (wall-clock normalised), so accidental format drift is caught
 //!   before clients are.
@@ -892,6 +895,90 @@ fn a_half_written_request_is_closed_at_the_idle_timeout() {
     wait_until("the gauge to drop", || {
         state.telemetry.get(Stat::ConnectionsOpen) == 0
     });
+    server.shutdown();
+}
+
+/// Read one response off `reader`: its status and the value of its
+/// `X-Fragalign-Cache` header.
+fn read_response(reader: &mut impl std::io::BufRead) -> (u16, Option<String>) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a status line");
+    let status = line
+        .get(9..12)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {line:?}"));
+    let (mut length, mut cache) = (0, None);
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("a header line");
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        let (name, value) = header.split_once(": ").expect("a header");
+        match name {
+            "Content-Length" => length = value.parse().expect("a length"),
+            "X-Fragalign-Cache" => cache = Some(value.to_string()),
+            _ => {}
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).expect("the whole body");
+    (status, cache)
+}
+
+#[test]
+fn expect_100_continue_gets_one_interim_response_before_the_final_one() {
+    // A client that sends `Expect: 100-continue` and waits for the
+    // interim response before its body gets it, then the 200 from a
+    // worker; sending head and body in one write still puts the 100
+    // ahead of the 200, which the loop answers from the cache; and a
+    // following request that did not ask gets none.
+    use std::io::{BufReader, Read, Write};
+    const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+    let server = Server::start(ServeConfig::default()).expect("server starts");
+    let body = solve_body(&sim_instances(1, 1007)[0], "greedy");
+    let head = |expect: bool| {
+        let expect = if expect {
+            "Expect: 100-continue\r\n"
+        } else {
+            ""
+        };
+        format!(
+            "POST /v1/solve HTTP/1.1\r\nHost: t\r\n{expect}Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+    };
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the client socket"));
+    let mut interim = [0u8; CONTINUE.len()];
+
+    stream
+        .write_all(head(true).as_bytes())
+        .expect("send the head");
+    reader
+        .read_exact(&mut interim)
+        .expect("the interim response arrives before the body is sent");
+    assert_eq!(interim, CONTINUE);
+    stream.write_all(body.as_bytes()).expect("send the body");
+    assert_eq!(read_response(&mut reader), (200, Some("miss".into())));
+
+    stream
+        .write_all(format!("{}{body}", head(true)).as_bytes())
+        .expect("send head and body");
+    reader
+        .read_exact(&mut interim)
+        .expect("the interim response");
+    assert_eq!(interim, CONTINUE);
+    assert_eq!(read_response(&mut reader), (200, Some("hit".into())));
+
+    stream
+        .write_all(format!("{}{body}", head(false)).as_bytes())
+        .expect("send a plain request");
+    assert_eq!(read_response(&mut reader), (200, Some("hit".into())));
     server.shutdown();
 }
 
