@@ -31,7 +31,7 @@ use std::time::Instant;
 pub struct BatchOptions {
     /// Registered solver name (see [`SolverRegistry::names`]).
     pub solver: String,
-    /// Engine knobs (scaling, pool width, exact limits).
+    /// Engine knobs (scaling, pool width).
     pub engine: EngineOptions,
 }
 

@@ -157,7 +157,8 @@ pub trait Solver: Send + Sync {
 }
 
 /// Uniform telemetry for one engine run, serialisable for
-/// `fragalign solve --report json` and the solver-matrix experiment.
+/// `fragalign solve --report json` and the service's `/v1/solve` and
+/// `/v1/batch` responses.
 #[derive(Clone, Debug, Serialize)]
 pub struct SolveReport {
     /// Registered solver name.

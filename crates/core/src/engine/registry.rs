@@ -1,6 +1,6 @@
 //! Name → solver-factory registry: the single source of truth the
-//! CLI, the batch pipeline, the solver-matrix experiment, and the
-//! README solver table all read. Registering a solver here is the
+//! CLI, the batch pipeline, the service, the router experiment, and
+//! the README solver table all read. Registering a solver here is the
 //! whole integration: every front end picks it up. Running one is
 //! [`solve_single_traced`](crate::solve_single_traced)'s job.
 

@@ -198,6 +198,7 @@ pub struct ServeState {
     workers: usize,
     pub(crate) max_body_bytes: usize,
     pub(crate) idle_timeout: Duration,
+    max_conns: usize,
     admission: AdmissionPolicy,
     pub(crate) sampler: Option<Sampler>,
 }
@@ -252,20 +253,9 @@ impl Server {
         let events = {
             let state = Arc::clone(&state);
             let shutdown = Arc::clone(&shutdown);
-            let max_conns = cfg.max_conns.max(1);
             std::thread::Builder::new()
                 .name("serve-events".to_string())
-                .spawn(move || {
-                    event_loop(
-                        listener,
-                        tx,
-                        ret_rx,
-                        wake_reader,
-                        state,
-                        shutdown,
-                        max_conns,
-                    )
-                })
+                .spawn(move || event_loop(listener, tx, ret_rx, wake_reader, state, shutdown))
                 .expect("spawn event-loop thread")
         };
 
@@ -334,6 +324,7 @@ impl ServeState {
             workers: cfg.workers.max(1),
             max_body_bytes: cfg.max_body_bytes,
             idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
+            max_conns: cfg.max_conns.max(1),
             admission: AdmissionPolicy::new(cfg.admission.clone()),
             sampler: (cfg.trace_sample > 0).then(|| Sampler {
                 sink: Mutex::new(TraceSink::new()),
@@ -372,7 +363,6 @@ fn event_loop(
     wake_reader: TcpStream,
     state: Arc<ServeState>,
     shutdown: Arc<AtomicBool>,
-    max_conns: usize,
 ) {
     listener
         .set_nonblocking(true)
@@ -436,9 +426,11 @@ fn event_loop(
                             .is_some_and(|s| accepted.is_multiple_of(s.every));
                         accepted += 1;
                         let mut conn = Conn::new(stream, &state, sampled, now);
-                        if conns.len() >= max_conns {
-                            let busy =
-                                Reply::busy("connection limit reached", ("max_conns", max_conns));
+                        if conns.len() >= state.max_conns {
+                            let busy = Reply::busy(
+                                "connection limit reached",
+                                ("max_conns", state.max_conns),
+                            );
                             conn.respond(&busy, false);
                         }
                         conns.push(conn);

@@ -18,7 +18,8 @@
 //!   stalled readers are closed after `idle_timeout_ms`;
 //! * `Expect: 100-continue` earns one interim `100 Continue`, before
 //!   the body when the client waits for it and always ahead of the
-//!   final response;
+//!   final response, and a client that pipelines and then half-closes
+//!   gets every request answered;
 //! * the `/v1/solve` wire format is pinned by a golden snapshot
 //!   (wall-clock normalised), so accidental format drift is caught
 //!   before clients are.
@@ -895,6 +896,39 @@ fn a_half_written_request_is_closed_at_the_idle_timeout() {
     wait_until("the gauge to drop", || {
         state.telemetry.get(Stat::ConnectionsOpen) == 0
     });
+    server.shutdown();
+}
+
+#[test]
+fn a_half_closed_pipeline_is_answered_in_full() {
+    // Three pipelined requests and a half-close in one burst: the
+    // server answers all three, in order, and closes after the last,
+    // which alone says `Connection: close`.
+    use std::io::{Read, Write};
+    let server = Server::start(ServeConfig::default()).expect("server starts");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let requests = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".repeat(3);
+    stream
+        .write_all(requests.as_bytes())
+        .expect("send the pipeline");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("read until the server closes");
+    let heads: Vec<&str> = raw
+        .split("HTTP/1.1 ")
+        .skip(1)
+        .map(|response| response.lines().next().unwrap_or(""))
+        .collect();
+    assert_eq!(heads, ["200 OK"; 3], "{raw}");
+    assert_eq!(raw.matches("Connection: close").count(), 1, "{raw}");
+    assert!(raw.rfind("Connection: close") > raw.rfind("Connection: keep-alive"));
     server.shutdown();
 }
 
