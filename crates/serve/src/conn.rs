@@ -549,8 +549,7 @@ mod tests {
     /// What the tail's bytes are, which range of them arrives without a
     /// pause, and the final status it earns (`None`: no answer).
     fn tail_bytes(tail: Tail, i: usize) -> (Vec<u8>, Range<usize>, Option<u16>) {
-        let framing = |head: String| (head.into_bytes(), 0..0);
-        let (bytes, solid, status) = match tail {
+        match tail {
             Tail::Clean => (Vec::new(), 0..0, None),
             Tail::Torn(req, cut) => {
                 let (mut bytes, _) = req.bytes(i);
@@ -566,30 +565,26 @@ mod tests {
                 } else {
                     http::MAX_HEAD_BYTES + 64
                 };
-                let head = bare.replace(
-                    "X-Pad: ",
-                    &format!("X-Pad: {}", "p".repeat(head_len - bare.len())),
-                );
-                let mut bytes = head.into_bytes();
+                let pad = "p".repeat(head_len - bare.len());
+                let mut bytes = bare
+                    .replace("X-Pad: ", &format!("X-Pad: {pad}"))
+                    .into_bytes();
                 bytes.extend(std::iter::repeat_n(b'b', MAX_BODY));
                 let solid = if whole { 0..bytes.len() } else { 0..0 };
                 (bytes, solid, Some(400))
             }
             Tail::OversizedBody => {
-                let (bytes, solid) = framing(format!(
+                let head = format!(
                     "POST /r/{i} HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
                     MAX_BODY + 1
-                ));
-                (bytes, solid, Some(413))
+                );
+                (head.into_bytes(), 0..0, Some(413))
             }
             Tail::Chunked => {
-                let (bytes, solid) = framing(format!(
-                    "POST /r/{i} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-                ));
-                (bytes, solid, Some(501))
+                let head = format!("POST /r/{i} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+                (head.into_bytes(), 0..0, Some(501))
             }
-        };
-        (bytes, solid, status)
+        }
     }
 
     /// What one run of the machine showed.
@@ -774,9 +769,9 @@ mod tests {
             }
             let tail_reached = reqs.iter().all(Req::keep_alive);
             let at = bytes.len();
-            let (tail_bytes, solid, status) = tail_bytes(tail, reqs.len());
+            let (tail_raw, solid, status) = tail_bytes(tail, reqs.len());
             let solid = at + solid.start..at + solid.end;
-            bytes.extend(tail_bytes);
+            bytes.extend(tail_raw);
             let mut maybe_100 = false;
             if tail_reached {
                 if let Tail::Torn(r, cut) = tail {
