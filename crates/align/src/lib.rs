@@ -17,11 +17,12 @@
 //!   bit-identical to the scalar reference kernel;
 //!   [`DpWorkspace::p_score_kernel`] forces either one for benches and
 //!   differential tests;
-//! * a memoising score oracle ([`oracle`]): all-intervals tables
-//!   `MS(f, g(d, e))` for the 1-CSR → ISP reduction and TPA profits,
-//!   border tables scoring every staircase of a fragment pair for
-//!   greedy and the border improvement methods, and free-orientation
-//!   site pairs,
+//! * a score oracle ([`oracle`]) that fills each table once, in one
+//!   slot per fragment pair: all-intervals tables `MS(f, g(d, e))` for
+//!   the 1-CSR → ISP reduction and TPA profits, and border tables
+//!   scoring every staircase of a fragment pair for greedy and the
+//!   border improvement methods; free-orientation site pairs are scored
+//!   on each call, uncached,
 //! * a fragment-chaining tier — minimizer anchors, LIS chaining, DP
 //!   only inside the chained windows — for instances too large for
 //!   the full DP family ([`chain`]),

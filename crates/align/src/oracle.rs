@@ -1,27 +1,29 @@
-//! Memoised match-score oracle.
+//! Match-score oracle: one table per fragment pair, filled once.
 //!
 //! Match scores depend only on the instance, never on the current
-//! solution, so every DP result can be cached for the lifetime of a
-//! solver run. Three caches:
+//! solution, so every table is filled at most once for the lifetime of
+//! a solver run and then only read. Two kinds of table, each in one
+//! slot per (H, M) fragment pair:
 //!
 //! * **interval tables** `MS(f, g(d, e))` for a whole fragment `f`
 //!   against *every* interval of a fragment `g` of the other species
-//!   (either species may be the plug). One DP sweep per start position
-//!   fills a whole row of ends. Readers: the 1-CSR → ISP reduction
-//!   (§3.4, also run by the factor-4 algorithm on its concatenations),
-//!   greedy's full-match candidates, the I1 plug ranking of improvement
-//!   enumeration, and every full match the improvement operations
-//!   create or rescore: the TPA refill (§4.2), `plug_full`, and the
-//!   full-match branch of site preparation;
+//!   (either species may be the plug, so a pair has two slots). One DP
+//!   sweep per start position fills a whole row of ends. Readers: the
+//!   1-CSR → ISP reduction (§3.4, also run by the factor-4 algorithm on
+//!   its concatenations), greedy's full-match candidates, the I1 plug
+//!   ranking of improvement enumeration, and every full match the
+//!   improvement operations create or rescore: the TPA refill (§4.2),
+//!   `plug_full`, and the full-match branch of site preparation;
 //! * **border tables** `P_score` of every *staircase* of an (H, M)
 //!   fragment pair — a strict prefix or suffix of each fragment, under
 //!   the orientation the two ends force — from one profiled fill per H
 //!   site length and end pair ([`BorderTable`]). Readers: greedy's
 //!   staircase candidates, the I2/I3 scan of improvement enumeration,
-//!   `make_border`, and the border branch of site preparation;
-//! * **site pairs** `MS(h̄, m̄)` with free orientation, for arbitrary
-//!   site pairs. Reader: the border-matching 2-approximation, which
-//!   weighs whole-fragment pairs.
+//!   `make_border`, and the border branch of site preparation.
+//!
+//! [`ScoreOracle::ms`] scores one site pair with free orientation and
+//! keeps nothing: its one production reader, the border-matching
+//! 2-approximation, scores each whole-fragment pair once.
 //!
 //! **Extent of a border table.** A table covers every strict border
 //! length of both fragments, because greedy reads them all. It holds
@@ -32,31 +34,32 @@
 //! reads, and a per-site-pair cache would be cheaper. The benchmark's
 //! fragments stay under 70 regions, where the one sweep per pair wins.
 //!
-//! Reads take a shared lock; a miss fills outside the lock and
-//! publishes under a write lock. The oracle is `Sync` and shared
-//! across rayon workers.
+//! **Slots.** The oracle allocates its slots up front, indexed densely
+//! by `h · |M| + m`: three `OnceLock<Box<_>>` of 16 bytes each, 48 bytes
+//! per (H, M) pair, which is 12 MiB at the 2¹⁸ pairs the service's
+//! table-cell limit admits. The first reader of a slot fills it through
+//! a pooled workspace; a concurrent reader of the same slot waits for
+//! that fill, and every later read is one atomic load. A key outside
+//! the instance, or of the wrong species, panics. The oracle is `Sync`
+//! and shared across rayon workers.
 //!
-//! **Counter contract** ([`OracleStats`]). Every lookup counts one hit
-//! or one miss: interval tables in `table_hits`/`table_misses`, border
-//! tables and free site pairs together in `pair_hits`/`pair_misses`
-//! (a border-table build is one pair miss, however many staircases it
-//! scores). Only the fill whose insert publishes a key counts the miss
-//! and adds its DP fills; a thread that loses the race to fill the
-//! same key counts a hit and its fills are dropped. So `table_misses`,
-//! `pair_misses` and the cached part of `dp_fills` count distinct
-//! keys, and repeat exactly at any pool width. `dp_fills` also counts
+//! **Counter contract** ([`OracleStats`]). A slot's fill counts one
+//! miss — interval tables in `table_misses`, border tables in
+//! `pair_misses` (one per fragment pair, however many staircases it
+//! scores) — and adds its DP fills to `dp_fills`. Every slot is filled
+//! at most once, so these count distinct keys and repeat exactly at
+//! any pool width. Each [`ScoreOracle::ms`] call counts one more
+//! `pair_misses` and its fills, and `dp_fills` also counts the other
 //! uncached pooled fills (the chain tier's window alignments).
-//! `dp_reallocs` counts buffer growth in every fill, lost races
-//! included, so it depends on which warm workspace served which fill.
+//! `dp_reallocs` counts buffer growth in every fill, so it depends on
+//! which warm workspace served which fill.
 
 use crate::workspace::DpWorkspace;
 use fragalign_model::{End, FragId, Instance, Orient, Score, Site, SiteClass, Species};
 use fragalign_obs::TraceHandle;
-use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// `MS(h, m(d, e))` for all `0 ≤ d ≤ e ≤ |m|`, plus the winning
 /// orientation. Flat `(n+1)²` storage.
@@ -137,18 +140,16 @@ impl BorderTable {
     }
 }
 
-/// Cache statistics, reported per solve in `SolveReport`.
+/// Fill counters, reported per solve in `SolveReport` (the module
+/// docs' counter contract).
 #[derive(Debug, Default)]
 pub struct OracleStats {
-    /// Interval-table lookups served from cache.
-    pub table_hits: AtomicU64,
-    /// Interval tables computed.
+    /// Interval tables filled.
     pub table_misses: AtomicU64,
-    /// Border-table and site-pair lookups served from cache.
-    pub pair_hits: AtomicU64,
-    /// Border tables and site-pair scores computed.
+    /// Border tables filled, plus [`ScoreOracle::ms`] calls.
     pub pair_misses: AtomicU64,
-    /// DP fills behind the cached entries, plus uncached pooled fills.
+    /// DP fills behind the filled tables and `ms` calls, plus the other
+    /// uncached pooled fills.
     pub dp_fills: AtomicU64,
     /// Workspace buffer growth events — the allocations proxy. A warm
     /// pool converges to zero; a fresh oracle grows its pool once per
@@ -162,15 +163,12 @@ pub struct OracleStats {
 /// absorb the inner counters so telemetry reports the whole solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleStatsSnapshot {
-    /// Interval-table lookups served from cache.
-    pub table_hits: u64,
-    /// Interval tables computed.
+    /// Interval tables filled.
     pub table_misses: u64,
-    /// Border-table and site-pair lookups served from cache.
-    pub pair_hits: u64,
-    /// Border tables and site-pair scores computed.
+    /// Border tables filled, plus `ms` calls.
     pub pair_misses: u64,
-    /// DP fills behind the cached entries, plus uncached pooled fills.
+    /// DP fills behind the filled tables and `ms` calls, plus the other
+    /// uncached pooled fills.
     pub dp_fills: u64,
     /// Workspace buffer growth events.
     pub dp_reallocs: u64,
@@ -178,9 +176,7 @@ pub struct OracleStatsSnapshot {
 
 impl std::ops::AddAssign for OracleStatsSnapshot {
     fn add_assign(&mut self, rhs: Self) {
-        self.table_hits += rhs.table_hits;
         self.table_misses += rhs.table_misses;
-        self.pair_hits += rhs.pair_hits;
         self.pair_misses += rhs.pair_misses;
         self.dp_fills += rhs.dp_fills;
         self.dp_reallocs += rhs.dp_reallocs;
@@ -192,9 +188,7 @@ impl OracleStats {
     /// flight).
     pub fn snapshot(&self) -> OracleStatsSnapshot {
         OracleStatsSnapshot {
-            table_hits: self.table_hits.load(Ordering::Relaxed),
             table_misses: self.table_misses.load(Ordering::Relaxed),
-            pair_hits: self.pair_hits.load(Ordering::Relaxed),
             pair_misses: self.pair_misses.load(Ordering::Relaxed),
             dp_fills: self.dp_fills.load(Ordering::Relaxed),
             dp_reallocs: self.dp_reallocs.load(Ordering::Relaxed),
@@ -203,23 +197,31 @@ impl OracleStats {
 
     /// Fold a snapshot's counts into these counters.
     pub fn absorb(&self, s: &OracleStatsSnapshot) {
-        self.table_hits.fetch_add(s.table_hits, Ordering::Relaxed);
         self.table_misses
             .fetch_add(s.table_misses, Ordering::Relaxed);
-        self.pair_hits.fetch_add(s.pair_hits, Ordering::Relaxed);
         self.pair_misses.fetch_add(s.pair_misses, Ordering::Relaxed);
         self.dp_fills.fetch_add(s.dp_fills, Ordering::Relaxed);
         self.dp_reallocs.fetch_add(s.dp_reallocs, Ordering::Relaxed);
     }
 }
 
+/// One table slot per (H, M) fragment pair, filled at most once.
+type Slots<T> = Box<[OnceLock<Box<T>>]>;
+
+fn empty_slots<T>(pairs: usize) -> Slots<T> {
+    (0..pairs).map(|_| OnceLock::new()).collect()
+}
+
 /// Shared, thread-safe score oracle over one instance.
 pub struct ScoreOracle<'a> {
     inst: &'a Instance,
-    tables: RwLock<HashMap<(FragId, FragId), Arc<IntervalTable>>>,
-    borders: RwLock<HashMap<(FragId, FragId), Arc<BorderTable>>>,
-    pairs: RwLock<HashMap<(Site, Site), (Score, Orient)>>,
-    /// Warm DP buffers, one checked out per cache miss. Workers in a
+    /// Interval tables of an H plug against an M container, indexed
+    /// by `ScoreOracle::slot`.
+    h_plugs: Slots<IntervalTable>,
+    /// Interval tables of an M plug against an H container.
+    m_plugs: Slots<IntervalTable>,
+    borders: Slots<BorderTable>,
+    /// Warm DP buffers, one checked out per pooled fill. Workers in a
     /// parallel sweep each pop their own workspace, so fills never
     /// serialise on this lock.
     workspaces: Mutex<Vec<DpWorkspace>>,
@@ -228,19 +230,20 @@ pub struct ScoreOracle<'a> {
     /// chain window fills) can trace without threading a parameter
     /// through every solver signature.
     trace: TraceHandle,
-    /// Hit/miss counters.
+    /// Fill counters.
     pub stats: OracleStats,
 }
 
 impl<'a> ScoreOracle<'a> {
-    /// Create an empty oracle for `inst` (empty caches, empty
-    /// workspace pool).
+    /// Create an oracle for `inst` with every slot empty and an empty
+    /// workspace pool.
     pub fn new(inst: &'a Instance) -> Self {
+        let pairs = inst.h.len() * inst.m.len();
         ScoreOracle {
             inst,
-            tables: RwLock::new(HashMap::new()),
-            borders: RwLock::new(HashMap::new()),
-            pairs: RwLock::new(HashMap::new()),
+            h_plugs: empty_slots(pairs),
+            m_plugs: empty_slots(pairs),
+            borders: empty_slots(pairs),
             workspaces: Mutex::new(Vec::new()),
             trace: TraceHandle::disabled(),
             stats: OracleStats::default(),
@@ -279,26 +282,14 @@ impl<'a> ScoreOracle<'a> {
     }
 
     /// Check a workspace out of the pool, run `f`, return it, and fold
-    /// its fill/realloc deltas into the oracle stats.
+    /// its fill and realloc deltas into the stats.
     pub(crate) fn with_pooled<R>(&self, f: impl FnOnce(&mut DpWorkspace) -> R) -> R {
-        self.lend(|ws| {
-            let fills0 = ws.fills();
-            let out = f(ws);
-            self.stats
-                .dp_fills
-                .fetch_add(ws.fills() - fills0, Ordering::Relaxed);
-            out
-        })
-    }
-
-    /// Check a workspace out of the pool, run `f`, and return it,
-    /// folding only its realloc delta into the stats: cache fills
-    /// count their DP fills when their insert wins (see
-    /// [`ScoreOracle::settle`]).
-    fn lend<R>(&self, f: impl FnOnce(&mut DpWorkspace) -> R) -> R {
         let mut ws = self.reclaim_workspace();
-        let reallocs0 = ws.reallocs();
+        let (fills0, reallocs0) = (ws.fills(), ws.reallocs());
         let out = f(&mut ws);
+        self.stats
+            .dp_fills
+            .fetch_add(ws.fills() - fills0, Ordering::Relaxed);
         self.stats
             .dp_reallocs
             .fetch_add(ws.reallocs() - reallocs0, Ordering::Relaxed);
@@ -306,50 +297,31 @@ impl<'a> ScoreOracle<'a> {
         out
     }
 
-    /// Publish a freshly filled cache entry: the first insert of a key
-    /// counts the miss and its `fills` DP fills; a fill that lost the
-    /// race to another thread counts a hit and returns the winner's
-    /// value (the module docs' counter contract).
-    fn settle<K: Eq + std::hash::Hash, V: Clone>(
-        &self,
-        cache: &RwLock<HashMap<K, V>>,
-        key: K,
-        value: V,
-        fills: u64,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> V {
-        match cache.write().entry(key) {
-            Entry::Occupied(won) => {
-                hits.fetch_add(1, Ordering::Relaxed);
-                won.get().clone()
-            }
-            Entry::Vacant(slot) => {
-                misses.fetch_add(1, Ordering::Relaxed);
-                self.stats.dp_fills.fetch_add(fills, Ordering::Relaxed);
-                slot.insert(value).clone()
-            }
-        }
+    /// The slot index `h · |M| + m` of H fragment `h` and M fragment
+    /// `m`. Panics on a pair outside the instance or of the wrong
+    /// species rather than alias another pair's slot.
+    fn slot(&self, h: FragId, m: FragId) -> usize {
+        assert!(
+            h.species == Species::H
+                && m.species == Species::M
+                && h.index < self.inst.h.len()
+                && m.index < self.inst.m.len(),
+            "{h:?}, {m:?} is no (H, M) fragment pair of the instance"
+        );
+        h.index * self.inst.m.len() + m.index
     }
 
-    /// Serve `key` from `cache`, or fill it through a pooled workspace
-    /// and publish it via [`ScoreOracle::settle`].
-    fn memo<K: Eq + std::hash::Hash, V: Clone>(
+    /// Read `slot`, or fill it through a pooled workspace and count
+    /// one `misses`. A concurrent reader waits for the fill.
+    fn fill_once<'s, T>(
         &self,
-        cache: &RwLock<HashMap<K, V>>,
-        key: K,
-        hits: &AtomicU64,
+        slot: &'s OnceLock<Box<T>>,
         misses: &AtomicU64,
-        fill: impl FnOnce(&mut DpWorkspace) -> V,
-    ) -> V {
-        if let Some(v) = cache.read().get(&key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        self.lend(|ws| {
-            let fills0 = ws.fills();
-            let value = fill(ws);
-            self.settle(cache, key, value, ws.fills() - fills0, hits, misses)
+        fill: impl FnOnce(&mut DpWorkspace) -> T,
+    ) -> &'s T {
+        slot.get_or_init(|| {
+            misses.fetch_add(1, Ordering::Relaxed);
+            Box::new(self.with_pooled(fill))
         })
     }
 
@@ -357,14 +329,15 @@ impl<'a> ScoreOracle<'a> {
     /// `container`. `plug` and `container` may be any two fragments of
     /// opposite species (either order); scores are computed with σ
     /// applied H-side-first.
-    pub fn interval_table(&self, plug: FragId, container: FragId) -> Arc<IntervalTable> {
-        self.memo(
-            &self.tables,
-            (plug, container),
-            &self.stats.table_hits,
-            &self.stats.table_misses,
-            |ws| Arc::new(self.build_table(plug, container, ws)),
-        )
+    pub fn interval_table(&self, plug: FragId, container: FragId) -> &IntervalTable {
+        let slot = if plug.species == Species::H {
+            &self.h_plugs[self.slot(plug, container)]
+        } else {
+            &self.m_plugs[self.slot(container, plug)]
+        };
+        self.fill_once(slot, &self.stats.table_misses, |ws| {
+            self.build_table(plug, container, ws)
+        })
     }
 
     fn build_table(&self, plug: FragId, container: FragId, ws: &mut DpWorkspace) -> IntervalTable {
@@ -396,17 +369,13 @@ impl<'a> ScoreOracle<'a> {
     }
 
     /// The border table of H fragment `h` and M fragment `m`: every
-    /// staircase of the pair, filled by one sweep on the first read.
-    /// Counts as a site-pair lookup: a build is one `pair_misses` and
-    /// its fills count in `dp_fills`; a read is one `pair_hits`.
-    pub fn border_table(&self, h: FragId, m: FragId) -> Arc<BorderTable> {
-        debug_assert!(h.species == Species::H && m.species == Species::M);
-        self.memo(
-            &self.borders,
-            (h, m),
-            &self.stats.pair_hits,
+    /// staircase of the pair, filled by one sweep on the first read,
+    /// which counts one `pair_misses` and adds its fills to `dp_fills`.
+    pub fn border_table(&self, h: FragId, m: FragId) -> &BorderTable {
+        self.fill_once(
+            &self.borders[self.slot(h, m)],
             &self.stats.pair_misses,
-            |ws| Arc::new(self.build_border_table(h, m, ws)),
+            |ws| self.build_border_table(h, m, ws),
         )
     }
 
@@ -435,22 +404,18 @@ impl<'a> ScoreOracle<'a> {
         }
     }
 
-    /// `MS(h̄, m̄)` with memoisation. `h` must be an H-species site and
-    /// `m` an M-species site.
+    /// `MS(h̄, m̄)` with free orientation, computed on every call: one
+    /// `pair_misses` and its DP fills. `h` must be an H-species site
+    /// and `m` an M-species site.
     pub fn ms(&self, h: Site, m: Site) -> (Score, Orient) {
-        self.memo(
-            &self.pairs,
-            (h, m),
-            &self.stats.pair_hits,
-            &self.stats.pair_misses,
-            |ws| {
-                ws.ms_words(
-                    &self.inst.sigma,
-                    self.inst.site_word(h),
-                    self.inst.site_word(m),
-                )
-            },
-        )
+        self.stats.pair_misses.fetch_add(1, Ordering::Relaxed);
+        self.with_pooled(|ws| {
+            ws.ms_words(
+                &self.inst.sigma,
+                self.inst.site_word(h),
+                self.inst.site_word(m),
+            )
+        })
     }
 }
 
@@ -509,15 +474,41 @@ mod tests {
     fn caches_hit_on_repeat() {
         let inst = paper_example();
         let oracle = ScoreOracle::new(&inst);
-        let _ = oracle.interval_table(FragId::h(0), FragId::m(0));
-        let _ = oracle.interval_table(FragId::h(0), FragId::m(0));
-        assert_eq!(oracle.stats.table_misses.load(Ordering::Relaxed), 1);
-        assert_eq!(oracle.stats.table_hits.load(Ordering::Relaxed), 1);
+        let t1 = oracle.interval_table(FragId::h(0), FragId::m(0));
+        let t2 = oracle.interval_table(FragId::h(0), FragId::m(0));
+        assert!(std::ptr::eq(t1, t2), "a repeat read refilled the slot");
+        // The M-plug direction of the same pair has a slot of its own.
+        let _ = oracle.interval_table(FragId::m(0), FragId::h(0));
+        assert_eq!(oracle.stats.table_misses.load(Ordering::Relaxed), 2);
+        // Site pairs are not cached: every `ms` call computes and counts.
         let s1 = oracle.ms(Site::new(FragId::h(0), 0, 2), Site::new(FragId::m(0), 0, 2));
         let s2 = oracle.ms(Site::new(FragId::h(0), 0, 2), Site::new(FragId::m(0), 0, 2));
         assert_eq!(s1, s2);
-        assert_eq!(oracle.stats.pair_misses.load(Ordering::Relaxed), 1);
-        assert_eq!(oracle.stats.pair_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(oracle.stats.pair_misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn slots_take_48_bytes_per_fragment_pair() {
+        // The figure the module docs state: three slots per (H, M) pair.
+        let slot = std::mem::size_of::<OnceLock<Box<IntervalTable>>>();
+        assert_eq!(slot, std::mem::size_of::<OnceLock<Box<BorderTable>>>());
+        assert_eq!(3 * slot, 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "no (H, M) fragment pair")]
+    fn a_key_outside_the_instance_panics() {
+        let inst = paper_example();
+        // m(2) does not exist: its slot index would be (h(1), m(0))'s.
+        let _ = ScoreOracle::new(&inst).interval_table(FragId::h(0), FragId::m(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no (H, M) fragment pair")]
+    fn a_key_of_the_wrong_species_panics() {
+        let inst = paper_example();
+        let _ = ScoreOracle::new(&inst).border_table(FragId::m(0), FragId::h(0));
     }
 
     #[test]
@@ -533,9 +524,9 @@ mod tests {
         );
         // A full site is no staircase.
         assert_eq!(t.staircase(Site::full(h1, 3), Site::new(m2, 0, 1)), None);
-        let _ = oracle.border_table(h1, m2);
+        assert!(std::ptr::eq(t, oracle.border_table(h1, m2)));
         let s = oracle.stats.snapshot();
-        assert_eq!((s.pair_misses, s.pair_hits, s.table_misses), (1, 1, 0));
+        assert_eq!((s.pair_misses, s.table_misses), (1, 0));
         assert_eq!(s.dp_fills, 4 * 2, "one fill per H length per end pair");
         // h2 = ⟨d⟩ has no border site: an empty table, no fill.
         let empty = oracle.border_table(FragId::h(1), m2);

@@ -1,9 +1,11 @@
 //! Hammer one shared `ScoreOracle` from many threads: interval tables,
-//! border tables and site pairs must be stable (no torn cache fills
-//! under the `parking_lot` shim), the hit/miss counters coherent, and
-//! the miss and fill counters must repeat a one-thread run's exactly: a
-//! fill that loses an insert race counts as a hit and adds no DP fills.
+//! border tables and site pairs must equal an uncontended oracle's,
+//! every slot must be filled once (a repeat read returns the same
+//! table), and the miss and fill counters must repeat a one-thread
+//! run's exactly: one miss per distinct key, plus one pair miss and its
+//! fills per `ms` call, which is never cached.
 
+use fragalign_align::oracle::IntervalTable;
 use fragalign_align::{BorderTable, ScoreOracle};
 use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Sym};
 use std::sync::atomic::Ordering;
@@ -66,122 +68,152 @@ fn staircases(
     out
 }
 
+/// Every (H, M) fragment pair of `inst`.
+fn pairs(inst: &Instance) -> Vec<(FragId, FragId)> {
+    inst.frag_ids(fragalign_model::Species::H)
+        .flat_map(|h| {
+            inst.frag_ids(fragalign_model::Species::M)
+                .map(move |m| (h, m))
+        })
+        .collect()
+}
+
+/// Every interval score of an interval table.
+fn intervals(table: &IntervalTable) -> Vec<(i64, Orient)> {
+    let n = table.len();
+    (0..=n)
+        .flat_map(|d| (d..=n).map(move |e| (d, e)))
+        .map(|(d, e)| table.get(d, e))
+        .collect()
+}
+
+/// One pair's interval tables (H plug, M plug) and border table.
+type Tables<'o> = ([&'o IntervalTable; 2], &'o BorderTable);
+
+/// Whether two reads of one pair returned the very same tables.
+fn same_tables(a: Tables<'_>, b: Tables<'_>) -> bool {
+    std::ptr::eq(a.0[0], b.0[0]) && std::ptr::eq(a.0[1], b.0[1]) && std::ptr::eq(a.1, b.1)
+}
+
+/// DP fills of one `ms(h, m)` call on a fresh oracle.
+fn ms_fills(inst: &Instance, h: Site, m: Site) -> u64 {
+    let oracle = ScoreOracle::new(inst);
+    oracle.ms(h, m);
+    oracle.stats.dp_fills.load(Ordering::Relaxed)
+}
+
 #[test]
 fn concurrent_queries_are_stable_and_counters_coherent() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 40;
 
     let inst = contended_instance();
-    // Reference answers from an uncontended oracle.
+    // Reference answers from an uncontended oracle, tables only.
     let reference = ScoreOracle::new(&inst);
-    let queries: Vec<(FragId, FragId)> = inst
-        .frag_ids(fragalign_model::Species::H)
-        .flat_map(|h| {
-            inst.frag_ids(fragalign_model::Species::M)
-                .map(move |m| (h, m))
-        })
-        .collect();
-    let expected_tables: Vec<Vec<(i64, Orient)>> = queries
+    let queries = pairs(&inst);
+    // Interval tables in both plug directions, per (H, M) pair.
+    let expected_tables: Vec<[Vec<(i64, Orient)>; 2]> = queries
         .iter()
         .map(|&(h, m)| {
-            let t = reference.interval_table(h, m);
-            let n = inst.frag_len(m);
-            (0..=n)
-                .flat_map(|d| (d..=n).map(move |e| (d, e)))
-                .map(|(d, e)| t.get(d, e))
-                .collect()
+            [
+                intervals(reference.interval_table(h, m)),
+                intervals(reference.interval_table(m, h)),
+            ]
         })
         .collect();
     let expected_borders: Vec<Vec<Option<(i64, Orient)>>> = queries
         .iter()
-        .map(|&(h, m)| staircases(&inst, &reference.border_table(h, m), h, m))
+        .map(|&(h, m)| staircases(&inst, reference.border_table(h, m), h, m))
         .collect();
     let h_site = Site::full(FragId::h(0), inst.frag_len(FragId::h(0)));
     let m_site = Site::full(FragId::m(1), inst.frag_len(FragId::m(1)));
     let expected_ms = reference.ms(h_site, m_site);
+    let table_fills =
+        reference.stats.dp_fills.load(Ordering::Relaxed) - ms_fills(&inst, h_site, m_site);
 
     let oracle = ScoreOracle::new(&inst);
-    std::thread::scope(|scope| {
-        for worker in 0..THREADS {
-            let oracle = &oracle;
-            let queries = &queries;
-            let expected_tables = &expected_tables;
-            let expected_borders = &expected_borders;
-            let inst = &inst;
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    // Stagger start offsets so threads collide on
-                    // different keys each round.
-                    let shift = (worker + round) % queries.len();
-                    for idx in 0..queries.len() {
-                        let slot = (idx + shift) % queries.len();
-                        let (h, m) = queries[slot];
-                        assert_eq!(
-                            staircases(inst, &oracle.border_table(h, m), h, m),
-                            expected_borders[slot],
-                            "torn border table for {h:?}/{m:?}"
-                        );
-                        let table = oracle.interval_table(h, m);
-                        let n = inst.frag_len(m);
-                        let got: Vec<(i64, Orient)> = (0..=n)
-                            .flat_map(|d| (d..=n).map(move |e| (d, e)))
-                            .map(|(d, e)| table.get(d, e))
-                            .collect();
-                        assert_eq!(
-                            got, expected_tables[slot],
-                            "torn interval table for {h:?}/{m:?}"
-                        );
+    // Every thread starts its reads at once, so first reads collide.
+    let start = std::sync::Barrier::new(THREADS);
+    let seen: Vec<Vec<Tables>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|worker| {
+                let (oracle, queries, inst, start) = (&oracle, &queries, &inst, &start);
+                let (expected_tables, expected_borders) = (&expected_tables, &expected_borders);
+                scope.spawn(move || {
+                    // The tables this thread read in its first round.
+                    let mut first: Vec<Option<Tables>> = vec![None; queries.len()];
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        // Stagger start offsets so threads collide on
+                        // different keys each round.
+                        let shift = (worker + round) % queries.len();
+                        for idx in 0..queries.len() {
+                            let slot = (idx + shift) % queries.len();
+                            let (h, m) = queries[slot];
+                            let border = oracle.border_table(h, m);
+                            assert_eq!(
+                                staircases(inst, border, h, m),
+                                expected_borders[slot],
+                                "torn border table for {h:?}/{m:?}"
+                            );
+                            let tables = [oracle.interval_table(h, m), oracle.interval_table(m, h)];
+                            assert_eq!(
+                                tables.map(intervals),
+                                expected_tables[slot],
+                                "torn interval table for {h:?}/{m:?}"
+                            );
+                            let read = (tables, border);
+                            let first = *first[slot].get_or_insert(read);
+                            assert!(
+                                same_tables(first, read),
+                                "a slot of {h:?}/{m:?} was filled twice"
+                            );
+                        }
+                        assert_eq!(oracle.ms(h_site, m_site), expected_ms);
                     }
-                    assert_eq!(oracle.ms(h_site, m_site), expected_ms);
-                }
-            });
-        }
+                    first.into_iter().map(Option::unwrap).collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
 
-    // Counter coherence: every lookup is either a hit or a miss.
-    let table_lookups = (THREADS * ROUNDS * queries.len()) as u64;
-    let hits = oracle.stats.table_hits.load(Ordering::Relaxed);
-    let misses = oracle.stats.table_misses.load(Ordering::Relaxed);
-    assert_eq!(hits + misses, table_lookups, "table lookups miscounted");
-    // Racing threads may both fill a key, but only the winning insert
-    // counts as a miss: misses are the distinct keys.
+    // Every thread read the one table each slot holds.
+    for (slot, &(h, m)) in queries.iter().enumerate() {
+        let tables = [oracle.interval_table(h, m), oracle.interval_table(m, h)];
+        let read = (tables, oracle.border_table(h, m));
+        assert!(seen.iter().all(|thread| same_tables(thread[slot], read)));
+    }
+
+    // One miss per distinct key: two interval tables and one border
+    // table per (H, M) pair. Every `ms` call adds a pair miss.
+    let ms_calls = (THREADS * ROUNDS) as u64;
+    let s = oracle.stats.snapshot();
     assert_eq!(
-        misses,
-        queries.len() as u64,
+        s.table_misses,
+        2 * queries.len() as u64,
         "table misses != distinct keys"
     );
-
-    // Site pairs and border tables share the pair counters: one
-    // site-pair key plus one border table per (H, M) pair, each read
-    // once per round.
-    let pair_lookups = (THREADS * ROUNDS * (1 + queries.len())) as u64;
-    let pair_hits = oracle.stats.pair_hits.load(Ordering::Relaxed);
-    let pair_misses = oracle.stats.pair_misses.load(Ordering::Relaxed);
     assert_eq!(
-        pair_hits + pair_misses,
-        pair_lookups,
-        "pair lookups miscounted"
-    );
-    assert_eq!(
-        pair_misses,
-        1 + queries.len() as u64,
-        "pair misses != distinct keys"
+        s.pair_misses - ms_calls,
+        queries.len() as u64,
+        "border-table misses != distinct keys"
     );
 
     // Workspace accounting: the fills are the one-thread reference's
-    // (same distinct keys), and with pooling on, buffer growth stays
-    // far below the fill count.
-    let fills = oracle.stats.dp_fills.load(Ordering::Relaxed);
-    let reallocs = oracle.stats.dp_reallocs.load(Ordering::Relaxed);
-    assert!(fills > 0, "misses must run DP fills");
+    // tables plus every `ms` call's, and with pooling on, buffer growth
+    // stays far below the fill count.
+    assert!(s.dp_fills > 0, "misses must run DP fills");
     assert_eq!(
-        fills,
-        reference.stats.dp_fills.load(Ordering::Relaxed),
+        s.dp_fills,
+        table_fills + ms_calls * ms_fills(&inst, h_site, m_site),
         "dp_fills differ from a one-thread run's"
     );
     assert!(
-        reallocs <= (THREADS * 4) as u64,
-        "pooled workspaces re-allocated {reallocs} times over {fills} fills"
+        s.dp_reallocs <= (THREADS * 4) as u64,
+        "pooled workspaces re-allocated {} times over {} fills",
+        s.dp_reallocs,
+        s.dp_fills
     );
 }
 
@@ -196,23 +228,10 @@ fn rayon_pool_hammer_matches_uncontended_oracle() {
 
     let inst = contended_instance();
     let reference = ScoreOracle::new(&inst);
-    let queries: Vec<(FragId, FragId)> = inst
-        .frag_ids(fragalign_model::Species::H)
-        .flat_map(|h| {
-            inst.frag_ids(fragalign_model::Species::M)
-                .map(move |m| (h, m))
-        })
-        .collect();
+    let queries = pairs(&inst);
     let expected: Vec<Vec<(i64, Orient)>> = queries
         .iter()
-        .map(|&(h, m)| {
-            let t = reference.interval_table(h, m);
-            let n = inst.frag_len(m);
-            (0..=n)
-                .flat_map(|d| (d..=n).map(move |e| (d, e)))
-                .map(|(d, e)| t.get(d, e))
-                .collect()
-        })
+        .map(|&(h, m)| intervals(reference.interval_table(h, m)))
         .collect();
 
     for threads in [2, 8] {
@@ -223,29 +242,30 @@ fn rayon_pool_hammer_matches_uncontended_oracle() {
         let oracle = ScoreOracle::new(&inst);
         pool.install(|| {
             // 64 hammer tasks per width, each walking every query with
-            // a different stagger so workers collide on different keys.
+            // a different stagger so workers race to fill different
+            // keys.
             (0..64usize).into_par_iter().for_each(|shift| {
                 for idx in 0..queries.len() {
                     let slot = (idx + shift) % queries.len();
                     let (h, m) = queries[slot];
                     let table = oracle.interval_table(h, m);
-                    let n = inst.frag_len(m);
-                    let got: Vec<(i64, Orient)> = (0..=n)
-                        .flat_map(|d| (d..=n).map(move |e| (d, e)))
-                        .map(|(d, e)| table.get(d, e))
-                        .collect();
-                    assert_eq!(got, expected[slot], "torn table for {h:?}/{m:?}");
+                    assert_eq!(
+                        intervals(table),
+                        expected[slot],
+                        "torn table for {h:?}/{m:?}"
+                    );
+                    assert!(
+                        std::ptr::eq(table, oracle.interval_table(h, m)),
+                        "a slot of {h:?}/{m:?} was filled twice"
+                    );
                 }
             });
         });
-        // Counter coherence holds under the pool too, and the miss
-        // and fill counts repeat the one-thread reference's.
-        let hits = oracle.stats.table_hits.load(Ordering::Relaxed);
-        let misses = oracle.stats.table_misses.load(Ordering::Relaxed);
-        assert_eq!(hits + misses, (64 * queries.len()) as u64);
-        assert_eq!(misses, queries.len() as u64, "{threads} threads");
+        // The miss and fill counts repeat the one-thread reference's.
+        let s = oracle.stats.snapshot();
+        assert_eq!(s.table_misses, queries.len() as u64, "{threads} threads");
         assert_eq!(
-            oracle.stats.dp_fills.load(Ordering::Relaxed),
+            s.dp_fills,
             reference.stats.dp_fills.load(Ordering::Relaxed),
             "{threads} threads"
         );

@@ -331,8 +331,8 @@ fn shrinking_buffers_never_leak_stale_tails() {
 /// for: for each ordered (plug, container) pair of opposite species
 /// and each `d < e`, `interval_table(plug, container).get(d, e)` is
 /// `ms` of (whole plug, `container[d, e)`) in score and orientation.
-/// The improvement driver scores plugs from the table instead of the
-/// site-pair cache, so the two must never disagree.
+/// The improvement driver scores plugs from the table instead of
+/// `ms`, so the two must never disagree.
 fn assert_tables_match_site_pairs(label: &str, inst: &Instance) {
     let tables = ScoreOracle::new(inst);
     let pairs = ScoreOracle::new(inst);

@@ -12,29 +12,28 @@ use fragalign_align::ScoreOracle;
 use fragalign_matching::{max_weight_matching, WeightMatrix};
 use fragalign_model::{FragId, Match, MatchSet, Site};
 
-/// The Lemma 9 algorithm. Returns full–full matches only. The
-/// full-fragment `MS` weights fill through the oracle's pooled
-/// workspaces (and are memoised for the second pass).
+/// The Lemma 9 algorithm. Returns full–full matches only. Each
+/// whole-fragment pair is scored once, through the oracle's pooled
+/// workspaces ([`ScoreOracle::ms`]), and its orientation is kept for
+/// the matched pairs.
 pub fn border_matching_2approx(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
+    let full_h = |i: usize| Site::full(FragId::h(i), inst.h[i].len());
+    let full_m = |j: usize| Site::full(FragId::m(j), inst.m[j].len());
     let mut w = WeightMatrix::new(inst.h.len(), inst.m.len());
-    for (i, hf) in inst.h.iter().enumerate() {
-        for (j, mf) in inst.m.iter().enumerate() {
-            let (score, _) = oracle.ms(
-                Site::full(FragId::h(i), hf.len()),
-                Site::full(FragId::m(j), mf.len()),
-            );
+    let mut orients = Vec::with_capacity(inst.h.len() * inst.m.len());
+    for i in 0..inst.h.len() {
+        for j in 0..inst.m.len() {
+            let (score, orient) = oracle.ms(full_h(i), full_m(j));
             w.set(i, j, score);
+            orients.push(orient);
         }
     }
     let matching = max_weight_matching(&w);
     let mut out = MatchSet::new();
     for (i, j, score) in matching.pairs {
-        let h = Site::full(FragId::h(i), inst.h[i].len());
-        let m = Site::full(FragId::m(j), inst.m[j].len());
-        let (ms, orient) = oracle.ms(h, m);
-        debug_assert_eq!(ms, score);
-        out.push(Match::new(h, m, orient, score));
+        let orient = orients[i * inst.m.len() + j];
+        out.push(Match::new(full_h(i), full_m(j), orient, score));
     }
     out
 }

@@ -184,7 +184,8 @@ pub struct SolveReport {
     pub dp_reallocs: u64,
     /// Interval tables computed.
     pub table_misses: u64,
-    /// Border tables and site-pair scores computed.
+    /// Border tables computed (one per fragment pair), plus
+    /// free-orientation site-pair scores (`ScoreOracle::ms` calls).
     pub pair_misses: u64,
     /// Wall-clock seconds of the solve call.
     pub wall_secs: f64,

@@ -1,11 +1,11 @@
 //! Offline shim of the `parking_lot` API surface used by this
-//! workspace (see `shims/README.md`): `Mutex` and `RwLock` with the
-//! parking_lot calling convention (no poisoning, guards returned
-//! directly), layered over `std::sync`. A poisoned std lock only
-//! arises after a panic mid-critical-section, at which point the test
-//! run has already failed, so unwrapping is sound here.
+//! workspace (see `shims/README.md`): `Mutex` with the parking_lot
+//! calling convention (no poisoning, the guard returned directly),
+//! layered over `std::sync`. A poisoned std lock only arises after a
+//! panic mid-critical-section, at which point the test run has already
+//! failed, so unwrapping is sound here.
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
@@ -35,50 +35,9 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader–writer lock whose `read`/`write` return guards directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Wrap `value` in a new lock.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rwlock_read_write() {
-        let lock = RwLock::new(1);
-        assert_eq!(*lock.read(), 1);
-        *lock.write() += 1;
-        assert_eq!(*lock.read(), 2);
-    }
 
     #[test]
     fn mutex_guards_directly() {
