@@ -46,6 +46,9 @@ pub(crate) struct Conn<S> {
     /// a request boundary.
     buf: Vec<u8>,
     buf_pos: usize,
+    /// How far framing got in `buf[buf_pos..]`, so a request dribbled
+    /// in small reads is not rescanned on every one.
+    framing: http::Framing,
     /// Outbound bytes the stream has not taken yet (responses and
     /// interim 100s), written by [`Conn::flush`] as the stream drains.
     out: Vec<u8>,
@@ -108,6 +111,7 @@ impl<S: Read + Write> Conn<S> {
             state: Arc::clone(state),
             buf: Vec::new(),
             buf_pos: 0,
+            framing: http::Framing::default(),
             out: Vec::new(),
             out_pos: 0,
             close_after_write: false,
@@ -254,7 +258,7 @@ impl<S: Read + Write> Conn<S> {
             }
         }
 
-        let parsed = http::try_parse(&self.buf[self.buf_pos..], max_body);
+        let parsed = self.framing.parse(&self.buf[self.buf_pos..], max_body);
         // A request that asked for an interim 100 gets exactly one,
         // queued as soon as its head has arrived: before its body when
         // the client waits for it, and always ahead of its final
@@ -858,5 +862,59 @@ mod tests {
                 prop_assert_eq!(run.dispatched.len(), answerable);
             }
         }
+    }
+
+    /// A request dribbled one byte per read is framed in time linear in
+    /// its bytes: the head search resumes where it stopped (each read
+    /// searches its byte plus the three a terminator could straddle),
+    /// and a parsed head is parsed once more, when its body is whole,
+    /// not once per body byte. A pipelined request behind it starts
+    /// afresh.
+    #[test]
+    fn a_dribbled_request_is_framed_in_time_linear_in_its_bytes() {
+        const BODY: usize = 8 * 1024;
+        let cfg = ServeConfig {
+            max_body_bytes: BODY,
+            ..ServeConfig::default()
+        };
+        let state = Arc::new(ServeState::new(&cfg).expect("the default solver is registered"));
+        let pad = "p".repeat(4 * 1024);
+        let post = format!(
+            "POST /r/0 HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\nContent-Length: {BODY}\r\n\r\n{}",
+            "b".repeat(BODY)
+        );
+        let bytes = post + "GET /r/1 HTTP/1.1\r\nHost: t\r\n\r\n";
+        let script = Script {
+            input: VecDeque::new(),
+            eof: false,
+            caps: VecDeque::new(),
+            output: Vec::new(),
+            moved: 0,
+        };
+        let now = Instant::now();
+        let mut conn = Conn::new(script, &state, false, now);
+        let mut got = Vec::new();
+        for &byte in bytes.as_bytes() {
+            conn.stream.input.push_back(Step::Go(vec![byte]));
+            match conn.pump(now) {
+                Pump::Keep => {}
+                Pump::Dispatch(request) => {
+                    got.push((request.path, request.body.len()));
+                    conn.respond(&Reply::json(200, "{}".into()), true);
+                }
+                Pump::Close => panic!("closed mid-request"),
+            }
+        }
+        assert_eq!(got, [("/r/0".to_string(), BODY), ("/r/1".to_string(), 0)]);
+        let (searched, heads) = conn.framing.cost;
+        assert!(
+            searched <= 4 * bytes.len(),
+            "searched {searched} bytes for the heads of {} dribbled bytes",
+            bytes.len()
+        );
+        assert_eq!(
+            heads, 3,
+            "the POST head twice (head, then whole), the GET head once"
+        );
     }
 }

@@ -10,10 +10,12 @@
 //! and the interim `100 Continue` that `Expect: 100-continue` asks for
 //! (`curl` sends it for large instance uploads) belong to the server's
 //! connection machine, the one caller that turns stream bytes into
-//! requests. Keep-alive follows HTTP/1.1 semantics (persistent by
-//! default, `Connection: close` honoured both ways, HTTP/1.0 closes
-//! unless `keep-alive` is asked for). Chunked transfer encoding is
-//! refused with `501`.
+//! requests; it frames through a crate-private `Framing`, which is
+//! [`try_parse`] resumed where its last call stopped, so a request
+//! costs time linear in its bytes however they arrive. Keep-alive
+//! follows HTTP/1.1 semantics (persistent by default, `Connection:
+//! close` honoured both ways, HTTP/1.0 closes unless `keep-alive` is
+//! asked for). Chunked transfer encoding is refused with `501`.
 
 /// Hard cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 32 * 1024;
@@ -108,25 +110,94 @@ pub enum Parse {
 /// the mapped status and closes, because after a framing error the
 /// byte stream can no longer be trusted to delimit requests.
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::Malformed(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
-        return Ok(Parse::Incomplete {
-            needs_continue: false,
-        });
-    };
-    // The cap holds however the head arrived, so every request this
-    // parser accepts fits in `MAX_HEAD_BYTES` plus its body.
-    if head_end > MAX_HEAD_BYTES {
-        return Err(RequestError::Malformed(format!(
-            "request head exceeds {MAX_HEAD_BYTES} bytes"
-        )));
-    }
+    Framing::default().parse(buf, max_body)
+}
 
-    let head = std::str::from_utf8(&buf[..head_end])
+/// [`try_parse`] that resumes where its last call stopped, so framing
+/// a request costs time linear in its bytes however they arrive: the
+/// head search restarts where it ended, and once the head has parsed,
+/// nothing is parsed again until the request's full length is there.
+/// Each call must see the bytes of the previous one plus any that
+/// arrived since; a `Ready` starts the next request afresh.
+#[derive(Debug, Default)]
+pub(crate) struct Framing {
+    /// Bytes at the front already searched for the head's end, less the
+    /// three a terminator could straddle.
+    searched: usize,
+    /// The parsed head of a request whose body is still arriving: where
+    /// it ends, the request's full length, and its 100-continue ask.
+    head: Option<(usize, usize, bool)>,
+    /// Work done so far, which the connection machine's linear-framing
+    /// test bounds: bytes searched for a head's end, heads parsed.
+    #[cfg(test)]
+    pub(crate) cost: (usize, usize),
+}
+
+impl Framing {
+    /// Frame the request at the front of `buf`, as [`try_parse`] does.
+    pub(crate) fn parse(&mut self, buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
+        let head_end = match self.head {
+            Some((_, len, needs_continue)) if buf.len() < len => {
+                return Ok(Parse::Incomplete { needs_continue })
+            }
+            Some((head_end, ..)) => head_end,
+            None => {
+                #[cfg(test)]
+                {
+                    self.cost.0 += buf.len() - self.searched;
+                }
+                let found = buf[self.searched..]
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n");
+                let Some(at) = found else {
+                    self.searched = buf.len().saturating_sub(3);
+                    if buf.len() > MAX_HEAD_BYTES {
+                        return Err(head_too_long());
+                    }
+                    return Ok(Parse::Incomplete {
+                        needs_continue: false,
+                    });
+                };
+                self.searched + at
+            }
+        };
+        // The cap holds however the head arrived, so every request this
+        // parser accepts fits in `MAX_HEAD_BYTES` plus its body.
+        if head_end > MAX_HEAD_BYTES {
+            return Err(head_too_long());
+        }
+        #[cfg(test)]
+        {
+            self.cost.1 += 1;
+        }
+        let (mut request, len) = parse_head(&buf[..head_end], max_body)?;
+        if buf.len() < len {
+            self.head = Some((head_end, len, request.expect_continue));
+            return Ok(Parse::Incomplete {
+                needs_continue: request.expect_continue,
+            });
+        }
+        (self.searched, self.head) = (0, None);
+        // Bytes past the body belong to the next pipelined request — the
+        // caller keeps them in its buffer.
+        request.body = String::from_utf8(buf[head_end + 4..len].to_vec())
+            .map_err(|_| RequestError::Malformed("request body is not UTF-8".into()))?;
+        Ok(Parse::Ready {
+            request,
+            consumed: len,
+        })
+    }
+}
+
+fn head_too_long() -> RequestError {
+    RequestError::Malformed(format!("request head exceeds {MAX_HEAD_BYTES} bytes"))
+}
+
+/// The request a complete `head` (up to its blank line) announces, with
+/// an empty body, and the length of the whole request: head, blank line
+/// and body.
+fn parse_head(head: &[u8], max_body: usize) -> Result<(Request, usize), RequestError> {
+    let head = std::str::from_utf8(head)
         .map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))?;
     let mut lines = head.split("\r\n");
     let request_line = lines
@@ -237,22 +308,7 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
             .header("expect")
             .is_some_and(|v| v.to_ascii_lowercase().contains("100-continue"));
 
-    let body_start = head_end + 4;
-    if buf.len() - body_start < content_length {
-        return Ok(Parse::Incomplete {
-            needs_continue: request.expect_continue,
-        });
-    }
-    // Bytes past the body belong to the next pipelined request — the
-    // caller keeps them in its buffer.
-    let consumed = body_start + content_length;
-    request.body = String::from_utf8(buf[body_start..consumed].to_vec())
-        .map_err(|_| RequestError::Malformed("request body is not UTF-8".into()))?;
-    Ok(Parse::Ready { request, consumed })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    Ok((request, head.len() + 4 + content_length))
 }
 
 /// The canonical reason phrase for the status codes this service emits.

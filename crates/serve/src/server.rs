@@ -12,8 +12,9 @@
 //! for — readability, writability alone (it owes output, and reads
 //! nothing until that has left), or nothing because it idled out and
 //! closes — and pumps the ready ones: a pump writes what is owed, reads
-//! what has arrived and feeds it through [`crate::http::try_parse`]
-//! until a full request materialises, which the loop hands with its
+//! what has arrived and frames it as [`crate::http::try_parse`] does,
+//! resuming where the last pump stopped, until a full request
+//! materialises, which the loop hands with its
 //! connection to the bounded worker queue. A connection therefore
 //! occupies a worker thread only while a fully-parsed request is being
 //! solved — thousands of idle keep-alive connections cost zero threads,
