@@ -4,15 +4,24 @@
 //! score, committed rounds, attempts and interval tables filled of
 //! every run. Changes to the attempt path (site preparation, plugging,
 //! the TPA refill) or to how staircases are scored must leave
-//! `tests/golden/improve.txt` untouched. Re-bless with `BLESS=1 cargo
-//! test -p fragalign --test improve_golden` only when a change is meant
-//! to alter results.
+//! `tests/golden/improve.txt` untouched.
+//!
+//! Beside it, `tests/golden/layout.txt` pins the solvers that lay a
+//! conjecture pair out and derive their matches from it (`four`,
+//! `chain`, `exact`) and the 1-CSR reduction that `four` runs on each
+//! side (`one-csr`), over the same instances plus three single-M sims.
+//! Each header also carries the run's border-table misses and DP
+//! fills; a solver that refuses an instance writes `unsupported`.
+//!
+//! Re-bless with `BLESS=1 cargo test -p fragalign --test
+//! improve_golden` only when a change is meant to alter results.
 
 use fragalign::model::Instance;
 use fragalign::prelude::*;
 use std::fmt::Write as _;
 
 const SOLVERS: [&str; 4] = ["full", "csr", "border", "greedy"];
+const LAYOUT_SOLVERS: [&str; 4] = ["four", "chain", "exact", "one-csr"];
 
 fn clean(regions: usize, h_frags: usize, m_frags: usize, spurious: usize, seed: u64) -> Instance {
     generate(&SimConfig {
@@ -66,6 +75,17 @@ fn instances() -> Vec<(String, Instance)> {
     out
 }
 
+/// Clean sims with a single M fragment, where `one-csr` applies.
+fn single_m_instances() -> Vec<(String, Instance)> {
+    [(16, 3, 7u64), (24, 4, 31), (30, 5, 77)]
+        .into_iter()
+        .map(|(regions, h_frags, seed)| {
+            let label = format!("clean{regions}-{h_frags}x1-s{seed}");
+            (label, clean(regions, h_frags, 1, 2, seed))
+        })
+        .collect()
+}
+
 fn site(s: Site) -> String {
     let species = match s.frag.species {
         Species::H => 'H',
@@ -74,24 +94,31 @@ fn site(s: Site) -> String {
     format!("{species}{}[{}..{})", s.frag.index, s.lo, s.hi)
 }
 
-fn render() -> String {
+/// Every solver of `solvers` on every instance: a header line of the
+/// score and the counters `header` picks, then the match list.
+fn render(
+    instances: &[(String, Instance)],
+    solvers: &[&str],
+    header: fn(&SolveReport) -> String,
+) -> String {
     let mut out = String::new();
-    for (label, inst) in instances() {
-        for solver in SOLVERS {
+    for (label, inst) in instances {
+        for &solver in solvers {
             let mut ws = DpWorkspace::new();
-            let (run, r) = solve_single_traced(
-                &inst,
+            let (run, r) = match solve_single_traced(
+                inst,
                 &BatchOptions::new(solver),
                 &mut ws,
                 TraceHandle::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("{solver} on {label}: {e}"));
-            writeln!(
-                out,
-                "{label} {solver}: score {} rounds {} attempts {} table_misses {} matches {}",
-                r.score, r.rounds, r.attempts, r.table_misses, r.matches
-            )
-            .unwrap();
+            ) {
+                Ok(done) => done,
+                Err(EngineError::Unsupported { .. }) => {
+                    writeln!(out, "{label} {solver}: unsupported").unwrap();
+                    continue;
+                }
+                Err(e) => panic!("{solver} on {label}: {e}"),
+            };
+            writeln!(out, "{label} {solver}: {}", header(&r)).unwrap();
             for (_, m) in run.matches.iter() {
                 writeln!(
                     out,
@@ -108,15 +135,40 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn improvement_results_match_the_golden() {
-    let got = render();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/improve.txt");
+/// Compare `got` with the golden file `name`, or bless it under
+/// `BLESS=1`.
+fn check_golden(name: &str, got: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
     if std::env::var("BLESS").is_ok() {
-        std::fs::write(&path, &got).expect("bless golden");
+        std::fs::write(&path, got).expect("bless golden");
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {} (run with BLESS=1): {e}", path.display()));
-    assert_eq!(got, golden, "improvement results drifted from the golden");
+    assert_eq!(got, golden, "{name} drifted from the golden");
+}
+
+#[test]
+fn improvement_results_match_the_golden() {
+    let got = render(&instances(), &SOLVERS, |r| {
+        format!(
+            "score {} rounds {} attempts {} table_misses {} matches {}",
+            r.score, r.rounds, r.attempts, r.table_misses, r.matches
+        )
+    });
+    check_golden("improve.txt", &got);
+}
+
+#[test]
+fn layout_results_match_the_golden() {
+    let mut all = instances();
+    all.extend(single_m_instances());
+    let got = render(&all, &LAYOUT_SOLVERS, |r| {
+        format!(
+            "score {} rounds {} attempts {} table_misses {} pair_misses {} dp_fills {} matches {}",
+            r.score, r.rounds, r.attempts, r.table_misses, r.pair_misses, r.dp_fills, r.matches
+        )
+    });
+    check_golden("layout.txt", &got);
 }
