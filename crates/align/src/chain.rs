@@ -29,10 +29,10 @@
 //!    `margin` regions into the gaps between them.
 //! 5. **Windowed DP** — the existing `P_score` kernel with traceback
 //!    ([`crate::DpWorkspace::align_words`]) runs *only inside each window* —
-//!    the window is the band — and the columns stream through a
-//!    [`PairAssembler`] exactly like the factor-4 materialisation, so
-//!    the result is a consistent [`MatchSet`] by construction
-//!    (Definition 2 / Remark 1).
+//!    the window is the band — and [`lay_windows`], the layout the
+//!    factor-4 and exhaustive solvers share, lays the aligned windows
+//!    out over concat-M, so the result is a consistent [`MatchSet`] by
+//!    construction (Definition 2 / Remark 1).
 //!
 //! Total cost is anchor generation plus `O(L · (L + 2·margin))` DP per
 //! chained fragment, independent of the concat length `n` — against
@@ -52,7 +52,7 @@
 //! flanking matches just outside the chain span still reach the DP.
 
 use crate::oracle::ScoreOracle;
-use fragalign_model::conjecture::PairAssembler;
+use fragalign_model::conjecture::{laid_cells, lay_windows, LaidCell};
 use fragalign_model::symbol::reverse_word;
 use fragalign_model::{FragId, Instance, MatchSet, Orient, Score, Species, Sym};
 use fragalign_obs::span;
@@ -241,18 +241,6 @@ fn chain_anchors(anchors: &[Anchor]) -> Option<Chain> {
     best
 }
 
-/// Map a concat coordinate to `(original M fragment index, offset)`.
-fn concat_coord(lens: &[usize], pos: usize) -> (usize, usize) {
-    let mut off = 0;
-    for (i, &l) in lens.iter().enumerate() {
-        if pos < off + l {
-            return (i, pos - off);
-        }
-        off += l;
-    }
-    panic!("position {pos} beyond concatenation");
-}
-
 /// The anchor index over concat-M plus the inverted positive σ
 /// entries.
 struct AnchorIndex {
@@ -398,13 +386,12 @@ fn pad_windows(selected: &[Claim], margin: usize, total: usize) -> Vec<Window> {
 /// collects DP-fill telemetry; window DPs count one fill each.
 pub fn solve_chain(oracle: &ScoreOracle<'_>) -> MatchSet {
     let inst = oracle.instance();
-    let lens: Vec<usize> = inst.m.iter().map(|f| f.len()).collect();
-    let total: usize = lens.iter().sum();
     let concat_m: Vec<Sym> = inst
         .m
         .iter()
         .flat_map(|f| f.regions.iter().copied())
         .collect();
+    let total = concat_m.len();
     let trace = oracle.trace().clone();
     let index = {
         let mut sp = span!(trace, "anchor_index");
@@ -454,66 +441,25 @@ pub fn solve_chain(oracle: &ScoreOracle<'_>) -> MatchSet {
     };
     let mut dp_span = span!(trace, "window_dp");
     dp_span.set_args(windows.len() as i64, 0);
-
-    // Materialise: concat-M in order on the M row, each chained
-    // fragment DP-aligned inside its window, unmatched M cells and
-    // unchained H fragments as padding-only columns — the factor-4
-    // materialisation shape, windows instead of 1-CSR intervals.
-    let mut asm = PairAssembler::new();
-    let mut cursor = 0usize;
-    let emit_m = |asm: &mut PairAssembler, pos: usize| {
-        let (mf, mi) = concat_coord(&lens, pos);
-        asm.push(None, Some((FragId::m(mf), mi, false)));
-    };
-    for win in &windows {
-        while cursor < win.lo {
-            emit_m(&mut asm, cursor);
-            cursor += 1;
-        }
-        let h_frag = FragId::h(win.h_index);
-        let h_len = inst.frag_len(h_frag);
-        let h_word = {
-            let w = &inst.fragment(h_frag).regions;
-            if win.flip {
-                reverse_word(w)
-            } else {
-                w.clone()
-            }
-        };
-        let m_word = &concat_m[win.lo..win.hi];
-        // Pooled workspace: the window grid reuses the oracle's warm
-        // scratch instead of allocating a fresh grid per window,
-        // and `with_pooled` folds the fill into `stats.dp_fills`.
-        let cols = oracle.with_pooled(|ws| ws.align_words(&inst.sigma, &h_word, m_word).1);
-        for (uo, vo) in cols {
-            let h_cell = uo.map(|o| {
-                let idx = if win.flip { h_len - 1 - o } else { o };
-                (h_frag, idx, win.flip)
-            });
-            let m_cell = vo.map(|o| {
-                let (mf, mi) = concat_coord(&lens, win.lo + o);
-                (FragId::m(mf), mi, false)
-            });
-            asm.push(h_cell, m_cell);
-        }
-        cursor = win.hi;
-    }
-    while cursor < total {
-        emit_m(&mut asm, cursor);
-        cursor += 1;
-    }
-    for f in inst.frag_ids(Species::H) {
-        if asm.contains(f) {
-            continue;
-        }
-        for i in 0..inst.frag_len(f) {
-            asm.push(Some((f, i, false)), None);
-        }
-    }
+    // Concat-M is the M row; each chained fragment aligns inside its
+    // window. The window grids reuse the oracle's warm scratch, and
+    // `with_pooled` folds each fill into `stats.dp_fills`.
+    let m_row: Vec<LaidCell> = inst
+        .frag_ids(Species::M)
+        .flat_map(|f| laid_cells(f, inst.frag_len(f), false))
+        .collect();
+    let runs = windows.iter().map(|win| {
+        let h = FragId::h(win.h_index);
+        (
+            laid_cells(h, inst.frag_len(h), win.flip).collect(),
+            win.lo..win.hi,
+        )
+    });
+    let pair = lay_windows(inst, &m_row, runs, |h, m| {
+        oracle.with_pooled(|ws| ws.align_words(&inst.sigma, h, m).1)
+    });
     drop(dp_span);
     let _assemble = span!(trace, "assemble");
-    let pair = asm.finish();
-    debug_assert!(pair.validate(inst).is_ok(), "{:?}", pair.validate(inst));
     pair.derive_matches(inst)
 }
 

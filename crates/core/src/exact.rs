@@ -5,11 +5,14 @@
 //! concatenations (the padding choice is exactly the `P_score` DP).
 //! The search space is `(k_H!·2^k_H) × (k_M!·2^k_M)`; rayon spreads
 //! the H arrangements across cores, each scoring its M arrangements
-//! through one workspace. Used by `exp_ratio` to measure the empirical
-//! approximation ratios against Theorems 4–6.
+//! through one workspace. [`exact_matches`] turns the winner into a
+//! match set through the layout the factor-4 and chaining solvers
+//! share ([`lay_windows`]), with one window spanning the whole M row.
+//! Used by `exp_ratio` to measure the empirical approximation ratios
+//! against Theorems 4–6.
 
 use fragalign_align::DpWorkspace;
-use fragalign_model::conjecture::PairAssembler;
+use fragalign_model::conjecture::{laid_cells, lay_windows, LaidCell};
 use fragalign_model::symbol::reverse_word;
 use fragalign_model::{FragId, Fragment, Instance, MatchSet, Score, Species, Sym};
 use rayon::prelude::*;
@@ -156,55 +159,37 @@ pub fn solve_exact(inst: &Instance, limits: ExactLimits) -> ExactSolution {
     }
 }
 
-/// Spell the laid concatenation of an arrangement, plus the cell
-/// (fragment, original region index, laid reversed) behind each
-/// concatenation position.
-fn lay_arrangement(
-    frags: &[Fragment],
-    arr: &Arrangement,
-    species: Species,
-) -> (Vec<Sym>, Vec<(FragId, usize, bool)>) {
-    let mut word = Vec::new();
-    let mut cells = Vec::new();
-    for (pos, &fi) in arr.order.iter().enumerate() {
-        let f = &frags[fi];
-        let flip = arr.flips[pos];
-        let id = match species {
-            Species::H => FragId::h(fi),
-            Species::M => FragId::m(fi),
-        };
-        if flip {
-            word.extend(reverse_word(&f.regions));
-            cells.extend((0..f.len()).rev().map(|i| (id, i, true)));
-        } else {
-            word.extend_from_slice(&f.regions);
-            cells.extend((0..f.len()).map(|i| (id, i, false)));
-        }
-    }
-    (word, cells)
+/// The laid cells of an arrangement of `species`, in layout order.
+fn arrangement_cells(inst: &Instance, arr: &Arrangement, species: Species) -> Vec<LaidCell> {
+    arr.order
+        .iter()
+        .zip(&arr.flips)
+        .flat_map(|(&index, &flip)| {
+            let f = FragId { species, index };
+            laid_cells(f, inst.frag_len(f), flip)
+        })
+        .collect()
 }
 
 /// Materialise the optimum as a consistent [`MatchSet`]: lay both
 /// winning arrangements out, trace back one optimal alignment of the
-/// two concatenations, and derive matches with Definition 2. By
-/// Remark 1 the derived set scores exactly `sol.score`, so the
-/// exhaustive solver plugs into the engine layer like every
-/// approximation algorithm instead of reporting an arrangement-only
-/// score.
+/// two concatenations (one run over the whole M row of
+/// [`lay_windows`]), and derive matches with Definition 2. By Remark 1
+/// the derived set scores exactly `sol.score`, so the exhaustive
+/// solver plugs into the engine layer like every approximation
+/// algorithm instead of reporting an arrangement-only score.
 pub fn exact_matches(inst: &Instance, sol: &ExactSolution) -> MatchSet {
-    let (hw, hc) = lay_arrangement(&inst.h, &sol.h_arrangement, Species::H);
-    let (mw, mc) = lay_arrangement(&inst.m, &sol.m_arrangement, Species::M);
-    if hw.is_empty() || mw.is_empty() {
+    let h_cells = arrangement_cells(inst, &sol.h_arrangement, Species::H);
+    let m_row = arrangement_cells(inst, &sol.m_arrangement, Species::M);
+    if h_cells.is_empty() || m_row.is_empty() {
         return MatchSet::new();
     }
-    let (score, cols) = DpWorkspace::new().align_words(&inst.sigma, &hw, &mw);
-    debug_assert_eq!(score, sol.score, "alignment must realise the optimum");
-    let mut asm = PairAssembler::new();
-    for (uo, vo) in cols {
-        asm.push(uo.map(|o| hc[o]), vo.map(|o| mc[o]));
-    }
-    let pair = asm.finish();
-    debug_assert!(pair.validate(inst).is_ok(), "{:?}", pair.validate(inst));
+    let whole = 0..m_row.len();
+    let pair = lay_windows(inst, &m_row, [(h_cells, whole)], |h, m| {
+        let (score, cols) = DpWorkspace::new().align_words(&inst.sigma, h, m);
+        debug_assert_eq!(score, sol.score, "alignment must realise the optimum");
+        cols
+    });
     let derived = pair.derive_matches(inst);
     debug_assert_eq!(derived.total_score(), sol.score, "Remark 1");
     derived

@@ -6,29 +6,19 @@
 //! `Opt(H, M′) + Opt(M, H′) ≥ Opt(H, M)`, so a ratio-2 1-CSR solver
 //! (TPA, §3.4) yields ratio 4.
 //!
-//! A 1-CSR match may span the boundaries of the concatenated
-//! fragments; to map it back to the original instance we materialise
-//! the layout (the alignment traceback laid over the concatenation)
-//! and re-derive matches with Definition 2, which splits spanning
-//! matches into staircases and plugs while preserving the score
-//! (Remark 1).
+//! Each side is the §3.4 reduction, which is the §4.2 TPA fill of
+//! the single concatenated fragment ([`crate::solve_one_csr`]). A
+//! 1-CSR match may span the boundaries of the concatenated fragments;
+//! to map it back to the original instance we lay the solution out
+//! with [`lay_windows`] (each selected fragment aligned inside its
+//! interval of the concatenation, the layout the chaining and
+//! exhaustive solvers share) and re-derive matches with Definition 2,
+//! which splits spanning matches into staircases and plugs while
+//! preserving the score (Remark 1).
 
 use fragalign_align::{DpWorkspace, OracleStatsSnapshot, ScoreOracle};
-use fragalign_model::conjecture::PairAssembler;
-use fragalign_model::symbol::reverse_word;
+use fragalign_model::conjecture::{laid_cells, lay_windows, LaidCell};
 use fragalign_model::{FragId, Instance, Match, MatchSet, Site, Species};
-
-/// Map a concat coordinate to `(original fragment, index within it)`.
-fn concat_coord(lens: &[usize], pos: usize) -> (usize, usize) {
-    let mut off = 0;
-    for (i, &l) in lens.iter().enumerate() {
-        if pos < off + l {
-            return (i, pos - off);
-        }
-        off += l;
-    }
-    panic!("position {pos} beyond concatenation");
-}
 
 /// Solve `(H, concat(M))` with 1-CSR/TPA and translate the solution
 /// back into the original instance. `swap` = solve `(M, concat(H))`
@@ -44,11 +34,9 @@ fn one_sided(
     stats: &mut OracleStatsSnapshot,
 ) -> MatchSet {
     let base = if swap { inst.swapped() } else { inst.clone() };
-    let lens: Vec<usize> = base.m.iter().map(|f| f.len()).collect();
-    let concat = base.concat_species(Species::M);
     let concat_inst = Instance {
         h: base.h.clone(),
-        m: vec![concat],
+        m: vec![base.concat_species(Species::M)],
         sigma: base.sigma.clone(),
         alphabet: base.alphabet.clone(),
     };
@@ -58,70 +46,26 @@ fn one_sided(
     *ws = inner.reclaim_workspace();
     *stats += inner.stats.snapshot();
 
-    // Lay the solution over the original fragments of `base`:
-    // the M row is the concatenation in order; each selected H
-    // fragment aligns inside its interval.
+    // Lay the solution over the original fragments of `base`: the M
+    // row is the concatenation in order, and each selected H fragment
+    // aligns inside its interval.
+    let m_row: Vec<LaidCell> = base
+        .frag_ids(Species::M)
+        .flat_map(|f| laid_cells(f, base.frag_len(f), false))
+        .collect();
     let mut selected: Vec<&Match> = sol.as_slice().iter().collect();
     selected.sort_by_key(|m| m.m.lo);
-    let mut asm = PairAssembler::new();
-    let mut cursor = 0usize; // concat position
-    let total: usize = lens.iter().sum();
-    let emit_m = |asm: &mut PairAssembler, pos: usize| {
-        let (mf, mi) = concat_coord(&lens, pos);
-        asm.push(None, Some((FragId::m(mf), mi, false)));
-    };
-    for mat in selected {
-        let (d, e) = (mat.m.lo, mat.m.hi);
-        while cursor < d {
-            emit_m(&mut asm, cursor);
-            cursor += 1;
-        }
-        let h_frag = mat.h.frag;
-        let flip = mat.orient.is_reversed();
-        let h_word = {
-            let w = &base.fragment(h_frag).regions;
-            if flip {
-                reverse_word(w)
-            } else {
-                w.clone()
-            }
-        };
-        let m_word: Vec<_> = (d..e)
-            .map(|p| {
-                let (mf, mi) = concat_coord(&lens, p);
-                base.fragment(FragId::m(mf)).regions[mi]
-            })
-            .collect();
-        let (_, cols) = ws.align_words(&base.sigma, &h_word, &m_word);
-        let h_len = base.frag_len(h_frag);
-        for (uo, vo) in cols {
-            let h_cell = uo.map(|o| {
-                let idx = if flip { h_len - 1 - o } else { o };
-                (h_frag, idx, flip)
-            });
-            let m_cell = vo.map(|o| {
-                let (mf, mi) = concat_coord(&lens, d + o);
-                (FragId::m(mf), mi, false)
-            });
-            asm.push(h_cell, m_cell);
-        }
-        cursor = e;
-    }
-    while cursor < total {
-        emit_m(&mut asm, cursor);
-        cursor += 1;
-    }
-    // Unselected H fragments trail at the end.
-    for f in base.frag_ids(Species::H) {
-        if asm.contains(f) {
-            continue;
-        }
-        for i in 0..base.frag_len(f) {
-            asm.push(Some((f, i, false)), None);
-        }
-    }
-    let pair = asm.finish();
-    debug_assert!(pair.validate(&base).is_ok(), "{:?}", pair.validate(&base));
+    let runs = selected.iter().map(|mat| {
+        let cells = laid_cells(
+            mat.h.frag,
+            base.frag_len(mat.h.frag),
+            mat.orient.is_reversed(),
+        );
+        (cells.collect(), mat.m.lo..mat.m.hi)
+    });
+    let pair = lay_windows(&base, &m_row, runs, |h, m| {
+        ws.align_words(&base.sigma, h, m).1
+    });
     let derived = pair.derive_matches(&base);
 
     if !swap {
@@ -202,21 +146,5 @@ mod tests {
             warm.stats.snapshot().dp_fills > 0,
             "inner oracle fills must be absorbed"
         );
-    }
-
-    #[test]
-    fn concat_coord_maps_offsets() {
-        let lens = vec![2, 3, 1];
-        assert_eq!(concat_coord(&lens, 0), (0, 0));
-        assert_eq!(concat_coord(&lens, 1), (0, 1));
-        assert_eq!(concat_coord(&lens, 2), (1, 0));
-        assert_eq!(concat_coord(&lens, 4), (1, 2));
-        assert_eq!(concat_coord(&lens, 5), (2, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond")]
-    fn concat_coord_bounds() {
-        concat_coord(&[2, 2], 4);
     }
 }

@@ -8,8 +8,9 @@
 //! no positive addition exists. `exp_ratio` measures how far it falls
 //! behind the §4 algorithms and the exact optimum.
 
+use crate::improve::free_pieces;
 use fragalign_align::ScoreOracle;
-use fragalign_model::{check_consistency, FragId, Match, MatchSet, Score, Site, Species};
+use fragalign_model::{check_consistency, Match, MatchSet, Score, Site, Species};
 use std::cmp::Reverse;
 
 /// Full-plug candidates given the current solution: an unmatched
@@ -17,23 +18,9 @@ use std::cmp::Reverse;
 fn plug_candidates(oracle: &ScoreOracle<'_>, set: &MatchSet) -> Vec<Match> {
     let inst = oracle.instance();
     let by_frag = set.sites_by_fragment();
-    let free_sites = |g: FragId| -> Vec<Site> {
-        let len = inst.frag_len(g);
-        let mut pieces = vec![Site::full(g, len)];
-        if let Some(cov) = by_frag.get(&g) {
-            for &(_, s) in cov {
-                let mut next = Vec::new();
-                for p in pieces {
-                    next.extend(p.minus(&s));
-                }
-                pieces = next;
-            }
-        }
-        pieces
-    };
     let mut out = Vec::new();
     for g in inst.all_frag_ids() {
-        for zone in free_sites(g) {
+        for zone in free_pieces(Site::full(g, inst.frag_len(g)), &by_frag) {
             for f in inst.frag_ids(g.species.other()) {
                 if by_frag.contains_key(&f) {
                     continue; // plugged fragments must be free

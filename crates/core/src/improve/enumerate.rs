@@ -50,17 +50,9 @@ pub enum Attempt {
         container: Site,
     },
     /// Make one border match (§4.3/§4.4).
-    I2 {
-        /// Border site on the H fragment.
-        h_site: Site,
-        /// Border site on the M fragment.
-        m_site: Site,
-        /// Container prepared around `h_site`.
-        h_container: Site,
-        /// Container prepared around `m_site`.
-        m_container: Site,
-    },
-    /// Break a 2-island and re-match both multiple fragments (§4.3).
+    I2(I2Bundle),
+    /// Break a 2-island and re-match both multiple fragments (§4.3):
+    /// two coordinated I2 bundles.
     I3 {
         /// Re-match of the island's H fragment.
         first: I2Bundle,
@@ -246,14 +238,7 @@ pub fn enumerate_attempts(
                 bundles.extend(pair_best);
             }
         }
-        for &(_, b) in &bundles {
-            out.push(Attempt::I2 {
-                h_site: b.h_site,
-                m_site: b.m_site,
-                h_container: b.h_container,
-                m_container: b.m_container,
-            });
-        }
+        out.extend(bundles.iter().map(|&(_, b)| Attempt::I2(b)));
 
         // ---- I3 -----------------------------------------------------
         // For every existing border match (f1 ~ g1), combine the best

@@ -64,6 +64,7 @@ pub use ops::{
     apply_attempt, attempt_bound, detach_fragment, make_border, plug_full, prepare_site, tpa_fill,
     trunc_total, ApplyError, CannotPrepare,
 };
+pub(crate) use ops::{free_pieces, tpa_fill_with};
 
 /// Which improvement methods the driver enumerates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

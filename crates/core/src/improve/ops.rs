@@ -2,9 +2,9 @@
 //! detaching, and the TPA(B, S) subroutine of §4.2.
 
 use fragalign_align::ScoreOracle;
-use fragalign_isp::{solve_tpa, Interval, IspInstance};
-use fragalign_model::{FragId, Instance, Match, MatchSet, Score, Site, Species};
-use std::collections::HashSet;
+use fragalign_isp::{solve_tpa, Interval, IspInstance, Selection};
+use fragalign_model::{FragId, Instance, Match, MatchId, MatchSet, Score, Site, Species};
+use std::collections::{HashMap, HashSet};
 
 /// A site could not be prepared because it is hidden by a matched site
 /// (Definition 5: only non-hidden sites are preparable).
@@ -269,6 +269,19 @@ fn merge_overlaps(sites: &mut Vec<Site>) {
     });
 }
 
+/// The pieces of `zone` that no matched site covers; `by_frag` is the
+/// solution's [`MatchSet::sites_by_fragment`].
+pub(crate) fn free_pieces(
+    zone: Site,
+    by_frag: &HashMap<FragId, Vec<(MatchId, Site)>>,
+) -> Vec<Site> {
+    let mut pieces = vec![zone];
+    for (_, s) in by_frag.get(&zone.frag).into_iter().flatten() {
+        pieces = pieces.iter().flat_map(|p| p.minus(s)).collect();
+    }
+    pieces
+}
+
 /// The TPA(B, S) subroutine of §4.2: refill the free `zones` with full
 /// matches chosen by the two-phase interval-selection algorithm.
 ///
@@ -282,13 +295,29 @@ fn merge_overlaps(sites: &mut Vec<Site>) {
 ///   under `quantum`), exactly the profit function of §4.2.
 ///
 /// Selected candidates detach their fragment from its old matches and
-/// plug it into the chosen interval.
+/// plug it into the chosen interval. On an empty solution, with the
+/// whole of a single fragment as the zone and a quantum of 1, this is
+/// the §3.4 1-CSR reduction ([`crate::solve_one_csr`]).
 pub fn tpa_fill(
     set: &mut MatchSet,
     zones: &[Site],
     exclude: &HashSet<FragId>,
     oracle: &ScoreOracle<'_>,
     quantum: Score,
+) {
+    tpa_fill_with(set, zones, exclude, oracle, quantum, solve_tpa);
+}
+
+/// [`tpa_fill`] with `select` choosing the intervals in place of TPA.
+/// Both ISP solvers sort the candidates by keys unique per candidate,
+/// so what they select does not depend on the order of the pushes.
+pub(crate) fn tpa_fill_with(
+    set: &mut MatchSet,
+    zones: &[Site],
+    exclude: &HashSet<FragId>,
+    oracle: &ScoreOracle<'_>,
+    quantum: Score,
+    select: fn(&IspInstance) -> Selection,
 ) {
     let inst = oracle.instance();
     if zones.is_empty() {
@@ -298,24 +327,14 @@ pub fn tpa_fill(
     debug_assert!(zones.iter().all(|z| z.frag.species == zone_species));
 
     // Sanitise: subtract currently matched sites from each zone.
-    let by_frag = set.sites_by_fragment();
-    let mut clean: Vec<Site> = Vec::new();
-    for &z in zones {
-        let mut pieces = vec![z];
-        if let Some(sites) = by_frag.get(&z.frag) {
-            for &(_, s) in sites {
-                let mut next = Vec::new();
-                for p in pieces {
-                    next.extend(p.minus(&s));
-                }
-                pieces = next;
-            }
-        }
-        clean.extend(pieces);
-    }
     // Callers pass zones from several sources (a container leftover,
     // sites freed by preparation) that can overlap; a plug in each of
     // two overlapping zones would overlap too.
+    let by_frag = set.sites_by_fragment();
+    let mut clean: Vec<Site> = zones
+        .iter()
+        .flat_map(|&z| free_pieces(z, &by_frag))
+        .collect();
     merge_overlaps(&mut clean);
     if clean.is_empty() {
         return;
@@ -368,7 +387,7 @@ pub fn tpa_fill(
         }
         base += z.len() as i64 + 1;
     }
-    let selection = solve_tpa(&isp);
+    let selection = select(&isp);
     for c in &selection.chosen {
         let (zi, d, e) = tags[c.tag];
         let f = jobs[c.job];
@@ -425,72 +444,55 @@ fn apply_prefix(
                 zones: vec![container.minus(target), zm, zh],
             })
         }
-        Attempt::I2 {
-            h_site,
-            m_site,
-            h_container,
-            m_container,
-        } => {
-            let freed_h = prepare_site(set, *h_container, oracle)?;
-            let freed_m = prepare_site(set, *m_container, oracle)?;
-            if border_connected(set, oracle.instance(), h_site.frag, m_site.frag) {
-                return Err(ApplyError::WouldCloseBorderCycle {
-                    h: h_site.frag,
-                    m: m_site.frag,
-                });
-            }
-            make_border(set, *h_site, *m_site, oracle);
-            // M-side zones: container leftovers on the M fragment plus
-            // freed M sites; then symmetrically for H.
-            let (fh, fm) = split_freed_by_species(&[freed_h, freed_m].concat());
-            let mut zones_m = m_container.minus(m_site);
-            zones_m.extend(fm);
-            let mut zones_h = h_container.minus(h_site);
-            zones_h.extend(fh);
-            Ok(Refills {
-                exclude: HashSet::from([h_site.frag, m_site.frag]),
-                zones: vec![zones_m, zones_h],
-            })
-        }
-        Attempt::I3 { first, second } => {
-            // Two coordinated I2 bundles (break a 2-island, re-match
-            // both multiple fragments to new partners).
-            let mut freed_all: Vec<Site> = Vec::new();
-            for b in [first, second] {
-                freed_all.extend(prepare_site(set, b.h_container, oracle)?);
-                freed_all.extend(prepare_site(set, b.m_container, oracle)?);
-            }
-            for b in [first, second] {
-                // Re-check per bundle: the first border changes border
-                // connectivity for the second.
-                if border_connected(set, oracle.instance(), b.h_site.frag, b.m_site.frag) {
-                    return Err(ApplyError::WouldCloseBorderCycle {
-                        h: b.h_site.frag,
-                        m: b.m_site.frag,
-                    });
-                }
-                make_border(set, b.h_site, b.m_site, oracle);
-            }
-            let (fh, fm) = split_freed_by_species(&freed_all);
-            let mut zones_m: Vec<Site> = Vec::new();
-            let mut zones_h: Vec<Site> = Vec::new();
-            for b in [first, second] {
-                zones_m.extend(b.m_container.minus(&b.m_site));
-                zones_h.extend(b.h_container.minus(&b.h_site));
-            }
-            zones_m.extend(fm);
-            zones_h.extend(fh);
-            Ok(Refills {
-                exclude: HashSet::from([
-                    first.h_site.frag,
-                    first.m_site.frag,
-                    second.h_site.frag,
-                    second.m_site.frag,
-                ]),
-                zones: vec![zones_m, zones_h],
-            })
-        }
+        Attempt::I2(bundle) => border_prefix(set, &[*bundle], oracle),
+        Attempt::I3 { first, second } => border_prefix(set, &[*first, *second], oracle),
     }
+}
+
+/// The prefix of I2 (one bundle) and I3 (two coordinated bundles that
+/// break a 2-island and re-match both of its fragments): prepare every
+/// container, then make each bundle's border match, refusing one that
+/// would close a border cycle. The refills get the container leftovers
+/// and the freed sites, M zones first.
+fn border_prefix(
+    set: &mut MatchSet,
+    bundles: &[super::I2Bundle],
+    oracle: &ScoreOracle<'_>,
+) -> Result<Refills, ApplyError> {
+    let mut freed: Vec<Site> = Vec::new();
+    for b in bundles {
+        freed.extend(prepare_site(set, b.h_container, oracle)?);
+        freed.extend(prepare_site(set, b.m_container, oracle)?);
+    }
+    for b in bundles {
+        // Checked per bundle: the first border changes border
+        // connectivity for the second.
+        if border_connected(set, oracle.instance(), b.h_site.frag, b.m_site.frag) {
+            return Err(ApplyError::WouldCloseBorderCycle {
+                h: b.h_site.frag,
+                m: b.m_site.frag,
+            });
+        }
+        make_border(set, b.h_site, b.m_site, oracle);
+    }
+    let (fh, fm) = split_freed_by_species(&freed);
+    let zones_m = bundles
+        .iter()
+        .flat_map(|b| b.m_container.minus(&b.m_site))
+        .chain(fm)
+        .collect();
+    let zones_h = bundles
+        .iter()
+        .flat_map(|b| b.h_container.minus(&b.h_site))
+        .chain(fh)
+        .collect();
+    Ok(Refills {
+        exclude: bundles
+            .iter()
+            .flat_map(|b| [b.h_site.frag, b.m_site.frag])
+            .collect(),
+        zones: vec![zones_m, zones_h],
+    })
 }
 
 /// Apply one improvement attempt to `set`. On success `set` holds the

@@ -5,74 +5,40 @@
 //! `(h_k, m(i, j))` with the H site full. The reduction sets, for each
 //! fragment `h_i` and interval `[d, e)` of the single `m`, the profit
 //! `p(i, [d, e]) = MS(h_i, m(d, e))`; a ratio-2 ISP algorithm then
-//! yields a ratio-2 1-CSR algorithm.
+//! yields a ratio-2 1-CSR algorithm. That is the §4.2 TPA(B, S) fill
+//! ([`crate::improve::tpa_fill`]) of an empty solution whose one zone
+//! is the whole of `m`, so both solvers here run that fill.
 
+use crate::improve::tpa_fill_with;
 use fragalign_align::ScoreOracle;
-use fragalign_isp::{solve_exact as isp_exact, solve_tpa, Interval, IspInstance, Selection};
-use fragalign_model::{FragId, Instance, Match, MatchSet, Site, Species};
+use fragalign_isp::{solve_exact as isp_exact, solve_tpa, IspInstance, Selection};
+use fragalign_model::{FragId, Instance, MatchSet, Site};
+use std::collections::HashSet;
 
-/// Build the ISP instance of the §3.4 reduction. Tags index into the
-/// returned interval list.
-fn build_isp(oracle: &ScoreOracle<'_>) -> (IspInstance, Vec<(FragId, usize, usize)>) {
+/// Fill the whole single M fragment of an empty solution, choosing the
+/// intervals with `select`. Panics unless the instance has exactly one
+/// M fragment.
+fn fill_m(oracle: &ScoreOracle<'_>, select: fn(&IspInstance) -> Selection) -> MatchSet {
     let inst = oracle.instance();
     assert_eq!(inst.m.len(), 1, "1-CSR needs exactly one M fragment");
     let m = FragId::m(0);
-    let n = inst.frag_len(m);
-    let jobs: Vec<FragId> = inst.frag_ids(Species::H).collect();
-    let mut isp = IspInstance::new(jobs.len());
-    let mut tags = Vec::new();
-    for (ji, &h) in jobs.iter().enumerate() {
-        let table = oracle.interval_table(h, m);
-        for d in 0..n {
-            for e in (d + 1)..=n {
-                let (score, _) = table.get(d, e);
-                if score > 0 {
-                    let tag = tags.len();
-                    tags.push((h, d, e));
-                    isp.push(ji, Interval::new(d as i64, e as i64), score, tag);
-                }
-            }
-        }
-    }
-    (isp, tags)
-}
-
-fn selection_to_matches(
-    oracle: &ScoreOracle<'_>,
-    tags: &[(FragId, usize, usize)],
-    sel: &Selection,
-) -> MatchSet {
-    let inst = oracle.instance();
-    let m = FragId::m(0);
-    let mut out = MatchSet::new();
-    for c in &sel.chosen {
-        let (h, d, e) = tags[c.tag];
-        let (score, orient) = oracle.interval_table(h, m).get(d, e);
-        debug_assert_eq!(score, c.profit);
-        out.push(Match::new(
-            Site::full(h, inst.frag_len(h)),
-            Site::new(m, d, e),
-            orient,
-            score,
-        ));
-    }
-    out
+    let mut set = MatchSet::new();
+    let zone = Site::full(m, inst.frag_len(m));
+    tpa_fill_with(&mut set, &[zone], &HashSet::new(), oracle, 1, select);
+    set
 }
 
 /// Solve a 1-CSR instance with TPA (ratio 2), sharing the oracle's
 /// interval tables and pooled workspaces. Panics unless the instance
 /// has exactly one M fragment.
 pub fn solve_one_csr(oracle: &ScoreOracle<'_>) -> MatchSet {
-    let (isp, tags) = build_isp(oracle);
-    selection_to_matches(oracle, &tags, &solve_tpa(&isp))
+    fill_m(oracle, solve_tpa)
 }
 
 /// Exact 1-CSR through exhaustive ISP (small instances only: the
 /// candidate count is quadratic in `|m|` times `|H|`).
 pub fn solve_one_csr_exact(inst: &Instance) -> MatchSet {
-    let oracle = ScoreOracle::new(inst);
-    let (isp, tags) = build_isp(&oracle);
-    selection_to_matches(&oracle, &tags, &isp_exact(&isp))
+    fill_m(&ScoreOracle::new(inst), isp_exact)
 }
 
 #[cfg(test)]

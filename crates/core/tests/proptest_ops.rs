@@ -7,6 +7,7 @@
 use fragalign_align::ScoreOracle;
 use fragalign_core::improve::{
     apply_attempt, attempt_bound, enumerate_attempts, prepare_site, trunc_total, Attempt, Budget,
+    I2Bundle,
 };
 use fragalign_core::MethodSet;
 use fragalign_model::{check_consistency, FragId, Instance, Match, MatchSet, Orient, Score, Site};
@@ -185,11 +186,11 @@ proptest! {
                 Attempt::I1 { target, container, .. } => {
                     prop_assert!(target.contained_in(&container));
                 }
-                Attempt::I2 { h_site, h_container, m_site, m_container } => {
-                    prop_assert!(h_site.contained_in(&h_container));
-                    prop_assert!(m_site.contained_in(&m_container));
-                    prop_assert!(h_site.len() < inst.frag_len(h_site.frag));
-                    prop_assert!(m_site.len() < inst.frag_len(m_site.frag));
+                Attempt::I2(b) => {
+                    prop_assert!(b.h_site.contained_in(&b.h_container));
+                    prop_assert!(b.m_site.contained_in(&b.m_container));
+                    prop_assert!(b.h_site.len() < inst.frag_len(b.h_site.frag));
+                    prop_assert!(b.m_site.len() < inst.frag_len(b.m_site.frag));
                 }
                 Attempt::I3 { first, second } => {
                     prop_assert!(first.h_site.frag != second.h_site.frag);
@@ -229,12 +230,12 @@ fn refill_merges_overlapping_zones() {
         Match::new(Site::new(h2, 0, 4), Site::new(m0, 1, 4), Orient::Same, 33),
     ]);
     check_consistency(inst, &set).unwrap();
-    let attempt = Attempt::I2 {
+    let attempt = Attempt::I2(I2Bundle {
         h_site: Site::new(h2, 0, 1),
-        m_site: Site::new(m0, 2, 13),
         h_container: Site::new(h2, 0, 4),
+        m_site: Site::new(m0, 2, 13),
         m_container: Site::new(m0, 0, 13),
-    };
+    });
     let mut next = set.clone();
     apply_attempt(&mut next, &attempt, &oracle, 1).unwrap();
     if let Err(e) = check_consistency(inst, &next) {

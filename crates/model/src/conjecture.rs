@@ -11,6 +11,7 @@
 //! implements Definition 2: deriving the match set of a conjecture
 //! pair.
 
+use crate::consistency::AlignColumns;
 use crate::fragment::{FragId, Species};
 use crate::instance::Instance;
 use crate::matchset::{Match, MatchSet};
@@ -296,6 +297,64 @@ impl ConjecturePair {
     }
 }
 
+/// A cell of a laid row: `(fragment, original region index, laid
+/// reversed)`.
+pub type LaidCell = (FragId, usize, bool);
+
+/// The cells of `frag` (of length `len`) in laid order: first region
+/// to last, or last to first when `reversed`.
+pub fn laid_cells(frag: FragId, len: usize, reversed: bool) -> impl Iterator<Item = LaidCell> {
+    (0..len).map(move |o| (frag, if reversed { len - 1 - o } else { o }, reversed))
+}
+
+/// Lay out a conjecture pair around aligned windows: the Remark 1 step
+/// of the factor-4, chaining and exhaustive solvers.
+///
+/// `m_row` is the whole M row in laid order. Each run is a list of
+/// laid H cells and the window `[lo, hi)` of `m_row` it aligns inside;
+/// windows are disjoint and come sorted. `align(h_word, m_word)`
+/// returns the columns of one alignment of the two laid words. M cells
+/// outside every window stand over `⊥`, and H fragments in no run
+/// trail at the end, forward, over `⊥`.
+pub fn lay_windows(
+    inst: &Instance,
+    m_row: &[LaidCell],
+    runs: impl IntoIterator<Item = (Vec<LaidCell>, std::ops::Range<usize>)>,
+    mut align: impl FnMut(&[Sym], &[Sym]) -> AlignColumns,
+) -> ConjecturePair {
+    let word = |cells: &[LaidCell]| -> Vec<Sym> {
+        cells
+            .iter()
+            .map(|&(f, i, rev)| ConjecturePair::cell_sym(inst, (f, i), rev))
+            .collect()
+    };
+    let mut asm = PairAssembler::new();
+    let mut cursor = 0;
+    for (h_cells, window) in runs {
+        for &cell in &m_row[cursor..window.start] {
+            asm.push(None, Some(cell));
+        }
+        let m_cells = &m_row[window.clone()];
+        for (uo, vo) in align(&word(&h_cells), &word(m_cells)) {
+            asm.push(uo.map(|o| h_cells[o]), vo.map(|o| m_cells[o]));
+        }
+        cursor = window.end;
+    }
+    for &cell in &m_row[cursor..] {
+        asm.push(None, Some(cell));
+    }
+    for f in inst.frag_ids(Species::H) {
+        if !asm.contains(f) {
+            for cell in laid_cells(f, inst.frag_len(f), false) {
+                asm.push(Some(cell), None);
+            }
+        }
+    }
+    let pair = asm.finish();
+    debug_assert!(pair.validate(inst).is_ok(), "{:?}", pair.validate(inst));
+    pair
+}
+
 /// Incrementally assembles a [`ConjecturePair`] column by column.
 ///
 /// Callers emit columns left to right; the assembler tracks each
@@ -303,7 +362,7 @@ impl ConjecturePair {
 /// the per-row spans (a fragment's padded span runs from the previous
 /// fragment's span end to just past its own last symbol; the final
 /// fragment absorbs the tail). Used by the consistency layout builder
-/// and by the 1-CSR solution mapper.
+/// and by [`lay_windows`].
 #[derive(Debug, Default)]
 pub struct PairAssembler {
     columns: Vec<Column>,
@@ -587,6 +646,63 @@ mod tests {
         assert_eq!(pair.score(&inst), 4);
         let derived = pair.derive_matches(&inst);
         assert_eq!(derived.total_score(), 4);
+    }
+
+    #[test]
+    fn laid_cells_walk_a_reversed_fragment_backwards() {
+        let f = FragId::h(0);
+        let fwd: Vec<LaidCell> = laid_cells(f, 3, false).collect();
+        assert_eq!(fwd, [(f, 0, false), (f, 1, false), (f, 2, false)]);
+        let rev: Vec<LaidCell> = laid_cells(f, 3, true).collect();
+        assert_eq!(rev, [(f, 2, true), (f, 1, true), (f, 0, true)]);
+    }
+
+    #[test]
+    fn lay_windows_pads_outside_windows_and_trails_unplaced_h() {
+        use crate::consistency::{SiteAligner, UnitAligner};
+        let inst = paper_example();
+        let (h1, h2, m1, m2) = (FragId::h(0), FragId::h(1), FragId::m(0), FragId::m(1));
+        let m_row: Vec<LaidCell> = [m1, m2]
+            .into_iter()
+            .flat_map(|f| laid_cells(f, 2, false))
+            .collect();
+        let lay = |runs: Vec<(Vec<LaidCell>, std::ops::Range<usize>)>| {
+            lay_windows(&inst, &m_row, runs, |h, m| {
+                UnitAligner.align_words(&inst.sigma, h, m).1
+            })
+        };
+        let cells =
+            |pair: &ConjecturePair| -> Vec<_> { pair.columns.iter().map(|c| (c.h, c.m)).collect() };
+        // h1 over ⟨s⟩, t and u over ⊥, dR over ⟨v⟩.
+        let pair = lay(vec![
+            (laid_cells(h1, 3, false).collect(), 0..1),
+            (laid_cells(h2, 1, true).collect(), 3..4),
+        ]);
+        assert_eq!(
+            cells(&pair),
+            [
+                (Some((h1, 0)), Some((m1, 0))),
+                (Some((h1, 1)), None),
+                (Some((h1, 2)), None),
+                (None, Some((m1, 1))),
+                (None, Some((m2, 0))),
+                (Some((h2, 0)), Some((m2, 1))),
+            ]
+        );
+        // σ(a, s) + σ(dR, v) = 4 + 2, and Remark 1 keeps it.
+        assert_eq!(pair.score(&inst), 6);
+        assert_eq!(pair.derive_matches(&inst).total_score(), 6);
+        // h1 in no run trails, forward, after the M row.
+        let pair = lay(vec![(laid_cells(h2, 1, true).collect(), 3..4)]);
+        assert_eq!(
+            cells(&pair)[4..],
+            [
+                (Some((h1, 0)), None),
+                (Some((h1, 1)), None),
+                (Some((h1, 2)), None),
+            ]
+        );
+        assert_eq!(pair.placement(h1).map(|p| p.reversed), Some(false));
     }
 
     #[test]
