@@ -115,18 +115,18 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
 
 /// [`try_parse`] that resumes where its last call stopped, so framing
 /// a request costs time linear in its bytes however they arrive: the
-/// head search restarts where it ended, and once the head has parsed,
-/// nothing is parsed again until the request's full length is there.
-/// Each call must see the bytes of the previous one plus any that
-/// arrived since; a `Ready` starts the next request afresh.
+/// head search restarts where it ended, and each head is parsed once,
+/// its request kept here until the body is whole. Each call must see
+/// the bytes of the previous one plus any that arrived since; a
+/// `Ready` starts the next request afresh.
 #[derive(Debug, Default)]
 pub(crate) struct Framing {
     /// Bytes at the front already searched for the head's end, less the
     /// three a terminator could straddle.
     searched: usize,
-    /// The parsed head of a request whose body is still arriving: where
-    /// it ends, the request's full length, and its 100-continue ask.
-    head: Option<(usize, usize, bool)>,
+    /// A request whose body is still arriving: its parsed head (with an
+    /// empty body), where the head ends, and the request's full length.
+    head: Option<(Request, usize, usize)>,
     /// Work done so far, which the connection machine's linear-framing
     /// test bounds: bytes searched for a head's end, heads parsed.
     #[cfg(test)]
@@ -136,11 +136,8 @@ pub(crate) struct Framing {
 impl Framing {
     /// Frame the request at the front of `buf`, as [`try_parse`] does.
     pub(crate) fn parse(&mut self, buf: &[u8], max_body: usize) -> Result<Parse, RequestError> {
-        let head_end = match self.head {
-            Some((_, len, needs_continue)) if buf.len() < len => {
-                return Ok(Parse::Incomplete { needs_continue })
-            }
-            Some((head_end, ..)) => head_end,
+        let (mut request, head_end, len) = match self.head.take() {
+            Some(head) => head,
             None => {
                 #[cfg(test)]
                 {
@@ -158,26 +155,27 @@ impl Framing {
                         needs_continue: false,
                     });
                 };
-                self.searched + at
+                let head_end = self.searched + at;
+                // The cap holds however the head arrived, so every
+                // request this parser accepts fits in `MAX_HEAD_BYTES`
+                // plus its body.
+                if head_end > MAX_HEAD_BYTES {
+                    return Err(head_too_long());
+                }
+                #[cfg(test)]
+                {
+                    self.cost.1 += 1;
+                }
+                let (request, len) = parse_head(&buf[..head_end], max_body)?;
+                (request, head_end, len)
             }
         };
-        // The cap holds however the head arrived, so every request this
-        // parser accepts fits in `MAX_HEAD_BYTES` plus its body.
-        if head_end > MAX_HEAD_BYTES {
-            return Err(head_too_long());
-        }
-        #[cfg(test)]
-        {
-            self.cost.1 += 1;
-        }
-        let (mut request, len) = parse_head(&buf[..head_end], max_body)?;
         if buf.len() < len {
-            self.head = Some((head_end, len, request.expect_continue));
-            return Ok(Parse::Incomplete {
-                needs_continue: request.expect_continue,
-            });
+            let needs_continue = request.expect_continue;
+            self.head = Some((request, head_end, len));
+            return Ok(Parse::Incomplete { needs_continue });
         }
-        (self.searched, self.head) = (0, None);
+        self.searched = 0;
         // Bytes past the body belong to the next pipelined request — the
         // caller keeps them in its buffer.
         request.body = String::from_utf8(buf[head_end + 4..len].to_vec())
