@@ -260,7 +260,7 @@ fn main() {
             let mut total_score: Score = 0;
             let start = Instant::now();
             for inst in &cell.instances {
-                if solver.supports(inst, &opts).is_err() {
+                if solver.supports(inst).is_err() {
                     skipped += 1;
                     per_instance.push(None);
                     continue;

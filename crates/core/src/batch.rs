@@ -85,7 +85,7 @@ pub fn solve_single_traced(
     let solver = spec.build();
     let engine = opts.engine;
     solver
-        .supports(inst, &engine)
+        .supports(inst)
         .map_err(|reason| EngineError::Unsupported {
             solver: spec.name,
             reason,

@@ -148,7 +148,7 @@ pub trait Solver: Send + Sync {
     /// [`solve_single_traced`](crate::solve_single_traced) turns a
     /// failure into [`EngineError::Unsupported`]; the portfolio skips
     /// the racer.
-    fn supports(&self, _inst: &Instance, _opts: &EngineOptions) -> Result<(), String> {
+    fn supports(&self, _inst: &Instance) -> Result<(), String> {
         Ok(())
     }
 

@@ -36,8 +36,7 @@
 
 use super::solvers::preempted;
 use super::{
-    CancelToken, EngineOptions, RacerReport, Router, SolveCtx, SolveOutcome, Solver,
-    SolverRegistry, SolverSpec,
+    CancelToken, RacerReport, Router, SolveCtx, SolveOutcome, Solver, SolverRegistry, SolverSpec,
 };
 use fragalign_align::OracleStatsSnapshot;
 use fragalign_model::{Instance, MatchSet, Score};
@@ -113,12 +112,12 @@ impl Board<'_> {
 }
 
 impl Solver for Portfolio {
-    fn supports(&self, inst: &Instance, opts: &EngineOptions) -> Result<(), String> {
+    fn supports(&self, inst: &Instance) -> Result<(), String> {
         // Members were built at construction, so probing is
         // allocation-free (a hot path for the serving layer, which
         // checks applicability per request).
         for member in &self.members {
-            if member.solver.supports(inst, opts).is_ok() {
+            if member.solver.supports(inst).is_ok() {
                 return Ok(());
             }
         }
@@ -135,7 +134,7 @@ impl Solver for Portfolio {
         let racers: Vec<&Member> = self
             .members
             .iter()
-            .filter(|m| m.solver.supports(inst, &opts).is_ok())
+            .filter(|m| m.solver.supports(inst).is_ok())
             .collect();
         if racers.is_empty() {
             // supports() rejects instances no member can run, so this

@@ -202,9 +202,12 @@ impl Router {
     }
 
     /// Route `inst`: the first matching rule whose solver supports
-    /// the instance under `opts`; the fallback otherwise. The
-    /// fallback (`csr` in the shipped table) supports every instance,
-    /// so routing always succeeds.
+    /// the instance; the fallback otherwise. The fallback (`csr` in
+    /// the shipped table) supports every instance, so routing always
+    /// succeeds. `opts` is unread: no solver's applicability depends
+    /// on the run options, and the parameter stays only because the
+    /// repository benchmark calls this function and
+    /// [`Router::route_explain`] with it.
     pub fn route(&self, inst: &Instance, opts: &EngineOptions) -> &'static str {
         self.route_explain(inst, opts).0
     }
@@ -212,11 +215,12 @@ impl Router {
     /// [`Router::route`] plus the evidence: the matched rule's label
     /// (`"fallback"` when no rule fired) and the features the decision
     /// was made on. The trace layer emits these so a routed solve
-    /// shows *why* it was routed, not just where.
+    /// shows *why* it was routed, not just where. `_opts` is unread,
+    /// as in [`Router::route`].
     pub fn route_explain(
         &self,
         inst: &Instance,
-        opts: &EngineOptions,
+        _opts: &EngineOptions,
     ) -> (&'static str, &'static str, InstanceFeatures) {
         let f = InstanceFeatures::of(inst);
         let reg = SolverRegistry::global();
@@ -225,7 +229,7 @@ impl Router {
                 continue;
             }
             if let Ok(spec) = reg.spec(rule.solver) {
-                if spec.build().supports(inst, opts).is_ok() {
+                if spec.build().supports(inst).is_ok() {
                     return (rule.solver, rule.label, f);
                 }
             }

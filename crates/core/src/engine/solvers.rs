@@ -4,7 +4,7 @@
 //! whole run — and each is bit-identical to calling that function on
 //! a fresh oracle (`tests/engine_registry.rs` proves it).
 
-use super::{EngineOptions, SolveCtx, SolveOutcome, Solver};
+use super::{SolveCtx, SolveOutcome, Solver};
 use crate::{ExactLimits, ImproveConfig, MethodSet};
 use fragalign_model::{Instance, MatchSet};
 
@@ -92,7 +92,7 @@ impl Solver for BorderMatching {
 pub struct OneCsr;
 
 impl Solver for OneCsr {
-    fn supports(&self, inst: &Instance, _opts: &EngineOptions) -> Result<(), String> {
+    fn supports(&self, inst: &Instance) -> Result<(), String> {
         if inst.m.len() == 1 {
             Ok(())
         } else {
@@ -133,7 +133,7 @@ impl Solver for Chain {
 pub struct Exact;
 
 impl Solver for Exact {
-    fn supports(&self, inst: &Instance, _opts: &EngineOptions) -> Result<(), String> {
+    fn supports(&self, inst: &Instance) -> Result<(), String> {
         ExactLimits::default().check(inst)
     }
 

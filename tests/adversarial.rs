@@ -90,14 +90,13 @@ proptest! {
         ];
         instances.extend(small_degenerates(seed));
         let reg = SolverRegistry::global();
-        let opts = EngineOptions::default();
         for (iname, inst) in &instances {
             let optimum = ExactLimits::default()
                 .check(inst)
                 .is_ok()
                 .then(|| solve_exact(inst, ExactLimits::default()).score);
             for spec in reg.specs() {
-                if spec.build().supports(inst, &opts).is_err() {
+                if spec.build().supports(inst).is_err() {
                     continue;
                 }
                 let (run, _) = solve(spec.name, inst);
@@ -126,13 +125,12 @@ proptest! {
 /// aggregate — the data behind the pinned floors.
 fn sweep(instances: &[Instance]) -> (i64, Vec<(&'static str, i64)>) {
     let reg = SolverRegistry::global();
-    let opts = EngineOptions::default();
     let mut totals: Vec<(&'static str, i64)> = reg.specs().iter().map(|s| (s.name, 0i64)).collect();
     let mut best_total = 0i64;
     for inst in instances {
         let mut best = 0i64;
         for (i, spec) in reg.specs().iter().enumerate() {
-            if spec.build().supports(inst, &opts).is_err() {
+            if spec.build().supports(inst).is_err() {
                 continue;
             }
             let score = solve(spec.name, inst).0.score;
@@ -281,7 +279,6 @@ fn portfolio_dominates_every_member_on_adversarial_shapes() {
     // The racing portfolio's dominance guarantee must survive the
     // adversarial channels, not just clean sims.
     let reg = SolverRegistry::global();
-    let opts = EngineOptions::default();
     for (iname, inst) in [
         ("torn", small_torn(11)),
         ("soup", small_soup(12)),
@@ -293,7 +290,7 @@ fn portfolio_dominates_every_member_on_adversarial_shapes() {
         let (portfolio, _) = solve("portfolio", &inst);
         check_consistency(&inst, &portfolio.matches).unwrap();
         for spec in reg.specs() {
-            if !spec.in_portfolio || spec.build().supports(&inst, &opts).is_err() {
+            if !spec.in_portfolio || spec.build().supports(&inst).is_err() {
                 continue;
             }
             let (run, _) = solve(spec.name, &inst);

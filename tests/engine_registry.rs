@@ -209,7 +209,7 @@ fn portfolio_dominates_every_registered_solver_on_the_demo() {
     let (portfolio, report) = run("portfolio", &inst, opts, &mut DpWorkspace::new());
     check_consistency(&inst, &portfolio.matches).unwrap();
     for spec in reg.specs() {
-        if spec.name == "portfolio" || spec.build().supports(&inst, &opts).is_err() {
+        if spec.name == "portfolio" || spec.build().supports(&inst).is_err() {
             continue;
         }
         let (member, _) = run(spec.name, &inst, opts, &mut DpWorkspace::new());

@@ -96,11 +96,7 @@ fn cancelled_token_preempts_every_solver() {
     let names: Vec<&str> = SolverRegistry::global()
         .specs()
         .iter()
-        .filter(|spec| {
-            spec.build()
-                .supports(&inst, &EngineOptions::default())
-                .is_ok()
-        })
+        .filter(|spec| spec.build().supports(&inst).is_ok())
         .map(|spec| spec.name)
         .collect();
     assert!(
